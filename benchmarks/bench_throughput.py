@@ -21,6 +21,10 @@ throughput fails loudly while CI-runner jitter does not.  A third case
 re-runs the fast engine with a *disabled* observability hub attached and
 holds it to the same floors shaved by 2% — the zero-cost claim of
 ``docs/observability.md``, benchmarked.
+
+Each round builds its process, organization and simulator in the
+untimed ``setup`` of ``benchmark.pedantic``; only the drain is timed, so
+the rates are simulation rates, not build-plus-simulation rates.
 """
 
 import pytest
@@ -75,30 +79,37 @@ def bench_workload(trace_name: str) -> Workload:
     return get_workload("omnetpp") if trace_name == "omnetpp" else stream_workload()
 
 
+def build_simulator(workload: Workload, config: str, engine: str, **kwargs) -> Simulator:
+    """A fresh process, organization and simulator: the untimed setup."""
+    settings = ExperimentSettings(trace_accesses=ACCESSES)
+    process = workload.build_process(
+        paging_policy_for(config), PhysicalMemory(settings.physical_bytes, seed=1)
+    )
+    return Simulator(
+        build_organization(config, process),
+        instructions_per_access=workload.instructions_per_access,
+        engine=engine,
+        **kwargs,
+    )
+
+
+def drain(simulator: Simulator, trace):
+    """The timed call: one whole-trace drain, no build."""
+    return simulator.run(trace, fast_forward_accesses=0)
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("trace_name", TRACES)
 def test_throughput(benchmark, trace_name, config, engine):
     workload = bench_workload(trace_name)
     trace = workload.trace(ACCESSES, seed=1)
-    settings = ExperimentSettings(trace_accesses=ACCESSES)
-
-    def build():
-        process = workload.build_process(
-            paging_policy_for(config), PhysicalMemory(settings.physical_bytes, seed=1)
-        )
-        organization = build_organization(config, process)
-        return Simulator(
-            organization,
-            instructions_per_access=workload.instructions_per_access,
-            engine=engine,
-        )
-
-    def run_once():
-        simulator = build()
-        return simulator.run(trace, fast_forward_accesses=0)
-
-    result = benchmark.pedantic(run_once, rounds=3, iterations=1)
+    result = benchmark.pedantic(
+        drain,
+        setup=lambda: ((build_simulator(workload, config, engine), trace), {}),
+        rounds=3,
+        iterations=1,
+    )
     assert result.accesses == ACCESSES
     if benchmark.stats is None:  # --benchmark-disable: correctness only
         return
@@ -116,22 +127,12 @@ def test_throughput_telemetry_disabled(benchmark, config):
     """Fast engine with a disabled hub attached holds 98% of its floors."""
     workload = stream_workload()
     trace = workload.trace(ACCESSES, seed=1)
-    settings = ExperimentSettings(trace_accesses=ACCESSES)
 
-    def run_once():
-        process = workload.build_process(
-            paging_policy_for(config), PhysicalMemory(settings.physical_bytes, seed=1)
-        )
-        organization = build_organization(config, process)
-        simulator = Simulator(
-            organization,
-            instructions_per_access=workload.instructions_per_access,
-            engine="fast",
-            observability=Observability(enabled=False),
-        )
-        return simulator.run(trace, fast_forward_accesses=0)
+    def setup():
+        hub = Observability(enabled=False)
+        return (build_simulator(workload, config, "fast", observability=hub), trace), {}
 
-    result = benchmark.pedantic(run_once, rounds=3, iterations=1)
+    result = benchmark.pedantic(drain, setup=setup, rounds=3, iterations=1)
     assert result.accesses == ACCESSES
     if benchmark.stats is None:  # --benchmark-disable: correctness only
         return

@@ -47,13 +47,24 @@ class DemandPaging(PagingPolicy):
     """4 KB pages only, one scattered frame per page."""
 
     def populate(self, process: "Process", vma: "VMA") -> None:
-        page_table = process.page_table
-        physical = process.physical
-        for vpn in range(vma.start_vpn, vma.end_vpn):
-            page_table.map(Translation(vpn, physical.alloc_frame(), PageSize.SIZE_4KB))
+        _map_4k_run(process, vma.start_vpn, vma.end_vpn)
 
     def describe(self) -> str:
         return "4KB demand paging"
+
+
+def _map_4k_run(process: "Process", start: int, end: int, pfn_for=None) -> None:
+    """Back [start, end) with 4 KB pages in one ``PageTable.map_run``.
+
+    Frames come from the allocator's scatter pool, or are the contiguous
+    ``pfn_for(start)...`` run for eager paging.
+    """
+    if pfn_for is None:
+        pfns = process.physical.alloc_frames(end - start)
+    else:
+        base = pfn_for(start)
+        pfns = range(base, base + end - start)
+    process.page_table.map_run(start, pfns)
 
 
 def _map_thp_region(process: "Process", start: int, end: int, use_huge, *, pfn_for=None) -> None:
@@ -67,31 +78,38 @@ def _map_thp_region(process: "Process", start: int, end: int, use_huge, *, pfn_f
     chunk silently degrades to 4 KB pages — exactly what a real THP
     allocation does under fragmentation (single frames remain available
     through buddy splitting as long as any memory is free).
+
+    The region is walked one 2 MB chunk at a time: a chunk without a huge
+    page is 4 KB to its end, and ``use_huge`` is only consulted at aligned
+    chunk starts.  Consecutive 4 KB chunks pile up into one pending run,
+    installed just before the next huge-page attempt and at the end, so
+    the allocator sees the same calls in the same order as a walk that
+    maps one page at a time.
     """
     from .physical import OutOfMemoryError
 
     page_table = process.page_table
     physical = process.physical
+    run_start = start  # first page of the pending 4 KB run
     vpn = start
     while vpn < end:
-        chunk = PageSize.SIZE_2MB.align_down(vpn)
         if (
-            chunk == vpn
+            vpn % PAGES_PER_2MB == 0
             and vpn + PAGES_PER_2MB <= end
             and use_huge(vpn)
             and (pfn_for is None or pfn_for(vpn) % PAGES_PER_2MB == 0)
         ):
+            _map_4k_run(process, run_start, vpn, pfn_for)
+            run_start = vpn
             try:
                 pfn = pfn_for(vpn) if pfn_for else physical.alloc_block(9)
             except OutOfMemoryError:
                 pfn = None  # fragmentation: degrade this chunk to 4 KB
             if pfn is not None:
                 page_table.map(Translation(vpn, pfn, PageSize.SIZE_2MB))
-                vpn += PAGES_PER_2MB
-                continue
-        pfn = pfn_for(vpn) if pfn_for else physical.alloc_frame()
-        page_table.map(Translation(vpn, pfn, PageSize.SIZE_4KB))
-        vpn += 1
+                run_start = vpn + PAGES_PER_2MB
+        vpn = min(PageSize.SIZE_2MB.align_down(vpn) + PAGES_PER_2MB, end)
+    _map_4k_run(process, run_start, end, pfn_for)
 
 
 class TransparentHugePaging(PagingPolicy):
@@ -152,21 +170,17 @@ class HugeTLBFSPaging(PagingPolicy):
         physical = process.physical
         vpn = vma.start_vpn
         while vpn < vma.end_vpn:
-            placed = False
             for size in (self.page_size, PageSize.SIZE_2MB):
-                if int(size) > int(self.page_size):
-                    continue
                 if vpn % int(size) == 0 and vpn + int(size) <= vma.end_vpn:
                     order = int(size).bit_length() - 1
                     page_table.map(Translation(vpn, physical.alloc_block(order), size))
                     vpn += int(size)
-                    placed = True
                     break
-            if not placed:
-                page_table.map(
-                    Translation(vpn, physical.alloc_frame(), PageSize.SIZE_4KB)
-                )
-                vpn += 1
+            else:
+                # Huge pages keep vpn 2 MB-aligned, so the first page no
+                # huge page fits is the start of a tail too short for one.
+                _map_4k_run(process, vpn, vma.end_vpn)
+                break
 
     def describe(self) -> str:
         return f"hugetlbfs ({self.page_size.label()} pages)"

@@ -187,8 +187,24 @@ class PhysicalMemory:
         return self._scatter_pool.pop()
 
     def alloc_frames(self, n: int) -> list[int]:
-        """Allocate ``n`` scattered frames."""
-        return [self.alloc_frame() for _ in range(n)]
+        """Allocate ``n`` scattered frames.
+
+        Returns exactly ``[self.alloc_frame() for _ in range(n)]`` — the
+        same frames in the same order, refilling the pool at the same
+        points — but takes each stretch of the pool as one slice.
+        """
+        frames: list[int] = []
+        pool = self._scatter_pool
+        while n > 0:
+            if not pool:
+                self._refill_scatter_pool()
+            cut = max(len(pool) - n, 0)
+            taken = pool[cut:]
+            del pool[cut:]
+            taken.reverse()  # alloc_frame pops from the end
+            frames += taken
+            n -= len(taken)
+        return frames
 
     def free_frame(self, pfn: int) -> None:
         """Return a single frame to the buddy free lists."""
@@ -238,8 +254,7 @@ class PhysicalMemory:
             raise AddressSpaceError("fraction must be in [0, 1]")
         if seed is not None:
             self._rng = random.Random(seed)
-        count = int(self._frames_free * fraction)
-        return [self.alloc_frame() for _ in range(count)]
+        return self.alloc_frames(int(self._frames_free * fraction))
 
     # ------------------------------------------------------------------
     # Checkpoint protocol

@@ -113,10 +113,7 @@ class Process:
                 f"vpn {vpn4k:#x} is backed by a {leaf.page_size.label()} page"
             )
         self.page_table.unmap(leaf.vpn)
-        for offset in range(int(PageSize.SIZE_2MB)):
-            self.page_table.map(
-                Translation(leaf.vpn + offset, leaf.pfn + offset, PageSize.SIZE_4KB)
-            )
+        self.page_table.map_run(leaf.vpn, range(leaf.pfn, leaf.pfn + int(PageSize.SIZE_2MB)))
         return leaf
 
     def break_huge_pages(self, fraction: float, seed: int | None = None) -> int:

@@ -15,7 +15,7 @@ The tree is the ground truth for all translations; the OS substrate
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from ..errors import AddressSpaceError
 from .translation import (
@@ -81,6 +81,11 @@ _LEAF_LEVEL = {
 }
 
 
+def _outside(vpn4k: int) -> AddressSpaceError:
+    """The error for mapping a page outside the page-number space."""
+    return AddressSpaceError(f"vpn {vpn4k:#x} outside the {VPN_BITS}-bit page-number space")
+
+
 class PageTable:
     """A per-process four-level page table."""
 
@@ -100,12 +105,14 @@ class PageTable:
         Raises :class:`repro.errors.AddressSpaceError` if any part of the
         region is already mapped (the OS substrate must unmap first),
         which catches accidental double-allocation bugs in paging
-        policies.
+        policies.  A 4 KB leaf goes through the same leaf-table installer
+        as :meth:`map_run`.
         """
+        if translation.page_size is PageSize.SIZE_4KB:
+            self._install_4k(translation.vpn, [translation])
+            return
         if not 0 <= translation.vpn <= VPN_LIMIT - int(translation.page_size):
-            raise AddressSpaceError(
-                f"vpn {translation.vpn:#x} outside the {VPN_BITS}-bit page-number space"
-            )
+            raise _outside(translation.vpn)
         leaf_level = _LEAF_LEVEL[translation.page_size]
         node = self.root
         while node.level > leaf_level:
@@ -134,6 +141,82 @@ class PageTable:
             )
         node.entries[index] = translation
         self._mapped_pages_4k += int(translation.page_size)
+
+    def map_run(self, vpn4k: int, pfns: Sequence[int]) -> None:
+        """Map ``len(pfns)`` consecutive 4 KB pages from ``vpn4k`` onto ``pfns``.
+
+        Equivalent to one :meth:`map` per page, but installed one leaf
+        table (up to 512 entries) at a time.  The whole run is validated
+        before anything changes: if any page is already mapped, covered
+        by a huge page, or outside the page-number space,
+        :class:`repro.errors.AddressSpaceError` names the first such page
+        and the table is left as it was.  An empty run is a no-op.
+        """
+        size = PageSize.SIZE_4KB
+        vpns = range(vpn4k, vpn4k + len(pfns))
+        self._install_4k(vpn4k, [Translation(vpn, pfn, size) for vpn, pfn in zip(vpns, pfns)])
+
+    def _leaf_table(self, vpn4k: int, create: bool) -> Optional[PageTableNode]:
+        """The level-1 node holding ``vpn4k``'s entry.
+
+        Missing nodes are created when ``create`` is set; otherwise a
+        missing node yields ``None``.  A huge page covering the page
+        raises :class:`repro.errors.AddressSpaceError`.
+        """
+        node = self.root
+        for shift in (_SHIFT_L4, _SHIFT_L3, _SHIFT_L2):
+            index = (vpn4k >> shift) & LEVEL_MASK
+            child = node.entries.get(index)
+            if child is None:
+                if not create:
+                    return None
+                child = PageTableNode(node.level - 1)
+                node.entries[index] = child
+            elif type(child) is Translation:
+                raise AddressSpaceError(
+                    f"vpn {vpn4k:#x} already covered by huge page {child}"
+                )
+            node = child
+        return node
+
+    def _install_4k(self, vpn4k: int, leaves: list[Translation]) -> None:
+        """Install 4 KB ``leaves`` for consecutive pages from ``vpn4k``.
+
+        Two passes over the leaf tables the run spans: the first checks
+        every table in address order and mutates nothing, the second
+        creates missing nodes and fills each table with one
+        ``dict.update``.
+        """
+        if not leaves:
+            return
+        end = vpn4k + len(leaves)
+        if vpn4k < 0:
+            raise _outside(vpn4k)
+        low = vpn4k
+        stop = min(end, VPN_LIMIT)
+        while low < stop:
+            high = min((low | LEVEL_MASK) + 1, stop)
+            table = self._leaf_table(low, create=False)
+            if table is not None and table.entries:
+                first = low & LEVEL_MASK
+                taken = table.entries.keys() & range(first, first + high - low)
+                if taken:
+                    existing = table.entries[min(taken)]
+                    raise AddressSpaceError(
+                        f"vpn {existing.vpn:#x} already mapped ({existing!r})"
+                    )
+            low = high
+        if end > VPN_LIMIT:
+            raise _outside(max(vpn4k, VPN_LIMIT))
+        low = vpn4k
+        while low < end:
+            high = min((low | LEVEL_MASK) + 1, end)
+            first = low & LEVEL_MASK
+            self._leaf_table(low, create=True).entries.update(
+                zip(range(first, first + high - low), leaves[low - vpn4k : high - vpn4k])
+            )
+            low = high
+        self._mapped_pages_4k += len(leaves)
 
     def unmap(self, vpn4k: int) -> Translation:
         """Remove the leaf entry covering ``vpn4k``; returns it.
@@ -251,8 +334,20 @@ class PageTable:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Rebuild the radix tree from serialized leaves."""
+        """Rebuild the radix tree from serialized leaves.
+
+        Consecutive 4 KB leaves are reinstalled as one :meth:`map_run`;
+        huge leaves go through :meth:`map`.
+        """
         self.root = PageTableNode(level=4)
         self._mapped_pages_4k = 0
+        run_vpn, run_pfns = 0, []
         for vpn, pfn, size in state["translations"]:
-            self.map(Translation(vpn, pfn, PageSize(size)))
+            if size != PageSize.SIZE_4KB:
+                self.map(Translation(vpn, pfn, PageSize(size)))
+                continue
+            if vpn != run_vpn + len(run_pfns):
+                self.map_run(run_vpn, run_pfns)
+                run_vpn, run_pfns = vpn, []
+            run_pfns.append(pfn)
+        self.map_run(run_vpn, run_pfns)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mmu.page_table import PageFault, PageTable
-from repro.mmu.translation import PAGES_PER_2MB, PageSize, Translation
+from repro.errors import AddressSpaceError
+from repro.mmu.page_table import VPN_LIMIT, PageFault, PageTable
+from repro.mmu.translation import PAGES_PER_1GB, PAGES_PER_2MB, PageSize, Translation
 
 
 class TestMapping:
@@ -105,6 +106,137 @@ class TestIntrospection:
         pt.map(Translation(PAGES_PER_2MB, 512, PageSize.SIZE_2MB))
         counts = pt.count_nodes()
         assert counts[1] == 1  # 2MB leaf lives at level 2, no new PT node
+
+
+def per_page(vpn, pfns):
+    """Reference: the run installed with one ``map`` per page."""
+    pt = PageTable()
+    for offset, pfn in enumerate(pfns):
+        pt.map(Translation(vpn + offset, pfn, PageSize.SIZE_4KB))
+    return pt
+
+
+def snapshot(pt):
+    """Everything a rejected run must leave untouched."""
+    return pt.state_dict(), pt.mapped_bytes, list(pt.iter_translations()), pt.count_nodes()
+
+
+class TestMapRun:
+    @pytest.mark.parametrize(
+        "vpn, count",
+        [
+            (0, 1),
+            (0, PAGES_PER_2MB),
+            (500, 30),  # crosses a 512-entry leaf table
+            (3, 3 * PAGES_PER_2MB),  # unaligned head and tail, several tables
+            (PAGES_PER_1GB - 10, 20),  # crosses a level-2 (1 GB) boundary
+            ((1 << 27) - 7, 9),  # crosses a level-3 (512 GB) boundary
+            (VPN_LIMIT - 600, 600),  # ends exactly at the top of the space
+        ],
+    )
+    def test_matches_per_page_map(self, vpn, count):
+        pfns = [7 * i + 1 for i in range(count)]
+        pt = PageTable()
+        pt.map_run(vpn, pfns)
+        assert snapshot(pt) == snapshot(per_page(vpn, pfns))
+        assert pt.translate(vpn + count - 1) == pfns[-1]
+
+    def test_accepts_a_range_of_frames(self):
+        pt = PageTable()
+        pt.map_run(510, range(4096, 4100))
+        assert [pt.translate(v) for v in range(510, 514)] == [4096, 4097, 4098, 4099]
+
+    def test_empty_run_is_a_noop(self):
+        pt = PageTable()
+        pt.map(Translation(4, 4, PageSize.SIZE_4KB))
+        before = snapshot(pt)
+        pt.map_run(4, [])
+        pt.map_run(VPN_LIMIT + 1, [])
+        assert snapshot(pt) == before
+
+    def test_between_existing_leaves_of_one_table(self):
+        pt = PageTable()
+        pt.map_run(0, [1, 2])
+        pt.map_run(5, [6, 7])
+        pt.map_run(2, [3, 4, 5])
+        assert [pt.translate(v) for v in range(7)] == [1, 2, 3, 4, 5, 6, 7]
+        assert pt.mapped_bytes == 7 * 4096
+
+    def test_refills_a_lingering_empty_subtree(self):
+        pt = PageTable()
+        pt.map_run(PAGES_PER_2MB, range(PAGES_PER_2MB))
+        for vpn in range(PAGES_PER_2MB, 2 * PAGES_PER_2MB):
+            pt.unmap(vpn)
+        nodes = pt.count_nodes()  # the emptied leaf table lingers
+        pt.map_run(PAGES_PER_2MB + 100, [9, 10])
+        assert pt.count_nodes() == nodes
+        assert pt.translate(PAGES_PER_2MB + 101) == 10
+        # A huge page still reclaims the subtree once it is empty again.
+        pt.unmap(PAGES_PER_2MB + 100)
+        pt.unmap(PAGES_PER_2MB + 101)
+        pt.map(Translation(PAGES_PER_2MB, 0, PageSize.SIZE_2MB))
+        assert pt.mapped_bytes == 2 << 20
+
+
+class TestMapRunRejection:
+    """A rejected run names its first offending page and changes nothing."""
+
+    def rejected(self, pt, vpn, count, offending):
+        before = snapshot(pt)
+        with pytest.raises(AddressSpaceError, match=f"vpn {offending:#x} "):
+            pt.map_run(vpn, list(range(count)))
+        assert snapshot(pt) == before
+
+    def test_already_mapped(self):
+        pt = PageTable()
+        pt.map(Translation(700, 1, PageSize.SIZE_4KB))
+        pt.map(Translation(900, 2, PageSize.SIZE_4KB))
+        # The run's first table is fresh; the conflicts sit in the second.
+        self.rejected(pt, 400, 600, offending=700)
+
+    def test_already_mapped_last_page(self):
+        pt = PageTable()
+        pt.map(Translation(2 * PAGES_PER_2MB, 1, PageSize.SIZE_4KB))
+        self.rejected(pt, 10, 2 * PAGES_PER_2MB - 9, offending=2 * PAGES_PER_2MB)
+
+    def test_under_a_2mb_leaf(self):
+        pt = PageTable()
+        pt.map(Translation(PAGES_PER_2MB, 0, PageSize.SIZE_2MB))
+        self.rejected(pt, PAGES_PER_2MB - 5, 10, offending=PAGES_PER_2MB)
+
+    def test_under_a_1gb_leaf(self):
+        pt = PageTable()
+        pt.map(Translation(PAGES_PER_1GB, 0, PageSize.SIZE_1GB))
+        self.rejected(pt, PAGES_PER_1GB - 600, 700, offending=PAGES_PER_1GB)
+
+    def test_negative_vpn(self):
+        self.rejected(PageTable(), -3, 10, offending=-3)
+
+    def test_past_the_page_number_space(self):
+        self.rejected(PageTable(), VPN_LIMIT - 4, 10, offending=VPN_LIMIT)
+        self.rejected(PageTable(), VPN_LIMIT + 4, 1, offending=VPN_LIMIT + 4)
+
+    def test_first_offence_wins_over_the_bound(self):
+        pt = PageTable()
+        pt.map(Translation(VPN_LIMIT - 2, 1, PageSize.SIZE_4KB))
+        self.rejected(pt, VPN_LIMIT - 4, 10, offending=VPN_LIMIT - 2)
+
+
+def test_load_state_dict_groups_runs():
+    pt = PageTable()
+    pt.map_run(3, range(100, 900))
+    pt.map(Translation(2 * PAGES_PER_2MB, 4096, PageSize.SIZE_2MB))
+    pt.map_run(3 * PAGES_PER_2MB, [5, 9, 2])
+    pt.map(Translation(PAGES_PER_1GB, PAGES_PER_1GB, PageSize.SIZE_1GB))
+    restored = PageTable()
+    restored.load_state_dict(pt.state_dict())
+    assert snapshot(restored) == snapshot(pt)
+
+
+def test_load_state_dict_rejects_overlapping_leaves():
+    state = {"translations": [[0, 0, 512], [5, 1, 1]]}
+    with pytest.raises(AddressSpaceError):
+        PageTable().load_state_dict(state)
 
 
 @settings(max_examples=40, deadline=None)

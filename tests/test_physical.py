@@ -106,6 +106,26 @@ class TestScatteredFrames:
             physical.free_frame(pfn)
         assert physical.frames_used == used_before - 100
 
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 10000])
+    def test_alloc_frames_matches_alloc_frame_loop(self, count):
+        # Twin allocators; the pool starts part-drained, and two calls in
+        # a row cross at least one refill for every count above 4096.
+        bulk = PhysicalMemory(1 << 30, seed=3)
+        single = PhysicalMemory(1 << 30, seed=3)
+        assert bulk.alloc_frames(100) == [single.alloc_frame() for _ in range(100)]
+        for _ in range(2):
+            assert bulk.alloc_frames(count) == [single.alloc_frame() for _ in range(count)]
+            assert bulk.state_dict() == single.state_dict()
+
+    def test_alloc_frames_exhaustion_matches_alloc_frame_loop(self):
+        bulk = PhysicalMemory(1 << 22, seed=1)  # 1024 frames
+        single = PhysicalMemory(1 << 22, seed=1)
+        with pytest.raises(OutOfMemoryError):
+            bulk.alloc_frames(2000)
+        with pytest.raises(OutOfMemoryError):
+            [single.alloc_frame() for _ in range(2000)]
+        assert bulk.state_dict() == single.state_dict()
+
     def test_fragment_pins_fraction(self, physical):
         free_before = physical.frames_free
         pinned = physical.fragment(0.25)
