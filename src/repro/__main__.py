@@ -16,9 +16,9 @@ sweep
     (runtime invariant checking), ``--retries`` and ``--cell-timeout``
     (per-cell isolation).  Cells run under the **process supervisor** by
     default: ``--workers N`` parallel worker processes (``--workers 0``
-    falls back to the legacy in-process path), hard SIGKILL timeouts,
-    ``--heartbeat-timeout`` hang detection, ``--memory-limit-mb``
-    per-worker budgets (structured ``oom`` status),
+    runs them in this process, without the process-only budgets), hard
+    SIGKILL timeouts, ``--heartbeat-timeout`` hang detection,
+    ``--memory-limit-mb`` per-worker budgets (structured ``oom`` status),
     ``--quarantine-after`` crash quarantine, and graceful SIGINT/SIGTERM
     shutdown that leaves the journal byte-identically resumable (exit
     code 3).  ``--chaos-kill-prob``/``--chaos-seed`` inject worker
@@ -520,7 +520,8 @@ def main(argv: list[str] | None = None) -> int:
         "--cell-timeout",
         type=float,
         default=None,
-        help="wall-clock seconds allowed per cell",
+        help="wall-clock seconds allowed per cell attempt; the worker "
+        "is SIGKILLed past it (needs --workers N >= 1)",
     )
     sweep_parser.add_argument(
         "--checkpoint-every",
@@ -536,9 +537,10 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="process-supervised worker count (default 1: serial, "
-        "byte-identical journals; 0 falls back to the in-process path "
-        "whose timeouts cannot reclaim CPU)",
+        help="worker processes that run the cells (default 1: serial, "
+        "byte-identical journals; 0 runs them in this process, which "
+        "rejects --cell-timeout, --heartbeat-timeout, --memory-limit-mb "
+        "and --chaos-kill-prob)",
     )
     sweep_parser.add_argument(
         "--quarantine-after",

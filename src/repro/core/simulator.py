@@ -19,7 +19,7 @@ instruction semantics, only their density relative to memory operations.
 
 from __future__ import annotations
 
-from time import perf_counter
+from functools import partial
 
 from ..energy.model import EnergyModel
 from ..energy.performance import miss_cycles
@@ -36,6 +36,10 @@ from .stats import FaultRecord, SimulationResult, TimelineSample
 #: Everything else (programming errors, resource exhaustion) still raises.
 FAULT_EXCEPTIONS = (PageFault, ConfigurationError, ValueError, KeyError,
                     IndexError, OverflowError)
+
+
+def _ignore(*_args) -> None:
+    """Stand-in for a telemetry hook when the run has no hub."""
 
 
 class Simulator:
@@ -229,9 +233,9 @@ class Simulator:
                 for instructions, l1_mpki, active_ways in resume_state["timeline"]
             ]
 
-        def loop_state(phase_name: str) -> dict:
+        def loop_state() -> dict:
             return {
-                "phase": phase_name,
+                "phase": phase,
                 "pos": pos,
                 "total": total,
                 "fast_forward_accesses": fast_forward_accesses,
@@ -303,69 +307,46 @@ class Simulator:
                         faulted += 1
                         i += 1
 
-        # ----- fast-forward (warm structures, Lite live, stats discarded)
-        if phase == "fast-forward":
-            if inst is not None:
-                inst.begin_phase("fast-forward")
-            if resume_state is None:
-                fire_events(0)
-            while pos < fast_forward_accesses:
-                stop = min(fast_forward_accesses, next_interval, next_event_position())
-                if inst is None:
-                    drain(pos, stop)
-                else:
-                    drain_started = perf_counter()
-                    drain(pos, stop)
-                    inst.boundary(stop - pos, perf_counter() - drain_started)
-                pos = stop
-                fire_events(pos)
-                if lite is not None and pos == next_interval:
-                    misses = hierarchy.l1_misses
-                    if inst is None:
-                        lite.end_interval(
-                            misses - last_interval_misses, interval_instructions
-                        )
-                    else:
-                        inst.lite_interval(
-                            lite, misses - last_interval_misses, interval_instructions
-                        )
-                    last_interval_misses = misses
-                    next_interval += interval_accesses
-                boundary += 1
-                if checkpoint_hook is not None:
-                    checkpoint_hook(loop_state("fast-forward"))
-            hierarchy.reset_measurement()
-            last_interval_misses = 0
-            lite_intervals_before = lite.stats.intervals if lite else 0
-            if lite is not None:
-                next_interval = pos + interval_accesses
-            next_sample = pos + window
-            last_sample_misses = 0
-            phase = "measured"
-
-        # ----- measured run with timeline sampling ----------------------
+        # Telemetry is applied once, here, by wrapping: the loop below is
+        # the same code with or without a hub.
+        end_interval = lite.end_interval if lite is not None else None
+        begin_phase = record_sample = _ignore
         if inst is not None:
-            inst.begin_phase("measured")
+            drain = inst.timed_drain(drain)
+            if lite is not None:
+                end_interval = partial(inst.lite_interval, lite)
+            begin_phase, record_sample = inst.begin_phase, inst.sample
+
+        # ----- one loop over the boundary schedule -----------------------
+        # Fast-forward warms the structures (Lite live) and its stats are
+        # discarded at the phase edge; the measured phase adds timeline
+        # samples.  Every stop of the drain is a boundary.
+        begin_phase(phase)
+        if resume_state is None:
+            fire_events(0)
         while pos < total:
-            stop = min(total, next_interval, next_sample, next_event_position())
-            if inst is None:
-                drain(pos, stop)
-            else:
-                drain_started = perf_counter()
-                drain(pos, stop)
-                inst.boundary(stop - pos, perf_counter() - drain_started)
+            if phase == "fast-forward" and pos == fast_forward_accesses:
+                hierarchy.reset_measurement()
+                last_interval_misses = 0
+                lite_intervals_before = lite.stats.intervals if lite else 0
+                if lite is not None:
+                    next_interval = pos + interval_accesses
+                next_sample = pos + window
+                last_sample_misses = 0
+                phase = "measured"
+                begin_phase(phase)
+            horizon = (
+                fast_forward_accesses
+                if phase == "fast-forward"
+                else min(total, next_sample)
+            )
+            stop = min(horizon, next_interval, next_event_position())
+            drain(pos, stop)
             pos = stop
             fire_events(pos)
             if lite is not None and pos == next_interval:
                 misses = hierarchy.l1_misses
-                if inst is None:
-                    lite.end_interval(
-                        misses - last_interval_misses, interval_instructions
-                    )
-                else:
-                    inst.lite_interval(
-                        lite, misses - last_interval_misses, interval_instructions
-                    )
+                end_interval(misses - last_interval_misses, interval_instructions)
                 last_interval_misses = misses
                 next_interval += interval_accesses
             if pos == next_sample:
@@ -380,13 +361,12 @@ class Simulator:
                 )
                 last_sample_misses = misses
                 next_sample += window
-                if inst is not None:
-                    inst.sample()
+                record_sample()
                 if self.auditor is not None:
                     self.auditor.audit_hierarchy(hierarchy, lite, faulted)
             boundary += 1
             if checkpoint_hook is not None:
-                checkpoint_hook(loop_state("measured"))
+                checkpoint_hook(loop_state())
 
         # ----- collect results ------------------------------------------
         hierarchy.sync_stats()

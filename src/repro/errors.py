@@ -25,12 +25,13 @@ by *kind* instead of string-matching messages:
     ``context`` dict with every number that went into the check.
 ``SweepError``
     The resilient sweep runner cannot proceed (e.g. a resume journal that
-    does not match the requested matrix).
+    does not match the requested matrix, or a timeout asked of the
+    in-process executor).
 ``TransientSimulationError``
     Marker for failures worth retrying (the sweep runner's backoff path).
 ``WorkerCrashError``
     A supervised sweep worker process died without reporting a result
-    (native crash, OOM kill, ``sys.exit``).  Retryable: the supervisor
+    (native crash, OOM kill, ``sys.exit``).  Retryable: the sweep driver
     re-dispatches the cell until the quarantine threshold.
 ``MemoryBudgetError``
     A worker exceeded its per-cell memory budget.  Fatal for the cell
@@ -110,7 +111,7 @@ class ConfigurationError(ReproError, ValueError):
 
 
 class SweepError(ReproError):
-    """The sweep runner cannot proceed (bad journal, bad matrix)."""
+    """The sweep runner cannot proceed (bad journal, matrix or settings)."""
 
 
 class TransientSimulationError(ReproError):
@@ -123,8 +124,8 @@ class WorkerCrashError(TransientSimulationError):
     Covers every way a child process can vanish mid-cell: a native
     abort, the kernel OOM killer, a stray ``sys.exit``, or an interpreter
     crash.  Derives from :class:`TransientSimulationError` because a
-    crash is retryable by definition — the supervisor re-dispatches the
-    cell until ``quarantine_after`` consecutive crashes mark it poison.
+    crash is retryable by definition — the sweep driver re-dispatches the
+    cell until ``quarantine_after`` crashes mark it poison.
     """
 
 

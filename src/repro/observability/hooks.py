@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from time import perf_counter
 
 from ..errors import ObservabilityError
 from ..ioutils import atomic_write_json
@@ -170,9 +171,10 @@ _NULL_SPAN_CONTEXT = _NullSpanContext()
 class SimulatorInstrumentation:
     """Per-run boundary-granular instrumentation for ``Simulator.run``.
 
-    Built only when a resolved (enabled) hub is present; every hot-loop
-    call site in the simulator is guarded by ``if inst is None`` so the
-    disabled path stays bare.  All counters move at boundary granularity
+    Built only when a resolved (enabled) hub is present.  ``Simulator.run``
+    applies it once, before its loop, by wrapping ``drain`` and
+    ``lite.end_interval``, so the loop itself never asks whether a hub
+    is present.  All counters move at boundary granularity
     — one bump per drain segment, Lite interval, or timeline sample —
     never per access.
     """
@@ -233,10 +235,18 @@ class SimulatorInstrumentation:
             self.obs.end(self.phase_span)
         self.phase_span = self.obs.begin(name)
 
-    def boundary(self, drained: int, seconds: float) -> None:
-        self.boundaries.inc()
-        self.drained.inc(drained)
-        self.drain_seconds.observe(seconds)
+    def timed_drain(self, drain):
+        """``drain`` wrapped to count and time every segment it drains."""
+
+        def timed(start: int, stop: int) -> None:
+            started = perf_counter()
+            drain(start, stop)
+            seconds = perf_counter() - started
+            self.boundaries.inc()
+            self.drained.inc(stop - start)
+            self.drain_seconds.observe(seconds)
+
+        return timed
 
     def lite_interval(self, lite, miss_delta: int, interval_instructions: float) -> None:
         """The instrumented twin of the bare ``lite.end_interval`` call."""

@@ -11,12 +11,13 @@ Five pillars, each usable on its own:
   golden per-component state digests;
 * :mod:`repro.resilience.bisect` — binary-search two runs' digest trails
   for the first diverging interval boundary and component;
-* :mod:`repro.resilience.sweep` — a checkpointing sweep runner with
-  per-cell isolation, retries, timeouts, ``--resume``, and mid-cell
-  snapshot restart;
-* :mod:`repro.resilience.supervisor` — the process-isolated execution
-  engine behind ``workers=N``: one OS process per cell, hard SIGKILL
-  timeouts, heartbeat hang detection, memory budgets, crash quarantine,
+* :mod:`repro.resilience.sweep` — the one sweep driver: journal,
+  ``--resume``, per-cell isolation, retries, crash quarantine and
+  mid-cell snapshot restart, over two executors (this process, or
+  worker processes);
+* :mod:`repro.resilience.supervisor` — the worker-process executor
+  behind ``workers=N``: one OS process per attempt, hard SIGKILL
+  timeouts, heartbeat hang detection, memory budgets, chaos injection,
   and graceful SIGINT/SIGTERM shutdown;
 * :mod:`repro.resilience.fuzz` / :mod:`repro.resilience.minimize` — a
   seeded generative differential fuzzer (reference-vs-fast engines,
@@ -60,7 +61,7 @@ from .faults import (
     run_fault_campaign,
     truncate_trace,
 )
-from .supervisor import WorkerTask, run_supervised_sweep
+from .supervisor import WorkerTask
 from .fuzz import (
     CORPUS_VERSION,
     FUZZ_CASE_VERSION,
@@ -141,5 +142,4 @@ __all__ = [
     "SweepReport",
     "WorkerTask",
     "run_resilient_sweep",
-    "run_supervised_sweep",
 ]

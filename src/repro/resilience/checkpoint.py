@@ -378,13 +378,13 @@ class SimulationCheckpointer:
 
 
 def claim_snapshot(path) -> dict | None:
-    """Validate and load a snapshot for worker handoff, or clear it.
+    """Validate and load a snapshot for a resumed or retried cell, or clear it.
 
-    The process supervisor's retry path hands a crashed cell's surviving
-    snapshot to the next worker so the cell restarts mid-trace instead of
-    from access 0.  A worker must never commit to a snapshot it cannot
-    restore — the very crash being retried may have torn component state
-    into the file's payload — so this helper front-loads the validation:
+    A sweep hands a cell's surviving snapshot to its next attempt so the
+    cell restarts mid-trace instead of from access 0.  An attempt must
+    never commit to a snapshot it cannot restore — the very crash being
+    retried may have torn component state into the file's payload — so
+    this helper front-loads the validation:
 
     * no file → ``None`` (start clean);
     * a readable, checksum-valid snapshot → its state dict;

@@ -1,15 +1,12 @@
-"""Process-isolated sweep execution: workers, heartbeats, quarantine.
+"""Process-isolated execution of sweep cells: workers, heartbeats, signals.
 
-The in-process sweep runner (:mod:`repro.resilience.sweep`) isolates
-cells from each other's *exceptions*, but it cannot isolate them from
-each other's *processes*: a hung cell keeps burning its CPU after the
-daemon-thread "timeout" abandons it, a native crash (OOM kill,
-``sys.exit``, interpreter abort) takes the whole sweep down, and nothing
-runs in parallel.  This module is the execution engine that closes those
-gaps — every cell runs in its own OS process under a supervisor loop:
+:func:`repro.resilience.sweep.run_resilient_sweep` hands its queue of
+pending cells to :func:`run_worker_pool` when ``workers=N``.  Every
+attempt then runs :func:`repro.resilience.sweep.run_cell` in its own OS
+process, which buys what an attempt in the driver's process cannot have:
 
-* **N parallel workers** (``workers``; 1 preserves the serial journal
-  order and hence the byte-identity contract with in-process runs);
+* **N parallel workers** (``workers``; 1 dispatches strictly in queue
+  order, so its journal is byte-identical to an in-process run's);
 * **hard SIGKILL timeouts** — a cell over its wall-clock budget is
   killed, not abandoned, actually reclaiming the core;
 * **heartbeats** — workers pump a heartbeat pipe at every drain-loop
@@ -19,25 +16,23 @@ gaps — every cell runs in its own OS process under a supervisor loop:
   enforceable proxy for an RSS budget; Linux does not enforce
   ``RLIMIT_RSS``) turn a runaway cell into a structured ``oom`` status
   instead of a machine-wide OOM incident;
-* **crash quarantine** — a cell that crashes its worker
-  ``quarantine_after`` times (tallied across ``--resume`` cycles in a
-  sidecar ledger) is journaled as quarantined and skipped thereafter;
+* **crash detection** — a worker that dies without reporting (SIGKILL,
+  segfault, OOM killer) becomes a ``crash`` outcome instead of taking
+  the sweep down;
 * **graceful shutdown** — SIGINT/SIGTERM stops dispatch, SIGTERMs the
   in-flight workers, which drain to the next boundary, flush a mid-cell
-  snapshot, and report ``interrupted``; the journal is left
-  byte-identically resumable.
+  snapshot, and report ``interrupted``;
+* **chaos** — a :class:`repro.resilience.faults.ChaosPolicy` strikes
+  inside the workers to drill all of the above.
 
-Crash-retried cells get a **snapshot handoff**: the next worker claims
-the crashed attempt's last mid-cell snapshot (validated, and discarded
-if unusable — see :func:`repro.resilience.checkpoint.claim_snapshot`)
-and restarts mid-trace instead of from access 0.  Checkpoint determinism
-(`tests/test_checkpoint.py`) guarantees the handed-off cell still
-produces a byte-identical result row.
+The pool decides nothing about journals, retries or quarantine: each
+reaped attempt goes back to the driver as one
+:class:`repro.resilience.sweep.CellOutcome`, and the driver may put the
+cell back at the front of the queue.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import signal
 import time
@@ -46,25 +41,9 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 
-from ..core.organizations import CONFIG_NAMES
-from ..errors import (
-    MemoryBudgetError,
-    QuarantinedCellError,
-    SweepError,
-    WorkerCrashError,
-)
+from ..errors import MemoryBudgetError, WorkerCrashError
 from .faults import ChaosPolicy
-from .sweep import (
-    CrashLedger,
-    JournalState,
-    SweepCell,
-    SweepJournal,
-    SweepReport,
-    _cell_checkpoint_path,
-    _cell_key,
-    _fingerprint,
-    result_row,
-)
+from .sweep import CellOptions, CellOutcome, _cell_key, run_cell
 
 #: Supervisor poll cadence — bounds how stale heartbeat/deadline checks
 #: can be.  Small enough that hang detection adds negligible latency,
@@ -74,6 +53,10 @@ _POLL_INTERVAL_S = 0.05
 #: How long a worker that already sent its result may take to exit
 #: before the supervisor kills it anyway.
 _EXIT_GRACE_S = 5.0
+
+#: After SIGINT/SIGTERM, how long drained workers get to flush their
+#: snapshots and exit before they are SIGKILLed.
+_GRACEFUL_TIMEOUT_S = 30.0
 
 
 class _GracefulExit(Exception):
@@ -85,25 +68,21 @@ class _GracefulExit(Exception):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WorkerTask:
-    """Everything one worker needs, as plain picklable data.
+    """Everything one worker needs, as picklable data.
 
-    Workloads travel by registry name and settings as a kwargs dict so
-    the spec survives any multiprocessing start method (``fork`` and
-    ``spawn`` alike) and can be logged verbatim when debugging a
-    quarantined cell.
+    The workload travels by registry name, so the task survives any
+    multiprocessing start method (``fork`` and ``spawn`` alike) and can
+    be logged verbatim when debugging a quarantined cell.
     """
 
     workload: str
     configuration: str
     attempt: int
-    settings: dict
-    audit: bool = False
-    checkpoint_path: str | None = None
-    checkpoint_every: int | None = None
-    allow_snapshot_resume: bool = False
+    options: CellOptions
+    checkpoint_path: Path | None = None
+    restore: bool = False
     memory_limit_mb: int | None = None
     chaos: dict | None = None
-    metrics: bool = False
 
 
 def _apply_memory_limit(limit_mb: int | None) -> None:
@@ -151,10 +130,7 @@ def _worker_main(task: WorkerTask, result_conn, heartbeat_conn) -> None:
     signal.signal(signal.SIGTERM, _on_sigterm)
     try:
         row, metrics = _simulate_cell(task, heartbeat_conn, shutdown)
-        message = {"status": "ok", "row": row}
-        if metrics is not None:
-            message["metrics"] = metrics
-        result_conn.send(message)
+        result_conn.send({"status": "ok", "row": row, "metrics": metrics})
     except _GracefulExit as exc:
         result_conn.send({"status": "interrupted", "error": str(exc)})
     except MemoryError as exc:
@@ -178,72 +154,27 @@ def _worker_main(task: WorkerTask, result_conn, heartbeat_conn) -> None:
 
 
 def _simulate_cell(task: WorkerTask, heartbeat_conn, shutdown: dict) -> tuple:
-    """Run one cell inside the worker; returns (journal row, metrics|None)."""
-    # Imports kept local so a spawn-start worker pays them here, not at
-    # module import inside the supervisor's hot loop.
-    from ..analysis.experiments import ExperimentSettings, prepare_run
+    """Run :func:`run_cell` inside the worker, pumping heartbeats."""
+    # Imported here so a spawn-start worker pays for the registry, not
+    # the supervisor's loop.
     from ..workloads.registry import get_workload
-    from .auditor import InvariantAuditor
-    from .checkpoint import (
-        SimulationCheckpointer,
-        claim_snapshot,
-        restore_simulation,
-    )
-    from ..errors import CheckpointError
 
     _apply_memory_limit(task.memory_limit_mb)
-    workload = get_workload(task.workload)
-    settings = ExperimentSettings(**task.settings)
-    key = _cell_key(task.workload, task.configuration)
     chaos = ChaosPolicy.from_json(task.chaos) if task.chaos else None
-    chaos_rng = chaos.rng(key, task.attempt) if chaos else None
-
-    auditor = InvariantAuditor() if task.audit else None
-    observability = None
-    if task.metrics:
-        from ..observability import Observability
-
-        # Each worker owns its own hub; snapshots (plain dicts) cross the
-        # heartbeat and result pipes, never the hub object itself.
-        observability = Observability()
-    prepared = prepare_run(
-        workload,
-        task.configuration,
-        settings,
-        auditor=auditor,
-        on_fault="record",
-        observability=observability,
+    chaos_rng = (
+        chaos.rng(_cell_key(task.workload, task.configuration), task.attempt)
+        if chaos
+        else None
     )
-    checkpoint_path = (
-        Path(task.checkpoint_path) if task.checkpoint_path is not None else None
-    )
-    resume_state = None
-    if task.allow_snapshot_resume and checkpoint_path is not None:
-        state = claim_snapshot(checkpoint_path)
-        if state is not None:
-            try:
-                resume_state = restore_simulation(
-                    prepared.simulator, prepared.process, state
-                )
-            except CheckpointError as exc:
-                # A snapshot that reads but won't restore must not poison
-                # every retry: discard it and start the cell clean.
-                warnings.warn(
-                    f"snapshot for {key} failed to restore ({exc}); "
-                    "starting the cell from access 0",
-                    stacklevel=2,
-                )
-                checkpoint_path.unlink(missing_ok=True)
-                resume_state = None
-
-    hook_box: list = []
+    checkpointers: list = []
 
     def on_boundary(loop_state: dict) -> None:
+        checkpointer = checkpointers[0]
         beat = {"boundary": loop_state["boundary"], "ts": time.monotonic()}
-        if observability is not None:
+        if checkpointer.observability is not None:
             # Cumulative snapshot: if the worker crashes later, the
             # supervisor keeps the last beat's metrics as best-effort.
-            beat["metrics"] = observability.snapshot()
+            beat["metrics"] = checkpointer.observability.snapshot()
         try:
             heartbeat_conn.send(beat)
         except (BrokenPipeError, OSError):
@@ -251,53 +182,34 @@ def _simulate_cell(task: WorkerTask, heartbeat_conn, shutdown: dict) -> tuple:
         if chaos is not None:
             chaos.strike(chaos_rng, loop_state["boundary"], task.attempt)
         if shutdown["requested"]:
-            if hook_box:
-                hook_box[0].snapshot_now(loop_state)
+            checkpointer.snapshot_now(loop_state)
             raise _GracefulExit(
                 f"SIGTERM honoured at boundary {loop_state['boundary']}"
             )
 
-    # The checkpointer doubles as the heartbeat pump: with no
-    # checkpoint_path it writes nothing but still fires on_boundary at
-    # every drain-loop boundary.
-    hook = SimulationCheckpointer(
-        prepared.simulator,
-        prepared.process,
-        path=checkpoint_path,
-        checkpoint_every=task.checkpoint_every or 1,
-        meta={"workload": task.workload, "configuration": task.configuration},
+    # The checkpointer doubles as the heartbeat pump: with no snapshot
+    # path it writes nothing but still fires on_boundary at every
+    # drain-loop boundary.
+    return run_cell(
+        get_workload(task.workload),
+        task.configuration,
+        task.options,
+        checkpoint_path=task.checkpoint_path,
+        restore=task.restore,
         on_boundary=on_boundary,
-        observability=observability,
+        hook_factory=checkpointers.append,
     )
-    hook_box.append(hook)
-    result = prepared.run(checkpoint_hook=hook, resume_state=resume_state)
-    metrics = observability.snapshot() if observability is not None else None
-    return result_row(result), metrics
 
 
 # ----------------------------------------------------------------------
 # Supervisor side
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
-class _PendingCell:
-    """One cell waiting for a worker slot."""
-
-    workload: str
-    configuration: str
-    key: str
-    attempt: int = 0
-    app_failures: int = 0  # in-worker exceptions (retries budget)
-    not_before: float = 0.0
-    backoff_s: float = 0.0
-    last_error: str | None = None
-
-
-@dataclass(slots=True)
 class _Inflight:
     """One live worker and everything needed to supervise it."""
 
     process: object
-    pending: _PendingCell
+    slot: object  # the driver's pending cell
     result_recv: object
     heartbeat_recv: object
     started: float
@@ -329,137 +241,29 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def run_supervised_sweep(
-    workloads,
-    config_names: tuple[str, ...] = CONFIG_NAMES,
-    settings=None,
-    journal_path=None,
-    resume: bool = False,
-    retries: int = 1,
-    backoff_s: float = 0.05,
+def run_worker_pool(
+    pending: list,
+    settle,
+    options: CellOptions,
+    *,
+    workers: int,
     cell_timeout_s: float | None = None,
-    audit: bool = False,
-    max_cells: int | None = None,
-    progress=None,
-    checkpoint_every: int | None = None,
-    workers: int = 1,
-    quarantine_after: int = 3,
     heartbeat_timeout_s: float | None = None,
     memory_limit_mb: int | None = None,
     chaos: ChaosPolicy | None = None,
-    graceful_timeout_s: float = 30.0,
-    metrics: bool = False,
-) -> SweepReport:
-    """Run the matrix with every cell in its own supervised OS process.
+) -> bool:
+    """Run the driver's queue of cells in worker processes.
 
-    Accepts the :func:`repro.resilience.sweep.run_resilient_sweep`
-    surface plus the supervision knobs:
-
-    ``workers``
-        Parallel worker processes.  1 (the default) dispatches cells in
-        matrix order one at a time, so the journal is byte-identical to
-        an in-process serial run; >1 journals rows in completion order
-        (cell *content* stays deterministic — compare journals with
-        :meth:`repro.resilience.sweep.SweepJournal.digest`).
-    ``quarantine_after``
-        A cell whose worker crashes (dies without reporting) this many
-        times — tallied across ``--resume`` cycles — is journaled as
-        quarantined and skipped thereafter.
-    ``heartbeat_timeout_s``
-        Kill a worker whose heartbeat (pumped at every drain-loop
-        boundary) goes silent this long: hang detection that fires long
-        before a generous ``cell_timeout_s`` would.  Must comfortably
-        exceed the expected boundary spacing.
-    ``memory_limit_mb``
-        Per-worker address-space budget (``resource.setrlimit``); a
-        breach yields the structured ``oom`` status, not a crash.
-    ``chaos``
-        A :class:`repro.resilience.faults.ChaosPolicy` injected into the
-        workers — fault injection aimed at this supervisor itself.
-    ``graceful_timeout_s``
-        After SIGINT/SIGTERM, how long drained workers get to flush
-        snapshots and exit before SIGKILL.
-    ``metrics``
-        Enable per-worker telemetry: each worker runs its cell with an
-        :class:`repro.observability.Observability` hub, streams
-        cumulative snapshots over the heartbeat pipe (so even a crashed
-        cell leaves its last reading), and reports the final snapshot
-        with the result.  Aggregates land in the
-        ``<journal>.metrics.json`` sidecar and on ``report.metrics`` —
-        the journal itself stays byte-identical to a metrics-off run.
+    ``pending`` is the driver's queue and ``settle`` its outcome policy:
+    every reaped attempt is passed to ``settle(cell, outcome)``, which
+    may put the cell back at the front of ``pending``.  Runs until the
+    queue and the pool are empty, or until a SIGINT/SIGTERM has drained
+    the in-flight workers; returns whether such a signal stopped it.
+    The budgets and ``chaos`` are the driver's parameters of the same
+    names.
     """
-    from ..analysis.experiments import ExperimentSettings
-
-    if workers < 1:
-        raise SweepError(f"workers must be >= 1, got {workers}")
-    if quarantine_after < 1:
-        raise SweepError(f"quarantine_after must be >= 1, got {quarantine_after}")
-    settings = settings or ExperimentSettings()
-    workloads = list(workloads)
-    fingerprint = _fingerprint([w.name for w in workloads], config_names, settings)
-    journal = SweepJournal(journal_path) if journal_path is not None else None
-    ledger = CrashLedger(journal.path if journal is not None else None)
-    journal_state = JournalState()
-    if journal is not None:
-        if resume and journal.exists():
-            journal_state = journal.load_state(fingerprint)
-            ledger.load()
-        else:
-            journal.start(fingerprint)
-            ledger.reset()
-    elif resume:
-        raise SweepError("--resume requires a journal path")
-    if checkpoint_every is not None and journal is None:
-        raise SweepError("checkpoint_every requires a journal path")
-
-    settings_spec = _settings_spec(settings)
     chaos_spec = chaos.to_json() if chaos is not None else None
     ctx = _mp_context()
-
-    report = SweepReport()
-    cells_by_key: dict[str, SweepCell] = {}
-    pending: list[_PendingCell] = []
-    executed = 0
-    for workload in workloads:
-        for config_name in config_names:
-            key = _cell_key(workload.name, config_name)
-            cell = SweepCell(
-                workload=workload.name, configuration=config_name, status="skipped"
-            )
-            report.cells.append(cell)
-            cells_by_key[key] = cell
-            if key in journal_state.quarantined:
-                info = journal_state.quarantined[key]
-                cell.status = "quarantined"
-                cell.error = info.get("error")
-                cell.attempts = info.get("crashes", 0)
-                if progress is not None:
-                    progress(cell)
-                continue
-            if key in journal_state.completed:
-                cell.status = "resumed"
-                cell.row = journal_state.completed[key]
-                _unlink_snapshot(journal, key, checkpoint_every)
-                if progress is not None:
-                    progress(cell)
-                continue
-            if max_cells is not None and executed >= max_cells:
-                report.interrupted = True
-                continue  # stays "skipped"
-            executed += 1
-            pending.append(
-                _PendingCell(
-                    workload=workload.name,
-                    configuration=config_name,
-                    key=key,
-                    backoff_s=backoff_s,
-                )
-            )
-            if not resume:
-                # A stale snapshot from an abandoned earlier run must not
-                # hand itself to a *fresh* sweep's first attempt.
-                _unlink_snapshot(journal, key, checkpoint_every)
-
     shutdown = _ShutdownState()
     previous_handlers = _install_handlers(shutdown)
     inflight: dict[int, _Inflight] = {}
@@ -472,52 +276,39 @@ def run_supervised_sweep(
                     entry.killed_for = "shutdown"
                     entry.process.terminate()  # SIGTERM → drain at boundary
                 shutdown.signalled = True
-                shutdown.deadline = now + graceful_timeout_s
-            if not shutdown.requested:
-                while len(inflight) < workers:
-                    slot = _next_ready(pending, now, strict_order=workers == 1)
-                    if slot is None:
-                        break
-                    pending.remove(slot)
-                    entry = _launch(
-                        ctx,
-                        slot,
-                        settings_spec,
-                        audit=audit,
-                        journal=journal,
-                        checkpoint_every=checkpoint_every,
-                        resume=resume,
-                        memory_limit_mb=memory_limit_mb,
-                        chaos_spec=chaos_spec,
-                        cell_timeout_s=cell_timeout_s,
-                        metrics=metrics,
-                    )
-                    inflight[entry.process.pid] = entry
+                shutdown.deadline = now + _GRACEFUL_TIMEOUT_S
+            while not shutdown.requested and len(inflight) < workers:
+                slot = _next_ready(pending, now, strict_order=workers == 1)
+                if slot is None:
+                    break
+                pending.remove(slot)
+                task = WorkerTask(
+                    workload=slot.workload.name,
+                    configuration=slot.configuration,
+                    attempt=slot.attempt,
+                    options=options,
+                    checkpoint_path=slot.checkpoint_path,
+                    restore=slot.restore,
+                    memory_limit_mb=memory_limit_mb,
+                    chaos=chaos_spec,
+                )
+                entry = _launch(ctx, slot, task, cell_timeout_s)
+                inflight[entry.process.pid] = entry
             _poll(inflight)
             now = time.monotonic()
             for pid, entry in list(inflight.items()):
-                outcome = _judge(
+                verdict = _judge(
                     entry,
                     now,
                     heartbeat_timeout_s=heartbeat_timeout_s,
                     shutdown_deadline=shutdown.deadline,
                 )
-                if outcome is None:
+                if verdict is None:
                     continue
                 del inflight[pid]
-                _finalize(
-                    entry,
-                    outcome,
-                    cells_by_key,
-                    pending,
-                    journal=journal,
-                    ledger=ledger,
-                    checkpoint_every=checkpoint_every,
-                    retries=retries,
-                    quarantine_after=quarantine_after,
-                    progress=progress,
-                    now=now,
-                )
+                entry.result_recv.close()
+                entry.heartbeat_recv.close()
+                settle(entry.slot, _outcome(entry, verdict, now))
             if shutdown.requested and not inflight:
                 break
     finally:
@@ -525,60 +316,12 @@ def run_supervised_sweep(
         for entry in inflight.values():  # pragma: no cover — safety net
             entry.process.kill()
             entry.process.join()
-
-    if shutdown.requested:
-        report.interrupted = True
-    if (
-        journal is not None
-        and not report.interrupted
-        and all(cell.status != "skipped" for cell in report.cells)
-    ):
-        ledger.reset()  # sweep finished; no crash history to carry forward
-    if metrics:
-        from ..observability import aggregate_cell_metrics, write_metrics_sidecar
-
-        fresh = {
-            _cell_key(cell.workload, cell.configuration): cell.metrics
-            for cell in report.cells
-            if cell.metrics is not None
-        }
-        existing = (
-            _metrics_sidecar(journal) if journal is not None and resume else None
-        )
-        report.metrics = aggregate_cell_metrics(fresh, existing)
-        if journal is not None:
-            write_metrics_sidecar(journal.path, report.metrics)
-    return report
-
-
-def _metrics_sidecar(journal):
-    from ..observability import metrics_sidecar_path
-
-    return metrics_sidecar_path(journal.path)
+    return shutdown.requested
 
 
 # ----------------------------------------------------------------------
 # Supervisor loop helpers
 # ----------------------------------------------------------------------
-def _settings_spec(settings) -> dict:
-    """ExperimentSettings as a kwargs dict that crosses process boundaries."""
-    spec = dataclasses.asdict(settings)
-    sim_params = spec.pop("sim_params", None)
-    if sim_params is not None:
-        from ..core.params import SimulationParams
-
-        spec["sim_params"] = SimulationParams(**sim_params)
-    return spec
-
-
-def _unlink_snapshot(journal, key: str, checkpoint_every) -> None:
-    if journal is None or checkpoint_every is None:
-        return
-    path = _cell_checkpoint_path(journal.path, key)
-    if path.exists():
-        path.unlink()
-
-
 def _install_handlers(shutdown: _ShutdownState) -> dict:
     """SIGINT/SIGTERM → graceful drain; no-op off the main thread."""
     previous = {}
@@ -597,10 +340,8 @@ def _restore_handlers(previous: dict) -> None:
         signal.signal(signum, handler)
 
 
-def _next_ready(
-    pending: list[_PendingCell], now: float, strict_order: bool
-) -> _PendingCell | None:
-    """Next dispatchable cell.
+def _next_ready(pending: list, now: float, strict_order: bool):
+    """Next dispatchable cell, or ``None``.
 
     ``strict_order`` (``workers == 1``) is head-of-line blocking: a cell
     waiting out its retry backoff must not be overtaken, or the journal's
@@ -616,40 +357,7 @@ def _next_ready(
     return None
 
 
-def _launch(
-    ctx,
-    slot: _PendingCell,
-    settings_spec: dict,
-    *,
-    audit: bool,
-    journal,
-    checkpoint_every,
-    resume: bool,
-    memory_limit_mb,
-    chaos_spec,
-    cell_timeout_s,
-    metrics: bool = False,
-) -> _Inflight:
-    checkpoint_path = None
-    if journal is not None and checkpoint_every is not None:
-        checkpoint_path = str(_cell_checkpoint_path(journal.path, slot.key))
-    # Snapshot handoff: a crash-retried attempt (attempt > 0) may claim
-    # the previous attempt's snapshot; attempt 0 may only claim one when
-    # the whole sweep is resuming.
-    allow_snapshot = checkpoint_path is not None and (resume or slot.attempt > 0)
-    task = WorkerTask(
-        workload=slot.workload,
-        configuration=slot.configuration,
-        attempt=slot.attempt,
-        settings=settings_spec,
-        audit=audit,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        allow_snapshot_resume=allow_snapshot,
-        memory_limit_mb=memory_limit_mb,
-        chaos=chaos_spec,
-        metrics=metrics,
-    )
+def _launch(ctx, slot, task: WorkerTask, cell_timeout_s) -> _Inflight:
     result_recv, result_send = ctx.Pipe(duplex=False)
     heartbeat_recv, heartbeat_send = ctx.Pipe(duplex=False)
     process = ctx.Process(
@@ -666,7 +374,7 @@ def _launch(
     now = time.monotonic()
     return _Inflight(
         process=process,
-        pending=slot,
+        slot=slot,
         result_recv=result_recv,
         heartbeat_recv=heartbeat_recv,
         started=now,
@@ -761,119 +469,34 @@ def _judge(
     return None
 
 
-def _finalize(
-    entry: _Inflight,
-    outcome: str,
-    cells_by_key: dict[str, SweepCell],
-    pending: list[_PendingCell],
-    *,
-    journal,
-    ledger: CrashLedger,
-    checkpoint_every,
-    retries: int,
-    quarantine_after: int,
-    progress,
-    now: float,
-) -> None:
-    """Translate one worker's fate into cell state, journal, and retries."""
-    slot = entry.pending
-    cell = cells_by_key[slot.key]
-    cell.attempts = slot.attempt + 1
-    cell.seconds += now - entry.started
-    if entry.last_metrics is not None and cell.metrics is None:
-        # Best-effort: the last heartbeat's cumulative snapshot survives
-        # a crash/timeout; an "ok" result below overwrites it.
-        cell.metrics = entry.last_metrics
-    done = True
-
-    if outcome == "result":
-        result = entry.result
-        status = result.get("status")
-        if status == "ok":
-            cell.status = "ok"
-            cell.row = result["row"]
-            cell.error = None
-            cell.metrics = result.get("metrics", entry.last_metrics)
-            if journal is not None:
-                journal.append(slot.key, cell.row)
-            _unlink_snapshot(journal, slot.key, checkpoint_every)
-        elif status == "oom":
-            # Fatal for the cell, structured for the sweep: the same
-            # budget reproduces the same breach, so no retry.
-            cell.status = "oom"
-            cell.error = result.get("error")
-        elif status == "interrupted":
-            cell.status = "interrupted"
-            cell.error = result.get("error")
-        else:  # "failed" — an exception inside a healthy worker
-            cell.error = result.get("error")
-            if slot.app_failures < retries:
-                done = False
-                _requeue(
-                    pending,
-                    slot,
-                    now,
-                    app_failure=True,
-                )
-            else:
-                cell.status = "failed"
-    elif outcome in ("timeout", "hang"):
-        budget = "wall-clock budget" if outcome == "timeout" else "heartbeat"
-        cell.status = "timeout"
-        cell.error = (
+def _outcome(entry: _Inflight, verdict: str, now: float) -> CellOutcome:
+    """Translate one reaped worker's fate into the driver's outcome."""
+    slot = entry.slot
+    outcome = CellOutcome(
+        "crash", metrics=entry.last_metrics, seconds=now - entry.started
+    )
+    if verdict == "result":
+        outcome.status = entry.result["status"]
+        outcome.error = entry.result.get("error")
+        if outcome.status == "ok":
+            outcome.row = entry.result["row"]
+            outcome.metrics = entry.result["metrics"]
+    elif verdict in ("timeout", "hang"):
+        budget = "wall-clock budget" if verdict == "timeout" else "heartbeat"
+        outcome.status = "timeout"
+        outcome.error = (
             f"worker SIGKILLed: {budget} exceeded "
             f"(attempt {slot.attempt + 1}); a hung cell would hang again, "
             "not retried"
         )
-    elif outcome == "shutdown-kill":
-        cell.status = "interrupted"
-        cell.error = "worker did not drain before the shutdown deadline"
+    elif verdict == "shutdown-kill":
+        outcome.status = "interrupted"
+        outcome.error = "worker did not drain before the shutdown deadline"
     else:  # "crash"
-        exitcode = entry.process.exitcode
-        crash = WorkerCrashError(
-            f"worker for {slot.key} died without reporting a result "
-            f"(exitcode {exitcode}, attempt {slot.attempt + 1})"
-        )
-        crashes = ledger.bump(slot.key)
-        if crashes >= quarantine_after:
-            error = QuarantinedCellError(
-                f"cell {slot.key} quarantined after {crashes} worker "
-                f"crashes (last: {crash})"
+        outcome.error = str(
+            WorkerCrashError(
+                f"worker for {slot.key} died without reporting a result "
+                f"(exitcode {entry.process.exitcode}, attempt {slot.attempt + 1})"
             )
-            cell.status = "quarantined"
-            cell.error = str(error)
-            if journal is not None:
-                journal.append_quarantine(slot.key, crashes, str(error))
-            _unlink_snapshot(journal, slot.key, checkpoint_every)
-        else:
-            cell.error = str(crash)
-            done = False
-            _requeue(pending, slot, now, app_failure=False)
-
-    for conn in (entry.result_recv, entry.heartbeat_recv):
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-    if done and progress is not None:
-        progress(cell)
-
-
-def _requeue(
-    pending: list[_PendingCell],
-    slot: _PendingCell,
-    now: float,
-    *,
-    app_failure: bool,
-) -> None:
-    """Put a cell back at the *front* of the queue for its next attempt.
-
-    Front, not back: with ``workers=1`` this keeps journal append order
-    equal to matrix order, preserving byte-identity with serial runs.
-    """
-    slot.attempt += 1
-    if app_failure:
-        slot.app_failures += 1
-    slot.not_before = now + slot.backoff_s
-    slot.backoff_s *= 2
-    pending.insert(0, slot)
+        )
+    return outcome

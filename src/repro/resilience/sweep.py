@@ -2,21 +2,29 @@
 
 The paper's figures come from (workload × configuration) sweeps that can
 run for hours at full scale; a crash in cell 47 of 60 must not cost the
-previous 46.  This runner hardens :func:`repro.analysis.experiments.run_matrix`
-with:
+previous 46.  :func:`run_resilient_sweep` is the one driver of every
+sweep.  It hardens :func:`repro.analysis.experiments.run_matrix` with:
 
 * **per-cell isolation** — one cell's exception never kills the sweep;
   the cell is marked failed and the matrix continues;
-* **retry with backoff** — transient failures get ``retries`` further
-  attempts with exponential backoff before the cell is given up;
-* **per-cell wall-clock timeouts** — a hung cell is abandoned (the
-  worker thread is a daemon) and marked ``timeout``;
+* **retry with backoff** — a failed attempt gets ``retries`` further
+  attempts with exponential backoff, ahead of every other queued cell;
+* **crash quarantine** — a cell whose worker process keeps dying is
+  journaled as quarantined and skipped by every later resume;
 * **a JSON checkpoint journal** — every completed cell is appended (and
   fsynced) to a JSON-lines journal keyed by a fingerprint of the matrix,
   so an interrupted sweep resumes exactly where it stopped;
 * **partial-result reporting** — the report distinguishes ``ok``,
-  ``resumed`` (loaded from the journal), ``failed``, ``timeout``, and
-  ``skipped`` cells instead of silently dropping them.
+  ``resumed`` (loaded from the journal), ``failed``, ``timeout``,
+  ``skipped`` and the other outcomes instead of silently dropping cells.
+
+Each attempt at a cell is one call of :func:`run_cell`, made by one of
+two executors over the same queue: this process (``workers=None``), or
+supervised worker processes (``workers=N``,
+:mod:`repro.resilience.supervisor`), which add hard timeouts,
+heartbeats, memory budgets and chaos injection.  An executor only
+reports a :class:`CellOutcome` per attempt; the journal, the retry and
+quarantine policy and the metrics sidecar live here, once.
 
 Determinism contract: a resumed sweep produces byte-identical result rows
 to an uninterrupted one, because rows for already-completed cells are
@@ -26,32 +34,27 @@ the original run would have seeded them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import hashlib
-
 from ..analysis.experiments import ExperimentSettings, prepare_run
 from ..core.organizations import CONFIG_NAMES
-from ..errors import SweepError, TransientSimulationError
+from ..errors import CheckpointError, QuarantinedCellError, SweepError
 from ..ioutils import atomic_write_json, atomic_write_text
+from ..workloads.base import Workload
 from .auditor import InvariantAuditor
-from .checkpoint import SimulationCheckpointer, resume_from_snapshot
+from .checkpoint import SimulationCheckpointer, claim_snapshot, restore_simulation
 
 #: Journal schema version.  v2 adds ``{"kind": "quarantined", ...}`` rows
 #: (poison cells the supervisor gave up on); v1 journals had no ``kind``
 #: discriminator, so mis-parsing them silently would surface quarantine
 #: rows as missing cells — loading rejects any other version outright.
 JOURNAL_VERSION = 2
-
-
-class _CellTimeout(Exception):
-    """Internal marker: the cell exceeded its wall-clock budget."""
 
 
 def result_row(result) -> dict:
@@ -134,10 +137,6 @@ class SweepJournal:
             sort_keys=True,
         )
         atomic_write_text(self.path, header + "\n")
-
-    def load(self, fingerprint: dict) -> dict[str, dict]:
-        """Completed rows keyed by cell; validates the fingerprint."""
-        return self.load_state(fingerprint).completed
 
     def load_state(self, fingerprint: dict | None) -> JournalState:
         """Full journal state (completed + quarantined cells).
@@ -282,18 +281,19 @@ class SweepCell:
 
     workload: str
     configuration: str
-    #: ok | resumed | failed | timeout | skipped — plus, under the
-    #: process supervisor: oom (memory budget breached), quarantined
-    #: (poison cell journaled and skipped), interrupted (graceful
-    #: shutdown drained this cell mid-trace; it resumes next run).
+    #: ok | resumed | failed | skipped — plus, from worker processes:
+    #: timeout (SIGKILLed over its wall-clock or heartbeat budget), oom
+    #: (memory budget breached), quarantined (poison cell journaled and
+    #: skipped), interrupted (graceful shutdown drained this cell
+    #: mid-trace; it resumes next run).
     status: str
     row: dict | None = None
     error: str | None = None
     attempts: int = 0
     seconds: float = 0.0
     #: Final observability snapshot (``metrics=True`` sweeps only).  For a
-    #: crashed/timed-out cell under the supervisor this is the last
-    #: heartbeat's cumulative snapshot — best-effort, never authoritative.
+    #: worker that crashed or timed out this is its last heartbeat's
+    #: cumulative snapshot — best-effort, never authoritative.
     metrics: dict | None = None
 
     @property
@@ -340,52 +340,132 @@ class SweepReport:
         return ", ".join(f"{status}: {count}" for status, count in sorted(counts.items()))
 
 
-def _run_with_timeout(fn, timeout_s: float | None):
-    """Run ``fn`` with a wall-clock budget; raise :class:`_CellTimeout`.
-
-    This is the **in-process fallback** (``workers=None``), kept for
-    platforms and callers that cannot fork (and for in-process test hooks
-    like ``checkpoint_hook_factory``).  Python cannot kill a thread, so
-    on timeout the daemon worker is *abandoned* and keeps burning a CPU
-    until the interpreter exits — the cell's wall clock is reclaimed, its
-    core is not.  That silent leak is why the process supervisor
-    (``workers=N`` / ``--workers``) is the default execution engine: it
-    SIGKILLs the timed-out worker process and actually frees the core.
-    A warning makes the leak visible whenever this path must abandon a
-    thread.
-    """
-    if timeout_s is None:
-        return fn()
-    box: dict = {}
-
-    def target() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 — marshalled to caller
-            box["error"] = exc
-
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(timeout_s)
-    if worker.is_alive():
-        warnings.warn(
-            f"cell exceeded its {timeout_s} s budget in the in-process "
-            "timeout path; the worker thread cannot be killed and will "
-            "keep consuming CPU until the process exits. Use the process "
-            "supervisor (workers=N / --workers) for hard-kill timeouts.",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        raise _CellTimeout(f"cell exceeded {timeout_s} s")
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
 def _cell_checkpoint_path(journal_path: Path, key: str) -> Path:
     """Snapshot file for one in-flight cell, derived from the journal path."""
     safe_key = key.replace("|", "--").replace(os.sep, "_")
     return journal_path.with_name(f"{journal_path.name}.{safe_key}.ckpt")
+
+
+# ----------------------------------------------------------------------
+# One attempt at one cell
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CellOptions:
+    """How every cell of one sweep runs; plain data, so workers get it too."""
+
+    settings: ExperimentSettings
+    audit: bool = False
+    metrics: bool = False
+    checkpoint_every: int | None = None
+
+
+@dataclass(slots=True)
+class CellOutcome:
+    """What one attempt at a cell came to, as an executor reports it.
+
+    ``status`` is ``ok``; ``failed`` (an exception, retried while
+    ``retries`` allows); ``crash`` (the worker died without reporting,
+    retried until quarantine); or a final ``oom``, ``timeout`` or
+    ``interrupted``.
+    """
+
+    status: str
+    row: dict | None = None
+    error: str | None = None
+    metrics: dict | None = None
+    #: Wall time of the attempt; for a worker, launch to reap.
+    seconds: float = 0.0
+
+
+def run_cell(
+    workload: Workload,
+    config_name: str,
+    options: CellOptions,
+    *,
+    checkpoint_path: Path | None = None,
+    restore: bool = False,
+    on_boundary=None,
+    hook_factory=None,
+) -> tuple[dict, dict | None]:
+    """One attempt at one cell; returns ``(result row, metrics or None)``.
+
+    Builds the cell, restores its snapshot when ``restore`` is set and
+    :func:`~repro.resilience.checkpoint.claim_snapshot` finds a usable
+    one, attaches a :class:`SimulationCheckpointer` when there is a
+    snapshot path or an ``on_boundary`` callback (``hook_factory`` gets
+    it before the run), and runs.  A snapshot that reads but does not
+    restore is deleted and the cell is built again from scratch: the
+    failed restore may already have loaded part of its state.
+    Exceptions propagate; the driver decides what they mean.
+    """
+    observability = None
+    if options.metrics:
+        from ..observability import Observability
+
+        observability = Observability()
+
+    def build():
+        return prepare_run(
+            workload,
+            config_name,
+            options.settings,
+            auditor=InvariantAuditor() if options.audit else None,
+            on_fault="record",
+            observability=observability,
+        )
+
+    prepared = build()
+    resume_state = None
+    state = claim_snapshot(checkpoint_path) if restore and checkpoint_path else None
+    if state is not None:
+        try:
+            resume_state = restore_simulation(
+                prepared.simulator, prepared.process, state
+            )
+        except CheckpointError as exc:
+            warnings.warn(
+                f"snapshot {checkpoint_path} failed to restore ({exc}); "
+                "starting the cell from access 0",
+                stacklevel=2,
+            )
+            checkpoint_path.unlink(missing_ok=True)
+            prepared = build()
+    hook = None
+    if checkpoint_path is not None or on_boundary is not None:
+        hook = SimulationCheckpointer(
+            prepared.simulator,
+            prepared.process,
+            path=checkpoint_path,
+            checkpoint_every=options.checkpoint_every or 1,
+            meta={"workload": workload.name, "configuration": config_name},
+            on_boundary=on_boundary,
+            observability=observability,
+        )
+        if hook_factory is not None:
+            hook_factory(hook)
+    result = prepared.run(checkpoint_hook=hook, resume_state=resume_state)
+    snapshot = observability.snapshot() if observability is not None else None
+    return result_row(result), snapshot
+
+
+# ----------------------------------------------------------------------
+# The driver
+# ----------------------------------------------------------------------
+@dataclass(slots=True)
+class _PendingCell:
+    """One cell waiting for its next attempt."""
+
+    workload: Workload
+    configuration: str
+    key: str
+    checkpoint_path: Path | None
+    #: The snapshot rule of both executors: a cell may restore its
+    #: snapshot only when the sweep loaded a journal, or on a retry.
+    restore: bool
+    attempt: int = 0
+    failures: int = 0  # ``failed`` outcomes so far, against ``retries``
+    not_before: float = 0.0
+    backoff_s: float = 0.0
 
 
 def run_resilient_sweep(
@@ -417,39 +497,46 @@ def run_resilient_sweep(
         Enable the checkpoint journal; with ``resume`` the journal's
         completed cells are replayed instead of re-simulated.
     ``retries`` / ``backoff_s``
-        Extra attempts per failing cell with exponential backoff
-        (:class:`repro.errors.TransientSimulationError` and any other
-        exception alike; timeouts are not retried).
-    ``cell_timeout_s``
-        Wall-clock budget per attempt.
+        Extra attempts per failing cell with exponential backoff (any
+        exception counts; ``timeout`` and ``oom`` are final).
     ``audit``
         Attach a fresh :class:`InvariantAuditor` to every cell.
     ``max_cells``
-        Stop after this many *executed* cells (test hook that simulates a
-        mid-matrix kill; remaining cells are reported as ``skipped``).
+        Run at most this many cells (test hook that simulates a
+        mid-matrix kill; the rest are reported as ``skipped``).
     ``progress``
-        Optional callable invoked with each finished :class:`SweepCell`.
+        Optional callable invoked in this process with each finished
+        :class:`SweepCell`.
     ``checkpoint_every``
         Snapshot the in-flight cell's full simulation state every N
         interval boundaries (see :mod:`repro.resilience.checkpoint`),
-        next to the journal.  With ``resume``, a surviving snapshot
-        restores the interrupted cell *mid-trace* instead of restarting
-        it; the snapshot is deleted once its cell completes.  Requires a
-        ``journal_path``.
+        next to the journal.  A cell restores its snapshot mid-trace only
+        when a journal was loaded (``resume``) or on a retry.  A fresh
+        sweep first deletes every leftover snapshot, and a snapshot is
+        deleted once its cell is journaled.  Requires a ``journal_path``.
     ``checkpoint_hook_factory``
-        Test hook: ``factory(checkpointer)`` is called with each cell's
-        :class:`SimulationCheckpointer` before the run starts (e.g. to
-        set ``abort_after`` and simulate a mid-cell kill).
+        Test hook for ``workers=None``: ``factory(checkpointer)`` is
+        called with each cell's :class:`SimulationCheckpointer` before
+        the run starts (e.g. to set ``abort_after`` and simulate a
+        mid-cell kill).
     ``workers``
-        ``None`` (default) keeps this in-process execution path.  Any
-        integer ≥ 1 delegates the whole sweep to the **process
-        supervisor** (:mod:`repro.resilience.supervisor`): every cell in
-        its own OS process, hard SIGKILL timeouts, heartbeat hang
-        detection, memory budgets, crash quarantine, and graceful
-        SIGINT/SIGTERM shutdown.  ``quarantine_after``,
-        ``heartbeat_timeout_s``, ``memory_limit_mb``, and ``chaos``
-        (a :class:`repro.resilience.faults.ChaosPolicy`) only apply
-        there.
+        ``None`` (default) runs every attempt in this process.  An
+        integer N ≥ 1 runs each attempt in one of N supervised worker
+        processes (:mod:`repro.resilience.supervisor`), which rebuild
+        their workload from the registry by name.  ``workers=1``
+        journals byte-identically to ``workers=None``; more workers
+        journal in completion order (compare with
+        :meth:`SweepJournal.digest`).
+    ``cell_timeout_s`` / ``heartbeat_timeout_s`` / ``memory_limit_mb`` / ``chaos``
+        A wall-clock budget per attempt, a budget for heartbeat silence
+        (hang detection), an address-space budget, and a
+        :class:`repro.resilience.faults.ChaosPolicy` injected into the
+        workers.  They need worker processes: with ``workers=None``
+        each raises :class:`SweepError`.
+    ``quarantine_after``
+        A cell whose worker dies without reporting this many times —
+        tallied across ``--resume`` cycles in a :class:`CrashLedger` —
+        is journaled as quarantined and skipped thereafter.
     ``metrics``
         Run every cell with an :class:`repro.observability.Observability`
         hub and aggregate the per-cell snapshots onto ``report.metrics``
@@ -457,120 +544,152 @@ def run_resilient_sweep(
         sidecar).  The journal itself stays byte-identical to a
         metrics-off sweep — telemetry never enters result rows.
     """
-    if workers is not None:
-        if checkpoint_hook_factory is not None:
-            raise SweepError(
-                "checkpoint_hook_factory is an in-process test hook; it "
-                "cannot cross the worker process boundary (use chaos=... "
-                "or workers=None)"
-            )
-        from .supervisor import run_supervised_sweep
-
-        return run_supervised_sweep(
-            workloads,
-            config_names,
-            settings,
-            journal_path=journal_path,
-            resume=resume,
-            retries=retries,
-            backoff_s=backoff_s,
-            cell_timeout_s=cell_timeout_s,
-            audit=audit,
-            max_cells=max_cells,
-            progress=progress,
-            checkpoint_every=checkpoint_every,
-            workers=workers,
-            quarantine_after=quarantine_after,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-            memory_limit_mb=memory_limit_mb,
-            chaos=chaos,
-            metrics=metrics,
+    if workers is None:
+        for name, value in (
+            ("cell_timeout_s", cell_timeout_s),
+            ("heartbeat_timeout_s", heartbeat_timeout_s),
+            ("memory_limit_mb", memory_limit_mb),
+            ("chaos", chaos),
+        ):
+            if value is not None:
+                raise SweepError(
+                    f"{name} needs worker processes; pass workers=N "
+                    "(CLI: --workers N with N >= 1)"
+                )
+    elif workers < 1:
+        raise SweepError(f"workers must be >= 1, got {workers}")
+    elif checkpoint_hook_factory is not None:
+        raise SweepError(
+            "checkpoint_hook_factory is an in-process test hook; it "
+            "cannot cross the worker process boundary (use chaos=... "
+            "or workers=None)"
         )
+    if quarantine_after < 1:
+        raise SweepError(f"quarantine_after must be >= 1, got {quarantine_after}")
+    if journal_path is None and resume:
+        raise SweepError("--resume requires a journal path")
+    if journal_path is None and checkpoint_every is not None:
+        raise SweepError("checkpoint_every requires a journal path")
 
     settings = settings or ExperimentSettings()
     workloads = list(workloads)
     fingerprint = _fingerprint([w.name for w in workloads], config_names, settings)
     journal = SweepJournal(journal_path) if journal_path is not None else None
-    journal_state = JournalState()
-    if journal is not None:
-        if resume and journal.exists():
-            journal_state = journal.load_state(fingerprint)
-        else:
-            # Fresh sweep (or resume with nothing to resume yet).
+    ledger = CrashLedger(journal.path if journal is not None else None)
+    loaded = resume and journal is not None and journal.exists()
+    if loaded:
+        journal_state = journal.load_state(fingerprint)
+        ledger.load()
+    else:
+        journal_state = JournalState()
+        if journal is not None:
             journal.start(fingerprint)
-    elif resume:
-        raise SweepError("--resume requires a journal path")
-    if checkpoint_every is not None and journal is None:
-        raise SweepError("checkpoint_every requires a journal path")
-    completed = journal_state.completed
+        ledger.reset()
 
     report = SweepReport()
-    executed = 0
+    cells: dict[str, SweepCell] = {}
+    pending: list[_PendingCell] = []
     for workload in workloads:
         for config_name in config_names:
             key = _cell_key(workload.name, config_name)
-            if key in journal_state.quarantined:
-                info = journal_state.quarantined[key]
-                cell = SweepCell(
-                    workload=workload.name,
-                    configuration=config_name,
-                    status="quarantined",
-                    error=info.get("error"),
-                    attempts=info.get("crashes", 0),
-                )
-                report.cells.append(cell)
-                if progress is not None:
-                    progress(cell)
-                continue
-            checkpoint_path = (
+            cell = SweepCell(
+                workload=workload.name, configuration=config_name, status="skipped"
+            )
+            report.cells.append(cell)
+            cells[key] = cell
+            snapshot = (
                 _cell_checkpoint_path(journal.path, key)
                 if checkpoint_every is not None
                 else None
             )
-            if key in completed:
-                if checkpoint_path is not None and checkpoint_path.exists():
-                    checkpoint_path.unlink()  # stale: the cell is journaled
-                cell = SweepCell(
-                    workload=workload.name,
-                    configuration=config_name,
-                    status="resumed",
-                    row=completed[key],
-                )
-                report.cells.append(cell)
-                if progress is not None:
-                    progress(cell)
+            if snapshot is not None and (not loaded or key in journal_state.completed):
+                # A fresh sweep must never restore an earlier experiment's
+                # snapshot, and a journaled cell no longer needs its own.
+                snapshot.unlink(missing_ok=True)
+            if key in journal_state.quarantined:
+                info = journal_state.quarantined[key]
+                cell.status = "quarantined"
+                cell.error = info.get("error")
+                cell.attempts = info.get("crashes", 0)
+            elif key in journal_state.completed:
+                cell.status = "resumed"
+                cell.row = journal_state.completed[key]
+            elif max_cells is not None and len(pending) >= max_cells:
+                report.interrupted = True  # the cell stays "skipped"
                 continue
-            if max_cells is not None and executed >= max_cells:
-                report.interrupted = True
-                cell = SweepCell(
-                    workload=workload.name,
-                    configuration=config_name,
-                    status="skipped",
+            else:
+                pending.append(
+                    _PendingCell(
+                        workload,
+                        config_name,
+                        key,
+                        snapshot,
+                        restore=loaded,
+                        backoff_s=backoff_s,
+                    )
                 )
-                report.cells.append(cell)
                 continue
-            cell = _run_cell(
-                workload,
-                config_name,
-                settings,
-                retries=retries,
-                backoff_s=backoff_s,
-                cell_timeout_s=cell_timeout_s,
-                audit=audit,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                resume_cell=resume,
-                checkpoint_hook_factory=checkpoint_hook_factory,
-                metrics=metrics,
-            )
-            executed += 1
-            if cell.completed and journal is not None:
-                journal.append(key, cell.row)
-                if checkpoint_path is not None and checkpoint_path.exists():
-                    checkpoint_path.unlink()  # resume point superseded
-            report.cells.append(cell)
             if progress is not None:
                 progress(cell)
+
+    def settle(slot: _PendingCell, outcome: CellOutcome) -> None:
+        """The outcome policy: journal, retry, quarantine, report."""
+        cell = cells[slot.key]
+        cell.attempts = slot.attempt + 1
+        cell.seconds += outcome.seconds
+        cell.error = outcome.error
+        if outcome.metrics is not None:
+            cell.metrics = outcome.metrics
+        status = outcome.status
+        if status == "failed" and slot.failures < retries:
+            slot.failures += 1
+            _requeue(pending, slot)
+            return
+        if status == "crash":
+            crashes = ledger.bump(slot.key)
+            if crashes < quarantine_after:
+                _requeue(pending, slot)
+                return
+            status = "quarantined"
+            cell.error = str(
+                QuarantinedCellError(
+                    f"cell {slot.key} quarantined after {crashes} worker "
+                    f"crashes (last: {outcome.error})"
+                )
+            )
+            if journal is not None:
+                journal.append_quarantine(slot.key, crashes, cell.error)
+        elif status == "ok":
+            cell.row = outcome.row
+            if journal is not None:
+                journal.append(slot.key, cell.row)
+        if status in ("ok", "quarantined") and slot.checkpoint_path is not None:
+            slot.checkpoint_path.unlink(missing_ok=True)  # resume point superseded
+        cell.status = status
+        if progress is not None:
+            progress(cell)
+
+    options = CellOptions(
+        settings=settings, audit=audit, metrics=metrics, checkpoint_every=checkpoint_every
+    )
+    if workers is None:
+        _run_in_process(pending, settle, options, checkpoint_hook_factory)
+    else:
+        from .supervisor import run_worker_pool
+
+        if run_worker_pool(
+            pending,
+            settle,
+            options,
+            workers=workers,
+            cell_timeout_s=cell_timeout_s,
+            heartbeat_timeout_s=heartbeat_timeout_s,
+            memory_limit_mb=memory_limit_mb,
+            chaos=chaos,
+        ):
+            report.interrupted = True
+    if not report.interrupted:
+        ledger.reset()  # sweep finished; no crash history to carry forward
     if metrics:
         from ..observability import (
             aggregate_cell_metrics,
@@ -579,108 +698,50 @@ def run_resilient_sweep(
         )
 
         fresh = {
-            _cell_key(cell.workload, cell.configuration): cell.metrics
-            for cell in report.cells
-            if cell.metrics is not None
+            key: cell.metrics for key, cell in cells.items() if cell.metrics is not None
         }
-        existing = (
-            metrics_sidecar_path(journal.path)
-            if journal is not None and resume
-            else None
-        )
+        existing = metrics_sidecar_path(journal.path) if loaded else None
         report.metrics = aggregate_cell_metrics(fresh, existing)
         if journal is not None:
             write_metrics_sidecar(journal.path, report.metrics)
     return report
 
 
-def _run_cell(
-    workload,
-    config_name: str,
-    settings: ExperimentSettings,
-    retries: int,
-    backoff_s: float,
-    cell_timeout_s: float | None,
-    audit: bool,
-    checkpoint_path: Path | None = None,
-    checkpoint_every: int | None = None,
-    resume_cell: bool = False,
-    checkpoint_hook_factory=None,
-    metrics: bool = False,
-) -> SweepCell:
-    """One isolated cell: attempts, backoff, timeout, structured outcome."""
-    cell = SweepCell(workload=workload.name, configuration=config_name, status="failed")
-    started = time.perf_counter()
-    delay = backoff_s
-    for attempt in range(retries + 1):
-        cell.attempts = attempt + 1
+def _requeue(pending: list[_PendingCell], slot: _PendingCell) -> None:
+    """Queue a cell's next attempt at the *front*, after its backoff.
+
+    Front, not back: with one attempt at a time the journal keeps matrix
+    order, so ``workers=1`` journals byte-identically to ``workers=None``.
+    A retry may restore the snapshot the last attempt left behind.
+    """
+    slot.attempt += 1
+    slot.restore = True
+    slot.not_before = time.monotonic() + slot.backoff_s
+    slot.backoff_s *= 2
+    pending.insert(0, slot)
+
+
+def _run_in_process(
+    pending: list[_PendingCell], settle, options: CellOptions, hook_factory
+) -> None:
+    """The ``workers=None`` executor: every attempt here, in queue order."""
+    while pending:
+        slot = pending.pop(0)
+        wait = slot.not_before - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        started = time.perf_counter()
         try:
-            def simulate(attempt=attempt):
-                observability = None
-                if metrics:
-                    from ..observability import Observability
-
-                    observability = Observability()
-                auditor = InvariantAuditor() if audit else None
-                prepared = prepare_run(
-                    workload,
-                    config_name,
-                    settings,
-                    auditor=auditor,
-                    on_fault="record",
-                    observability=observability,
-                )
-                resume_state = None
-                if (
-                    resume_cell
-                    and attempt == 0
-                    and checkpoint_path is not None
-                    and checkpoint_path.exists()
-                ):
-                    # Mid-cell restart: restore the interrupted simulation
-                    # instead of re-running its prefix.  Retries start
-                    # clean — a snapshot that keeps failing to restore
-                    # must not poison every attempt.
-                    resume_state = resume_from_snapshot(prepared, checkpoint_path)
-                hook = None
-                if checkpoint_path is not None and checkpoint_every is not None:
-                    hook = SimulationCheckpointer(
-                        prepared.simulator,
-                        prepared.process,
-                        path=checkpoint_path,
-                        checkpoint_every=checkpoint_every,
-                        meta={
-                            "workload": workload.name,
-                            "configuration": config_name,
-                        },
-                        observability=observability,
-                    )
-                    if checkpoint_hook_factory is not None:
-                        checkpoint_hook_factory(hook)
-                result = prepared.run(
-                    checkpoint_hook=hook, resume_state=resume_state
-                )
-                snapshot = (
-                    observability.snapshot() if observability is not None else None
-                )
-                return result_row(result), snapshot
-
-            cell.row, cell.metrics = _run_with_timeout(simulate, cell_timeout_s)
-            cell.status = "ok"
-            cell.error = None
-            break
-        except _CellTimeout as exc:
-            cell.status = "timeout"
-            cell.error = str(exc)
-            break  # a hung cell will hang again; don't retry
-        except TransientSimulationError as exc:
-            cell.status = "failed"
-            cell.error = f"{type(exc).__name__}: {exc}"
+            row, snapshot = run_cell(
+                slot.workload,
+                slot.configuration,
+                options,
+                checkpoint_path=slot.checkpoint_path,
+                restore=slot.restore,
+                hook_factory=hook_factory,
+            )
+            outcome = CellOutcome("ok", row=row, metrics=snapshot)
         except Exception as exc:  # noqa: BLE001 — per-cell isolation
-            cell.status = "failed"
-            cell.error = f"{type(exc).__name__}: {exc}"
-        if attempt < retries:
-            time.sleep(delay)
-            delay *= 2
-    cell.seconds = time.perf_counter() - started
-    return cell
+            outcome = CellOutcome("failed", error=f"{type(exc).__name__}: {exc}")
+        outcome.seconds = time.perf_counter() - started
+        settle(slot, outcome)

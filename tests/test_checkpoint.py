@@ -9,11 +9,15 @@ The acceptance bar of the checkpoint work:
   byte-identical result (and identical per-boundary state digests);
 * a sweep killed mid-cell resumes mid-trace and produces byte-identical
   rows to an uninterrupted sweep;
+* on both executors, a sweep restores only snapshots its own experiment
+  wrote, and a snapshot that fails to restore leaves no half-restored
+  cell behind;
 * snapshot files reject version and checksum mismatches;
 * ``bisect-divergence`` pinpoints the first diverging interval boundary
   and the diverging component on a seeded fault-injected run.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -44,6 +48,7 @@ from repro.resilience.checkpoint import (
 from repro.resilience.sweep import run_resilient_sweep
 from repro.workloads.base import VMASpec, Workload
 from repro.workloads.patterns import Zipf
+from repro.workloads.registry import get_workload
 
 SETTINGS = ExperimentSettings(trace_accesses=6_000, seed=5, physical_bytes=1 << 28)
 
@@ -56,6 +61,25 @@ def small_workload(name: str = "ckpt") -> Workload:
         lambda regions: Zipf(regions["heap"].subregion(0, 24), alpha=1.1, burst=3),
         instructions_per_access=3.0,
     )
+
+
+#: Worker processes rebuild cells from the registry, so the sweep tests
+#: that run on both executors use a registered workload.
+POVRAY = get_workload("povray")
+
+
+def registry_settings(seed: int) -> ExperimentSettings:
+    return ExperimentSettings(trace_accesses=6_000, seed=seed)
+
+
+def kill_every_cell(journal, configs, seed: int) -> None:
+    """An in-process sweep whose cells all abort mid-trace, leaving snapshots."""
+    report = run_resilient_sweep(
+        [POVRAY], configs, registry_settings(seed),
+        journal_path=journal, retries=0, checkpoint_every=1,
+        checkpoint_hook_factory=lambda cp: setattr(cp, "abort_after", 3),
+    )
+    assert all(cell.status == "failed" for cell in report.cells)
 
 
 def killed_snapshot(workload, config_name, path, abort_after=3, **prepare_kwargs):
@@ -166,6 +190,55 @@ class TestResumeDeterminism:
         assert resumed.rows() == reference.rows()
         # Completed cells delete their resume points.
         assert list(tmp_path.glob("sweep.journal.*.ckpt")) == []
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_fresh_sweep_discards_stale_snapshots(self, workers, tmp_path):
+        """A resume never restores a snapshot an earlier experiment left."""
+        journal = tmp_path / "sweep.journal"
+        kill_every_cell(journal, ("4KB", "THP"), seed=1)
+        assert (tmp_path / "sweep.journal.povray--THP.ckpt").exists()
+        # A fresh seed-2 sweep on the same journal path stops after 4KB…
+        sweep = dict(
+            journal_path=journal, checkpoint_every=1, workers=workers
+        )
+        run_resilient_sweep(
+            [POVRAY], ("4KB", "THP"), registry_settings(2), max_cells=1, **sweep
+        )
+        # …so its resume runs THP, which must start clean, not from seed 1.
+        resumed = run_resilient_sweep(
+            [POVRAY], ("4KB", "THP"), registry_settings(2), resume=True, **sweep
+        )
+        clean = run_resilient_sweep([POVRAY], ("THP",), registry_settings(2))
+        assert resumed.cell("povray", "THP").status == "ok"
+        assert resumed.cell("povray", "THP").row == clean.rows()[0]
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_unrestorable_snapshot_reruns_cell_clean(self, workers, tmp_path):
+        """A snapshot that fails mid-restore is dropped and the cell rebuilt."""
+        journal = tmp_path / "sweep.journal"
+        kill_every_cell(journal, ("THP",), seed=5)
+        snapshot = tmp_path / "sweep.journal.povray--THP.ckpt"
+        state, meta = read_snapshot(snapshot)
+        # Still checksum-valid; the restore fails only after the hierarchy
+        # has been loaded, leaving the first build half-restored.
+        state["process"]["physical"]["total_frames"] += 1
+        write_snapshot(snapshot, state, meta)
+        warns = (
+            pytest.warns(UserWarning, match="failed to restore")
+            if workers is None
+            else contextlib.nullcontext()  # warned in the worker process
+        )
+        with warns:
+            resumed = run_resilient_sweep(
+                [POVRAY], ("THP",), registry_settings(5),
+                journal_path=journal, checkpoint_every=1, resume=True,
+                workers=workers,
+            )
+        clean = run_resilient_sweep([POVRAY], ("THP",), registry_settings(5))
+        cell = resumed.cell("povray", "THP")
+        assert (cell.status, cell.attempts) == ("ok", 1)
+        assert cell.row == clean.rows()[0]
+        assert not snapshot.exists()
 
     def test_resume_state_rejects_different_trace(self, tmp_path):
         workload = small_workload()

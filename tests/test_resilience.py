@@ -32,6 +32,7 @@ from repro.errors import (
 from repro.mmu.page_table import PageFault, PageTable, VPN_LIMIT
 from repro.mmu.translation import PageSize, Translation
 from repro.resilience import (
+    ChaosPolicy,
     InvariantAuditor,
     adversarial_events,
     inject_duplicate_bursts,
@@ -45,6 +46,14 @@ from repro.resilience.sweep import SweepJournal
 from repro.workloads.registry import get_workload
 
 SETTINGS = ExperimentSettings(trace_accesses=6_000, seed=5)
+
+#: Sweep settings that only a worker process can honour.
+PROCESS_ONLY_SETTINGS = {
+    "cell_timeout_s": 1.0,
+    "heartbeat_timeout_s": 1.0,
+    "memory_limit_mb": 1024,
+    "chaos": ChaosPolicy(kill_probability=0.5),
+}
 
 
 # ----------------------------------------------------------------------
@@ -310,15 +319,16 @@ class TestResilientSweep:
         assert "UnknownConfigError" in failed.error
         assert report.summary() == "failed: 1, ok: 2"
 
-    def test_cell_timeout_is_marked(self):
-        workload = get_workload("povray")
-        slow = ExperimentSettings(trace_accesses=200_000, seed=5)
-        report = run_resilient_sweep(
-            [workload], ("THP",), slow, cell_timeout_s=1e-3,
-        )
-        cell = report.cell("povray", "THP")
-        assert cell.status == "timeout"
-        assert cell.attempts == 1  # timeouts are not retried
+    @pytest.mark.parametrize("setting", sorted(PROCESS_ONLY_SETTINGS))
+    def test_process_only_settings_rejected_in_process(self, setting, tmp_path):
+        """Budgets and chaos need a worker process; in process they are refused."""
+        journal = tmp_path / "j.jsonl"
+        with pytest.raises(SweepError, match=setting):
+            run_resilient_sweep(
+                [get_workload("povray")], ("THP",), SETTINGS,
+                journal_path=journal, **{setting: PROCESS_ONLY_SETTINGS[setting]},
+            )
+        assert not journal.exists()  # refused before anything ran
 
     def test_audited_sweep_matches_unaudited(self):
         workload = get_workload("povray")
@@ -348,6 +358,13 @@ class TestResilienceCLI:
         out = capsys.readouterr().out
         assert "resumed" in out
         assert "energy vs 4KB" in out
+
+    def test_in_process_sweep_rejects_cell_timeout(self, capsys):
+        from repro.__main__ import main
+
+        code = main(["sweep", "povray", "--workers", "0", "--cell-timeout", "1"])
+        assert code == 2
+        assert "cell_timeout_s needs worker processes" in capsys.readouterr().err
 
     def test_audit_subcommand(self, capsys):
         from repro.__main__ import main

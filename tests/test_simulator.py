@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import ExperimentSettings, prepare_run
 from repro.core.organizations import build_thp, build_tlb_lite
 from repro.core.params import LiteParams, SimulationParams
 from repro.core.simulator import Simulator
@@ -10,6 +11,7 @@ from repro.mem.paging import TransparentHugePaging
 from repro.mem.physical import PhysicalMemory
 from repro.mem.process import Process
 from repro.mmu.translation import PAGES_PER_2MB
+from repro.workloads.registry import get_workload
 
 
 def make_process():
@@ -158,6 +160,61 @@ class TestLiteIntegration:
         )
         shares = result.way_lookup_shares("L1-4KB")
         assert shares.get(1, 0) > 0.9
+
+
+def boundary_schedule(total, ff, window, interval, events):
+    """``(phase, pos, boundary)`` of every boundary, by arithmetic alone.
+
+    Fast-forward (only when ``ff > 0``) stops at each Lite interval end
+    before ``ff``, at each event in ``[1, ff)``, and at ``ff``; the
+    measured phase stops at each sample and interval end counted from
+    ``ff``, at each event in ``(ff, total]``, and at ``total``.  An event
+    at 0 fires before the loop; boundaries count from 1.
+    """
+    fast_forward = set()
+    if ff > 0:
+        fast_forward = {pos for pos in events if 1 <= pos < ff} | {ff}
+        if interval:
+            fast_forward |= set(range(interval, ff, interval))
+    measured = set(range(ff + window, total + 1, window))
+    measured |= {pos for pos in events if ff < pos <= total} | {total}
+    if interval:
+        measured |= set(range(ff + interval, total + 1, interval))
+    stops = [("fast-forward", pos) for pos in sorted(fast_forward)]
+    stops += [("measured", pos) for pos in sorted(measured)]
+    return [(phase, pos, n) for n, (phase, pos) in enumerate(stops, start=1)]
+
+
+class TestBoundarySchedule:
+    TOTAL = 30_000
+    EVENTS = (0, 1, 1500, 3000, 17017, 29999, 30000, 40000)
+
+    @pytest.mark.parametrize("config", ["4KB", "TLB_Lite", "RMM_Lite"])
+    def test_hook_fires_on_the_arithmetic_schedule(self, config):
+        settings = ExperimentSettings(trace_accesses=self.TOTAL, seed=1)
+        prepared = prepare_run(get_workload("povray"), config, settings, engine="fast")
+        simulator = prepared.simulator
+        lite = prepared.organization.lite
+        interval = (
+            max(1, round(lite.params.interval_instructions / simulator.instructions_per_access))
+            if lite is not None
+            else None
+        )
+        default_ff = int(self.TOTAL * simulator.sim_params.fast_forward_fraction)
+        for ff in (default_ff, 0, 2999, 3001):
+            window = max(1, (self.TOTAL - ff) // simulator.sim_params.timeline_windows)
+            for events in ((), (0,), self.EVENTS):
+                seen = []
+                simulator.run(
+                    prepared.trace,
+                    fast_forward_accesses=ff,
+                    events=[(pos, lambda _organization: None) for pos in events],
+                    checkpoint_hook=lambda state: seen.append(
+                        (state["phase"], state["pos"], state["boundary"])
+                    ),
+                )
+                expected = boundary_schedule(self.TOTAL, ff, window, interval, events)
+                assert seen == expected, (ff, events)
 
 
 class TestResultHelpers:

@@ -1,4 +1,4 @@
-"""Tests for the process-isolated sweep supervisor.
+"""Tests for the worker-process executor of the sweep driver.
 
 Covers the acceptance bar of the supervision work: a worker SIGKILLed
 mid-cell is retried and the finished journal is byte-identical to an
@@ -16,12 +16,7 @@ import pytest
 
 from repro.analysis.experiments import ExperimentSettings
 from repro.errors import SweepError
-from repro.resilience import (
-    ChaosPolicy,
-    SweepJournal,
-    run_resilient_sweep,
-    run_supervised_sweep,
-)
+from repro.resilience import ChaosPolicy, SweepJournal, run_resilient_sweep
 from repro.workloads.registry import get_workload
 
 SETTINGS = ExperimentSettings(trace_accesses=6_000, seed=5)
@@ -80,7 +75,7 @@ class TestSupervisedSweep:
         """A MemoryError inside the worker becomes status 'oom', no retry."""
         workload = get_workload("povray")
         chaos = ChaosPolicy(oom_at_boundary=1)
-        report = run_supervised_sweep(
+        report = run_resilient_sweep(
             [workload], ("THP",), SETTINGS, workers=1, chaos=chaos,
         )
         cell = report.cell("povray", "THP")
@@ -151,7 +146,7 @@ class TestSupervisedSweep:
         """A worker that stops heartbeating is SIGKILLed, not waited on."""
         workload = get_workload("povray")
         chaos = ChaosPolicy(hang_at_boundary=1, hang_seconds=600.0)
-        report = run_supervised_sweep(
+        report = run_resilient_sweep(
             [workload], ("THP",), SETTINGS,
             workers=1, chaos=chaos, heartbeat_timeout_s=0.5,
         )
@@ -160,15 +155,16 @@ class TestSupervisedSweep:
         assert "heartbeat" in cell.error
 
     def test_hard_timeout_sigkills_worker(self):
-        """The wall-clock budget reclaims the CPU (unlike the thread hack)."""
+        """The wall-clock budget SIGKILLs the worker, and only once."""
         workload = get_workload("povray")
         slow = ExperimentSettings(trace_accesses=400_000, seed=5)
-        report = run_supervised_sweep(
+        report = run_resilient_sweep(
             [workload], ("THP",), slow, workers=1, cell_timeout_s=0.2,
         )
         cell = report.cell("povray", "THP")
         assert cell.status == "timeout"
         assert "wall-clock" in cell.error
+        assert cell.attempts == 1  # a hung cell would hang again: not retried
 
     def test_old_journal_schema_version_is_rejected(self, tmp_path):
         """A v1 journal fails loudly instead of mis-parsing quarantine rows."""
