@@ -22,18 +22,16 @@ loose cannot see a 2% cost, so the zero-cost claim of disabled telemetry
 (``docs/observability.md``) is gated by the paired comparison in
 ``scripts/perf_smoke.py`` instead.
 
-Each round builds its process, organization and simulator in the
-untimed ``setup`` of ``benchmark.pedantic``; only the drain is timed, so
+Each round builds its cell through ``prepare_run`` in the untimed
+``setup`` of ``benchmark.pedantic``, so Lite cells get the same
+trace-scaled interval as every experiment; only the drain is timed, so
 the rates are simulation rates, not build-plus-simulation rates.
 """
 
 import pytest
 
-from repro.analysis.experiments import ExperimentSettings
+from repro.analysis.experiments import ExperimentSettings, PreparedRun, prepare_run
 from repro.core.fastpath import ENGINES
-from repro.core.organizations import build_organization, paging_policy_for
-from repro.core.simulator import Simulator
-from repro.mem.physical import PhysicalMemory
 from repro.workloads.base import VMASpec, Workload
 from repro.workloads.patterns import Zipf
 from repro.workloads.registry import get_workload
@@ -72,22 +70,17 @@ def bench_workload(trace_name: str) -> Workload:
     return get_workload("omnetpp") if trace_name == "omnetpp" else stream_workload()
 
 
-def build_simulator(workload: Workload, config: str, engine: str) -> Simulator:
-    """A fresh process, organization and simulator: the untimed setup."""
-    settings = ExperimentSettings(trace_accesses=ACCESSES)
-    process = workload.build_process(
-        paging_policy_for(config), PhysicalMemory(settings.physical_bytes, seed=1)
-    )
-    return Simulator(
-        build_organization(config, process),
-        instructions_per_access=workload.instructions_per_access,
-        engine=engine,
-    )
+def prepare_cell(
+    workload: Workload, config: str, engine: str, accesses: int = ACCESSES, observability=None
+) -> PreparedRun:
+    """A fresh process, organization, trace and simulator: the untimed setup."""
+    settings = ExperimentSettings(trace_accesses=accesses, seed=1)
+    return prepare_run(workload, config, settings, engine=engine, observability=observability)
 
 
-def drain(simulator: Simulator, trace):
+def drain(prepared: PreparedRun):
     """The timed call: one whole-trace drain, no build."""
-    return simulator.run(trace, fast_forward_accesses=0)
+    return prepared.simulator.run(prepared.trace, fast_forward_accesses=0)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -95,14 +88,14 @@ def drain(simulator: Simulator, trace):
 @pytest.mark.parametrize("trace_name", TRACES)
 def test_throughput(benchmark, trace_name, config, engine):
     workload = bench_workload(trace_name)
-    trace = workload.trace(ACCESSES, seed=1)
     result = benchmark.pedantic(
         drain,
-        setup=lambda: ((build_simulator(workload, config, engine), trace), {}),
+        setup=lambda: ((prepare_cell(workload, config, engine),), {}),
         rounds=3,
         iterations=1,
     )
     assert result.accesses == ACCESSES
+    assert (result.lite_intervals > 0) == config.endswith("_Lite")
     if benchmark.stats is None:  # --benchmark-disable: correctness only
         return
     seconds = benchmark.stats.stats.mean

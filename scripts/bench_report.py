@@ -25,16 +25,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from bench_throughput import CONFIGS, TRACES, bench_workload  # noqa: E402
+from bench_throughput import CONFIGS, TRACES, bench_workload, drain, prepare_cell  # noqa: E402
 
-from repro.analysis.experiments import ExperimentSettings  # noqa: E402
 from repro.core.fastpath import ENGINES  # noqa: E402
-from repro.core.organizations import (  # noqa: E402
-    build_organization,
-    paging_policy_for,
-)
-from repro.core.simulator import Simulator  # noqa: E402
-from repro.mem.physical import PhysicalMemory  # noqa: E402
 
 
 def current_commit() -> str:
@@ -50,22 +43,13 @@ def current_commit() -> str:
         return "unknown"
 
 
-def measure(workload, trace, config: str, engine: str, accesses: int, rounds: int) -> float:
+def measure(workload, config: str, engine: str, accesses: int, rounds: int) -> float:
     """Best-of-``rounds`` accesses/second for one cell (fresh build each)."""
-    settings = ExperimentSettings(trace_accesses=accesses)
     best = 0.0
     for _ in range(rounds):
-        process = workload.build_process(
-            paging_policy_for(config), PhysicalMemory(settings.physical_bytes, seed=1)
-        )
-        organization = build_organization(config, process)
-        simulator = Simulator(
-            organization,
-            instructions_per_access=workload.instructions_per_access,
-            engine=engine,
-        )
+        prepared = prepare_cell(workload, config, engine, accesses)
         start = time.perf_counter()
-        result = simulator.run(trace, fast_forward_accesses=0)
+        result = drain(prepared)
         elapsed = time.perf_counter() - start
         assert result.accesses == accesses
         best = max(best, accesses / elapsed)
@@ -85,14 +69,11 @@ def main() -> int:
     speedups: dict[str, dict[str, float]] = {}
     for trace_name in TRACES:
         workload = bench_workload(trace_name)
-        trace = workload.trace(args.accesses, seed=1)
         rates: dict[str, dict[str, float]] = {}
         for config in CONFIGS:
             rates[config] = {}
             for engine in ENGINES:
-                rate = measure(
-                    workload, trace, config, engine, args.accesses, args.rounds
-                )
+                rate = measure(workload, config, engine, args.accesses, args.rounds)
                 rates[config][engine] = rate
                 rows.append(
                     {

@@ -38,16 +38,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from bench_throughput import stream_workload  # noqa: E402
+from bench_throughput import drain, prepare_cell, stream_workload  # noqa: E402
 
 from repro.analysis.experiments import ExperimentSettings  # noqa: E402
-from repro.core.organizations import (  # noqa: E402
-    EXTENDED_CONFIG_NAMES,
-    build_organization,
-    paging_policy_for,
-)
-from repro.core.simulator import Simulator  # noqa: E402
-from repro.mem.physical import PhysicalMemory  # noqa: E402
+from repro.core.organizations import EXTENDED_CONFIG_NAMES  # noqa: E402
 from repro.observability import Observability  # noqa: E402
 from repro.resilience.bisect import (  # noqa: E402
     bisect_divergence,
@@ -114,38 +108,23 @@ def check_equivalence(accesses: int) -> bool:
     return ok
 
 
-def throughput(
-    workload, trace, config: str, engine: str, accesses: int, observability=None
-) -> float:
-    settings = ExperimentSettings(trace_accesses=accesses)
-    process = workload.build_process(
-        paging_policy_for(config), PhysicalMemory(settings.physical_bytes, seed=1)
-    )
-    organization = build_organization(config, process)
-    simulator = Simulator(
-        organization,
-        instructions_per_access=workload.instructions_per_access,
-        engine=engine,
-        observability=observability,
-    )
+def throughput(workload, config: str, engine: str, accesses: int, observability=None) -> float:
+    prepared = prepare_cell(workload, config, engine, accesses, observability)
     start = time.perf_counter()
-    simulator.run(trace, fast_forward_accesses=0)
+    drain(prepared)
     return accesses / (time.perf_counter() - start)
 
 
 def check_speedup(accesses: int, min_speedup: float) -> bool:
     """Fast engine must beat reference by ``min_speedup`` on 4KB/THP."""
     workload = stream_workload()
-    trace = workload.trace(accesses, seed=1)
     ok = True
     for config in GATED_CONFIGS:
         # Best of two rounds per engine smooths one-off scheduler stalls.
         reference = max(
-            throughput(workload, trace, config, "reference", accesses) for _ in range(2)
+            throughput(workload, config, "reference", accesses) for _ in range(2)
         )
-        fast = max(
-            throughput(workload, trace, config, "fast", accesses) for _ in range(2)
-        )
+        fast = max(throughput(workload, config, "fast", accesses) for _ in range(2))
         ratio = fast / reference
         verdict = "ok  " if ratio >= min_speedup else "FAIL"
         if ratio < min_speedup:
@@ -165,16 +144,12 @@ def check_telemetry_cost(accesses: int, max_cost: float) -> bool:
     tolerance exists only to absorb timer jitter on loaded CI runners.
     """
     workload = stream_workload()
-    trace = workload.trace(accesses, seed=1)
     disabled = Observability(enabled=False)
     ok = True
     for config in GATED_CONFIGS:
-        bare = max(
-            throughput(workload, trace, config, "fast", accesses) for _ in range(2)
-        )
+        bare = max(throughput(workload, config, "fast", accesses) for _ in range(2))
         with_hub = max(
-            throughput(workload, trace, config, "fast", accesses, disabled)
-            for _ in range(2)
+            throughput(workload, config, "fast", accesses, disabled) for _ in range(2)
         )
         cost = 1.0 - with_hub / bare
         verdict = "ok  " if cost <= max_cost else "FAIL"

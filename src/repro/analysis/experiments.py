@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from ..core.organizations import (
     CONFIG_NAMES,
     build_organization,
+    lite_params_for,
     paging_policy_for,
 )
-from ..core.params import HierarchyParams, LiteParams, SimulationParams
+from ..core.params import HierarchyParams, LiteParams, SimulationParams, scaled_lite_interval
 from ..core.simulator import Simulator
 from ..core.stats import SimulationResult
 from ..energy.model import EnergyModel
@@ -56,17 +57,8 @@ class ExperimentSettings:
             )
 
     def scaled_lite_interval(self) -> int:
-        """Lite interval matched to the scaled-down trace length.
-
-        The paper pairs a 1 M-instruction interval with 50 G simulated
-        instructions (50 000 intervals).  At bench-scale traces we keep
-        ~150 intervals: enough decisions per phase for Lite to adapt,
-        while keeping each interval long enough that the fixed cost of a
-        reconfiguration (refilling invalidated ways) stays small relative
-        to the interval, as it is at the paper's scale.
-        """
-        approx_instructions = self.trace_accesses * 3
-        return max(10_000, approx_instructions // 150)
+        """Lite interval matched to this trace length (see :func:`scaled_lite_interval`)."""
+        return scaled_lite_interval(self.trace_accesses)
 
 
 @dataclass(slots=True)
@@ -76,7 +68,10 @@ class PreparedRun:
     Exposing the pieces (not just the result) lets the resilience layer
     perturb the trace, schedule adversarial OS events against the live
     process, and attach an invariant auditor — all without re-implementing
-    the canonical build pipeline.
+    the canonical build pipeline.  ``events`` is the cell's OS-event
+    schedule (``(position, callable)`` pairs, see
+    :meth:`repro.core.simulator.Simulator.run`); ``prepare_run`` leaves it
+    ``None`` and callers set it against the built process.
     """
 
     workload: Workload
@@ -86,9 +81,10 @@ class PreparedRun:
     organization: object
     trace: object
     simulator: Simulator
+    events: list | None = None
 
-    def run(self, events=None, checkpoint_hook=None, resume_state=None) -> SimulationResult:
-        """Feed the (possibly perturbed) trace through the simulator.
+    def run(self, checkpoint_hook=None, resume_state=None) -> SimulationResult:
+        """Feed the (possibly perturbed) trace and events through the simulator.
 
         ``checkpoint_hook``/``resume_state`` pass through to
         :meth:`repro.core.simulator.Simulator.run`; see
@@ -97,7 +93,7 @@ class PreparedRun:
         """
         return self.simulator.run(
             self.trace,
-            events=events,
+            events=self.events,
             checkpoint_hook=checkpoint_hook,
             resume_state=resume_state,
         )
@@ -126,7 +122,7 @@ def prepare_run(
         config_name,
         process,
         params=hierarchy_params,
-        lite_params=_scaled_lite_params(config_name, lite_params, settings),
+        lite_params=lite_params or lite_params_for(config_name, settings.trace_accesses),
         record_history=record_history,
     )
     trace = workload.trace(settings.trace_accesses, seed=settings.seed)
@@ -206,36 +202,6 @@ def run_workload_config_with_org(
         on_fault=on_fault,
     )
     return prepared.run(), prepared.organization
-
-
-def _scaled_lite_params(
-    config_name: str,
-    lite_params: LiteParams | None,
-    settings: ExperimentSettings,
-) -> LiteParams | None:
-    """Default Lite parameters with the interval scaled to the trace."""
-    if config_name not in ("TLB_Lite", "RMM_Lite", "FA_Lite", "RMM_PP_Lite", "L0_Lite"):
-        return None
-    if lite_params is not None:
-        return lite_params
-    from ..core.params import RMM_LITE_PARAMS, TLB_LITE_PARAMS
-
-    # FA_Lite follows TLB_Lite's relative threshold (high reference MPKI);
-    # RMM_PP_Lite follows RMM_Lite's absolute one (near-zero reference).
-    base = (
-        TLB_LITE_PARAMS
-        if config_name in ("TLB_Lite", "FA_Lite", "L0_Lite")
-        else RMM_LITE_PARAMS
-    )
-    return LiteParams(
-        interval_instructions=settings.scaled_lite_interval(),
-        threshold_mode=base.threshold_mode,
-        epsilon_relative=base.epsilon_relative,
-        epsilon_absolute=base.epsilon_absolute,
-        reactivate_probability=base.reactivate_probability,
-        min_ways=base.min_ways,
-        seed=base.seed,
-    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..mmu.translation import PageSize, Translation
 from ..tlb.set_assoc import SetAssociativeTLB
 from ..workloads.tracefile import as_vpn_array
@@ -111,41 +110,6 @@ def encode_trace(trace) -> tuple[list[int], np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# The shared miss tail (identical to TLBHierarchy.access's walk path)
-# ----------------------------------------------------------------------
-def _walk_tail(h: TLBHierarchy, vpn: int) -> None:
-    """Full-L2-miss tail of the reference access path, outlined.
-
-    Must mirror the tail of :meth:`TLBHierarchy.access` exactly: the
-    walk, slot enabling, L1/L2 fills, and the background range-table
-    walk.  The generated drain calls it once per full L2 miss and then
-    checks ``drain_shape`` for a required re-specialization.
-    """
-    h.l2_misses += 1
-    result = h.walker.walk(vpn)
-    translation = result.translation
-    slot = h._slot_by_size.get(translation.page_size)
-    if slot is None:
-        raise ConfigurationError(
-            f"walk returned a {translation.page_size.label()} page but the "
-            "hierarchy has no L1 TLB for that size"
-        )
-    if not slot.enabled:
-        slot.enabled = True
-        h._active_slots.append(slot)
-    slot.tlb.fill(vpn >> slot.shift, translation)
-    if translation.page_size is PageSize.SIZE_4KB:
-        h.l2_page.fill(vpn, translation)
-    range_table = h.range_table
-    if range_table is not None:
-        h.range_walk_refs += range_table.walk_memory_refs()
-        range_entry = range_table.lookup(vpn)
-        if range_entry is not None and h.l2_range is not None:
-            h.l2_range.fill(range_entry)
-            h._l2_range_active = h.l2_range
-
-
-# ----------------------------------------------------------------------
 # Shape-specialized code generation
 # ----------------------------------------------------------------------
 def _generate_drain(h, probe=None):
@@ -183,7 +147,7 @@ def _generate_drain(h, probe=None):
 
     namespace = {
         "h": h,
-        "walk_tail": _walk_tail,
+        "walk_fill": h.walk_fill,
         "slow": h.access,
         "Translation": Translation,
         "S4K": PageSize.SIZE_4KB,
@@ -397,8 +361,8 @@ def _generate_drain(h, probe=None):
     body.append("if pe is not None or re_ is not None:")
     body.append("    if shape_dirty: break")
     body.append("    continue")
-    # --- full L2 miss: shared walk tail --------------------------------
-    body.append("walk_tail(h, vpn)")
+    # --- full L2 miss: the reference walk-and-fill ---------------------
+    body.append("walk_fill(vpn)")
     body.append(f"if h.drain_shape() != {shape!r}:")
     body.append("    break")
 

@@ -249,7 +249,15 @@ class TLBHierarchy(BaseHierarchy):
             )
         if page_entry is not None or range_entry is not None:
             return
-        # --- full L2 miss: page walk (50 cycles) -----------------------
+        self.walk_fill(vpn)
+
+    def walk_fill(self, vpn: int) -> None:
+        """Full L2 miss: page walk (50 cycles), then the L1/L2 fills.
+
+        Enables the walked page size's L1 slot on first use and runs the
+        background range-table walk.  The fast engine's generated drains
+        call this same method on every full L2 miss.
+        """
         self.l2_misses += 1
         result = self.walker.walk(vpn)
         translation = result.translation

@@ -14,12 +14,16 @@ RMM_Lite    L1-4KB (Lite) ∥ 4-entry L1-range,      eager paging (4 KB layout)
 
 Each builder wires the hierarchy to a populated :class:`repro.mem.Process`
 and produces the energy bindings that map every structure's per-way access
-histogram onto Table 2 parameters.
+histogram onto Table 2 parameters.  :data:`CONFIG_SPECS` maps each of the
+thirteen configuration names (these six plus the extensions) to its
+builder, its paging policy and its paper Lite parameters; every lookup by
+name goes through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from ..energy.cacti import (
     MMU_CACHE_PDE,
@@ -57,30 +61,8 @@ from .params import (
     ConfigurationSummary,
     HierarchyParams,
     LiteParams,
+    scaled_lite_interval,
 )
-
-#: Canonical configuration order used throughout figures and tables.
-CONFIG_NAMES = ("4KB", "THP", "TLB_Lite", "RMM", "TLB_PP", "RMM_Lite")
-
-#: Extensions beyond the paper's six evaluated configurations:
-#: FA_Lite — the Section 4.4 SPARC/AMD-style fully-associative L1 with
-#: Lite capacity-resizing; RMM_PP_Lite — the Section 6.1 "orthogonal,
-#: combined" design (TLB_PP for pages + L1-range TLB for ranges + Lite).
-#: L0_Filter / L0_Lite — the Section 7 related-work baseline (a tiny L0
-#: TLB filtering the L1 probes), alone and combined with Lite.
-#: TLB_Pred — TLB_PP with a *realistic* (fallible, direct-mapped
-#: last-size) predictor, quantifying the cost TLB_PP's idealisation hides.
-#: Banked — the Section 7 banked-TLB baseline (probe one bank per access).
-EXTENDED_CONFIG_NAMES = CONFIG_NAMES + (
-    "FA_Lite",
-    "RMM_PP_Lite",
-    "L0_Filter",
-    "L0_Lite",
-    "TLB_Pred",
-    "Banked",
-    "Semantic",
-)
-
 
 @dataclass(slots=True)
 class Organization:
@@ -154,6 +136,21 @@ def _paged_l1_slots(params: HierarchyParams) -> list[L1Slot]:
 
 def _l2_page_tlb(params: HierarchyParams) -> SetAssociativeTLB:
     return SetAssociativeTLB("L2-4KB", params.l2_page.entries, params.l2_page.ways)
+
+
+def _huge_chunks(process: Process, design: str) -> frozenset[int]:
+    """2 MB chunk numbers (``vpn >> 9``) of the process's huge pages.
+
+    The mixed-L1 designs key their page-size predictor on these chunks
+    and model 4 KB and 2 MB pages only.
+    """
+    chunks = set()
+    for translation in process.page_table.iter_translations():
+        if translation.page_size is PageSize.SIZE_1GB:
+            raise ConfigurationError(f"{design} models 4KB and 2MB pages only")
+        if translation.page_size is PageSize.SIZE_2MB:
+            chunks.add(translation.vpn >> 9)
+    return frozenset(chunks)
 
 
 def _paged_bindings(hierarchy: TLBHierarchy) -> list[EnergyBinding]:
@@ -284,16 +281,10 @@ def build_tlb_pp(process: Process, params: HierarchyParams | None = None) -> Org
     by design ("unrealizable in practice").
     """
     params = params or HierarchyParams()
-    huge_chunks = set()
-    for translation in process.page_table.iter_translations():
-        if translation.page_size is PageSize.SIZE_1GB:
-            raise ConfigurationError("TLB_PP models 4KB and 2MB pages only")
-        if translation.page_size is PageSize.SIZE_2MB:
-            huge_chunks.add(translation.vpn >> 9)
     l1_mixed = SetAssociativeTLB("L1-mixed", params.l1_4kb.entries, params.l1_4kb.ways)
     l2_mixed = SetAssociativeTLB("L2-mixed", params.l2_page.entries, params.l2_page.ways)
     hierarchy = MixedTLBHierarchy(
-        l1_mixed, l2_mixed, PageWalker(process.page_table), frozenset(huge_chunks)
+        l1_mixed, l2_mixed, PageWalker(process.page_table), _huge_chunks(process, "TLB_PP")
     )
     bindings = [
         _sa_binding(l1_mixed, "l1_page_tlbs"),
@@ -406,17 +397,13 @@ def build_rmm_pp_lite(
     params = params or HierarchyParams()
     if len(process.range_table) == 0:
         raise ConfigurationError("RMM_PP_Lite needs an eager-paged process")
-    huge_chunks = set()
-    for translation in process.page_table.iter_translations():
-        if translation.page_size is PageSize.SIZE_2MB:
-            huge_chunks.add(translation.vpn >> 9)
     l1_mixed = SetAssociativeTLB("L1-mixed", params.l1_4kb.entries, params.l1_4kb.ways)
     l2_mixed = SetAssociativeTLB("L2-mixed", params.l2_page.entries, params.l2_page.ways)
     hierarchy = MixedTLBHierarchy(
         l1_mixed,
         l2_mixed,
         PageWalker(process.page_table),
-        frozenset(huge_chunks),
+        _huge_chunks(process, "RMM_PP_Lite"),
         l1_range=RangeTLB("L1-range", params.l1_range_entries),
         l2_range=RangeTLB("L2-range", params.l2_range_entries),
         range_table=process.range_table,
@@ -506,19 +493,13 @@ def build_tlb_pred(
     (energy) and a retry (timing, counted as an L1 miss).
     """
     params = params or HierarchyParams()
-    huge_chunks = set()
-    for translation in process.page_table.iter_translations():
-        if translation.page_size is PageSize.SIZE_1GB:
-            raise ConfigurationError("TLB_Pred models 4KB and 2MB pages only")
-        if translation.page_size is PageSize.SIZE_2MB:
-            huge_chunks.add(translation.vpn >> 9)
     l1_mixed = SetAssociativeTLB("L1-mixed", params.l1_4kb.entries, params.l1_4kb.ways)
     l2_mixed = SetAssociativeTLB("L2-mixed", params.l2_page.entries, params.l2_page.ways)
     hierarchy = PredictedMixedHierarchy(
         l1_mixed,
         l2_mixed,
         PageWalker(process.page_table),
-        frozenset(huge_chunks),
+        _huge_chunks(process, "TLB_Pred"),
         predictor_entries=predictor_entries,
     )
     bindings = [
@@ -644,25 +625,75 @@ def build_semantic(
 
 
 # ----------------------------------------------------------------------
-# Dispatch table: builder + the OS paging policy each configuration assumes
+# The configuration table: builder, paging policy, paper Lite parameters
 # ----------------------------------------------------------------------
+@dataclass(frozen=True, slots=True)
+class ConfigSpec:
+    """Everything that tells one named configuration apart (Fig. 9, §5).
+
+    ``builder`` wires the TLB organization against a populated process;
+    ``paging`` maps a THP coverage onto the OS paging policy the
+    configuration assumes; ``lite`` holds the paper's Lite parameters,
+    or ``None`` when the configuration has no Lite controller.
+    """
+
+    builder: Callable[..., Organization]
+    paging: Callable[[float], PagingPolicy]
+    lite: LiteParams | None = None
+
+
+def _demand_paging(_thp_coverage: float) -> PagingPolicy:
+    return DemandPaging()
+
+
+def _eager_paging(page_layout: str) -> Callable[[float], PagingPolicy]:
+    """Eager paging backs each VMA with one range, whatever the coverage."""
+    return lambda _thp_coverage: EagerPaging(page_layout=page_layout)
+
+
+#: Every configuration, in canonical figure order: the paper's six first,
+#: then the extensions.  FA_Lite is the Section 4.4 SPARC/AMD-style
+#: fully-associative L1 with Lite capacity-resizing; RMM_PP_Lite the
+#: Section 6.1 "orthogonal, combined" design (TLB_PP for pages + L1-range
+#: TLB for ranges + Lite).  L0_Filter / L0_Lite are the Section 7 tiny-L0
+#: filtering baseline, alone and combined with Lite; TLB_Pred is TLB_PP
+#: with a realistic (fallible, direct-mapped last-size) predictor; Banked
+#: and Semantic are the Section 7 banked and partitioned L1-4KB baselines.
+#: FA_Lite and L0_Lite follow TLB_Lite's relative ε (high reference
+#: MPKI); RMM_PP_Lite follows RMM_Lite's absolute one (near-zero
+#: reference).  The order is also the fuzz generator's draw order.
+CONFIG_SPECS: dict[str, ConfigSpec] = {
+    "4KB": ConfigSpec(build_4kb, _demand_paging),
+    "THP": ConfigSpec(build_thp, TransparentHugePaging),
+    "TLB_Lite": ConfigSpec(build_tlb_lite, TransparentHugePaging, TLB_LITE_PARAMS),
+    "RMM": ConfigSpec(build_rmm, _eager_paging("thp")),
+    "TLB_PP": ConfigSpec(build_tlb_pp, TransparentHugePaging),
+    "RMM_Lite": ConfigSpec(build_rmm_lite, _eager_paging("4kb"), RMM_LITE_PARAMS),
+    "FA_Lite": ConfigSpec(build_fa_lite, TransparentHugePaging, TLB_LITE_PARAMS),
+    "RMM_PP_Lite": ConfigSpec(build_rmm_pp_lite, _eager_paging("thp"), RMM_LITE_PARAMS),
+    "L0_Filter": ConfigSpec(build_l0_filter, TransparentHugePaging),
+    "L0_Lite": ConfigSpec(build_l0_filter, TransparentHugePaging, TLB_LITE_PARAMS),
+    "TLB_Pred": ConfigSpec(build_tlb_pred, TransparentHugePaging),
+    "Banked": ConfigSpec(build_banked, TransparentHugePaging),
+    "Semantic": ConfigSpec(build_semantic, TransparentHugePaging),
+}
+
+EXTENDED_CONFIG_NAMES = tuple(CONFIG_SPECS)
+
+#: The paper's six evaluated configurations (Section 5).
+CONFIG_NAMES = EXTENDED_CONFIG_NAMES[:6]
+
+
+def _spec(config_name: str) -> ConfigSpec:
+    try:
+        return CONFIG_SPECS[config_name]
+    except KeyError:
+        raise UnknownConfigError(config_name, EXTENDED_CONFIG_NAMES) from None
+
+
 def paging_policy_for(config_name: str, thp_coverage: float = 1.0) -> PagingPolicy:
     """The OS allocation policy a configuration assumes (Section 5)."""
-    if config_name == "4KB":
-        return DemandPaging()
-    if config_name in ("THP", "TLB_Lite", "TLB_PP"):
-        return TransparentHugePaging(coverage=thp_coverage)
-    if config_name == "RMM":
-        return EagerPaging(page_layout="thp")
-    if config_name == "RMM_Lite":
-        return EagerPaging(page_layout="4kb")
-    if config_name == "FA_Lite":
-        return TransparentHugePaging(coverage=thp_coverage)
-    if config_name == "RMM_PP_Lite":
-        return EagerPaging(page_layout="thp")
-    if config_name in ("L0_Filter", "L0_Lite", "TLB_Pred", "Banked", "Semantic"):
-        return TransparentHugePaging(coverage=thp_coverage)
-    raise UnknownConfigError(config_name, EXTENDED_CONFIG_NAMES)
+    return _spec(config_name).paging(thp_coverage)
 
 
 def build_organization(
@@ -672,41 +703,26 @@ def build_organization(
     lite_params: LiteParams | None = None,
     record_history: bool = False,
 ) -> Organization:
-    """Build any named configuration against a populated process."""
-    if config_name == "4KB":
-        return build_4kb(process, params)
-    if config_name == "THP":
-        return build_thp(process, params)
-    if config_name == "TLB_Lite":
-        return build_tlb_lite(
-            process, params, lite_params or TLB_LITE_PARAMS, record_history
-        )
-    if config_name == "RMM":
-        return build_rmm(process, params)
-    if config_name == "TLB_PP":
-        return build_tlb_pp(process, params)
-    if config_name == "RMM_Lite":
-        return build_rmm_lite(
-            process, params, lite_params or RMM_LITE_PARAMS, record_history
-        )
-    if config_name == "FA_Lite":
-        return build_fa_lite(
-            process, params, lite_params or TLB_LITE_PARAMS, record_history=record_history
-        )
-    if config_name == "RMM_PP_Lite":
-        return build_rmm_pp_lite(
-            process, params, lite_params or RMM_LITE_PARAMS, record_history
-        )
-    if config_name == "L0_Filter":
-        return build_l0_filter(process, params, None, record_history=record_history)
-    if config_name == "L0_Lite":
-        return build_l0_filter(
-            process, params, lite_params or TLB_LITE_PARAMS, record_history=record_history
-        )
-    if config_name == "TLB_Pred":
-        return build_tlb_pred(process, params)
-    if config_name == "Banked":
-        return build_banked(process, params)
-    if config_name == "Semantic":
-        return build_semantic(process, params)
-    raise UnknownConfigError(config_name, EXTENDED_CONFIG_NAMES)
+    """Build any named configuration against a populated process.
+
+    A Lite configuration built without ``lite_params`` runs the paper's
+    1 M-instruction interval; the experiment drivers pass
+    :func:`lite_params_for`'s trace-scaled parameters instead.
+    """
+    spec = _spec(config_name)
+    if spec.lite is None:
+        return spec.builder(process, params)
+    return spec.builder(
+        process, params, lite_params=lite_params or spec.lite, record_history=record_history
+    )
+
+
+def lite_params_for(config_name: str, accesses: int) -> LiteParams | None:
+    """The paper's Lite parameters, interval scaled to a trace of ``accesses``.
+
+    ``None`` for a configuration without a Lite controller.
+    """
+    lite = _spec(config_name).lite
+    if lite is None:
+        return None
+    return replace(lite, interval_instructions=scaled_lite_interval(accesses))

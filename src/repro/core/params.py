@@ -102,6 +102,20 @@ TLB_LITE_PARAMS = LiteParams(threshold_mode="relative", epsilon_relative=0.125)
 RMM_LITE_PARAMS = LiteParams(threshold_mode="absolute", epsilon_absolute=0.1)
 
 
+def scaled_lite_interval(accesses: int) -> int:
+    """Lite interval matched to a scaled-down trace of ``accesses`` accesses.
+
+    The paper pairs a 1 M-instruction interval with 50 G simulated
+    instructions (50 000 intervals).  At bench-scale traces we keep
+    ~150 intervals: enough decisions per phase for Lite to adapt,
+    while keeping each interval long enough that the fixed cost of a
+    reconfiguration (refilling invalidated ways) stays small relative
+    to the interval, as it is at the paper's scale.
+    """
+    approx_instructions = accesses * 3
+    return max(10_000, approx_instructions // 150)
+
+
 @dataclass(frozen=True, slots=True)
 class SimulationParams:
     """Run-level knobs shared by all experiments.

@@ -31,7 +31,9 @@ from .bisect import (
     bisect_divergence,
     describe_divergence,
     record_digest_trail,
+    record_resumed,
     record_resumed_trail,
+    record_trail,
 )
 from .checkpoint import (
     CHECKPOINT_VERSION,
@@ -94,7 +96,9 @@ __all__ = [
     "bisect_divergence",
     "describe_divergence",
     "record_digest_trail",
+    "record_resumed",
     "record_resumed_trail",
+    "record_trail",
     "CHECKPOINT_VERSION",
     "AbortSimulation",
     "DigestTrail",

@@ -6,22 +6,29 @@ trace vs. a perturbed one — the interesting question is not *that* they
 differ but *where* they first differ: which interval boundary, and which
 component (one TLB? the page table? the Lite RNG stream?).
 
-This module drives :mod:`repro.resilience.checkpoint` through the
-canonical pipeline to answer that:
+This module drives :mod:`repro.resilience.checkpoint` to answer that.
+Every digest trail in the repository is recorded by one of two
+functions, whatever built the cell (``prepare_run``, a fuzz case, a test
+fixture):
 
-* :func:`record_digest_trail` runs one cell and records per-component
+* :func:`record_trail` runs a prepared cell and records per-component
   sha256 digests at every Nth interval boundary;
-* :func:`record_resumed_trail` runs the same cell, kills it after K
-  boundaries (with a snapshot on disk), rebuilds the pipeline, resumes
-  from the snapshot, and stitches the two digest trails together — the
-  fresh-vs-resumed comparison behind the determinism CI job;
-* :func:`bisect_divergence` binary-searches two trails for the first
-  diverging boundary and names the diverging components.
+* :func:`record_resumed` kills a cell after K boundaries (with a
+  snapshot on disk), rebuilds it through a zero-argument factory,
+  resumes it from the snapshot, and stitches the two digest trails
+  together — the fresh-vs-resumed comparison behind the determinism CI
+  job;
+
+:func:`record_digest_trail` and :func:`record_resumed_trail` apply them
+to a canonical ``prepare_run`` cell, optionally with a perturbed trace,
+and :func:`bisect_divergence` binary-searches two trails for the first
+diverging boundary and names the diverging components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..analysis.experiments import ExperimentSettings, prepare_run
 from ..errors import CheckpointError
@@ -43,6 +50,85 @@ class TrailRun:
     trail: DigestTrail
     result: object  # SimulationResult
     boundaries: int
+
+
+def record_trail(
+    prepared,
+    digest_every: int = 1,
+    observability=None,
+    on_boundary=None,
+    resume_state=None,
+) -> TrailRun:
+    """Run a prepared cell to the end, recording digests every Nth boundary.
+
+    ``observability`` threads a telemetry hub through the checkpointer
+    (the simulator got its hub when the cell was built).
+    ``on_boundary(loop_state)`` runs at every boundary after the digest
+    work.  With ``resume_state`` the cell continues from a restored
+    snapshot, and ``boundaries`` counts only the boundaries of this run.
+    """
+    checkpointer = SimulationCheckpointer(
+        prepared.simulator,
+        prepared.process,
+        digest_every=digest_every,
+        on_boundary=on_boundary,
+        observability=observability,
+    )
+    result = prepared.run(checkpoint_hook=checkpointer, resume_state=resume_state)
+    return TrailRun(checkpointer.trail, result, checkpointer.boundaries_seen)
+
+
+def record_resumed(
+    prepare,
+    abort_after: int,
+    snapshot_path,
+    digest_every: int = 1,
+    observability=None,
+) -> TrailRun:
+    """Kill a cell after ``abort_after`` boundaries, then resume and finish.
+
+    ``prepare()`` builds the cell twice.  The snapshot written at the
+    kill point is loaded into the second, *freshly rebuilt* cell (new
+    process, new organization, new simulator), so the resumed half
+    shares no live objects with the first — exactly the
+    restart-after-crash scenario.  The returned trail stitches both
+    halves; compare it against an uninterrupted :func:`record_trail` to
+    prove (or bisect) resume determinism.  A run that finishes before
+    the abort point raises :class:`repro.errors.CheckpointError`.
+    """
+    first = prepare()
+    killed = SimulationCheckpointer(
+        first.simulator,
+        first.process,
+        path=snapshot_path,
+        checkpoint_every=1,
+        digest_every=digest_every,
+        abort_after=abort_after,
+        observability=observability,
+    )
+    try:
+        first.run(checkpoint_hook=killed)
+    except AbortSimulation:
+        pass
+    else:
+        raise CheckpointError(
+            f"run finished in {killed.boundaries_seen} boundaries, "
+            f"before the abort point ({abort_after}); nothing to resume"
+        )
+
+    resumed = prepare()
+    loop_state = resume_from_snapshot(resumed, snapshot_path)
+    rest = record_trail(
+        resumed, digest_every, observability=observability, resume_state=loop_state
+    )
+    resume_boundary = loop_state["boundary"]
+    trail = DigestTrail()
+    for boundary, digest_map in zip(killed.trail.boundaries, killed.trail.digests):
+        if boundary <= resume_boundary:
+            trail.record(boundary, digest_map)
+    for boundary, digest_map in zip(rest.trail.boundaries, rest.trail.digests):
+        trail.record(boundary, digest_map)
+    return TrailRun(trail, rest.result, resume_boundary + rest.boundaries)
 
 
 def _prepare(
@@ -88,7 +174,7 @@ def record_digest_trail(
     engine: str = "reference",
     observability=None,
 ) -> TrailRun:
-    """Run one cell start-to-finish, recording digests every Nth boundary.
+    """:func:`record_trail` over a canonical ``prepare_run`` cell.
 
     ``engine`` selects the simulator drain engine, so two trails of the
     same cell under ``"reference"`` and ``"fast"`` can be bisected
@@ -98,22 +184,10 @@ def record_digest_trail(
     the checkpointer — the inertness suite records trails with the hub
     on and off and proves them identical.
     """
-    settings = settings or ExperimentSettings()
     prepared = _prepare(
         workload, config_name, settings, trace_fault, fault_seed, engine, observability
     )
-    checkpointer = SimulationCheckpointer(
-        prepared.simulator,
-        prepared.process,
-        digest_every=digest_every,
-        observability=observability,
-    )
-    result = prepared.run(checkpoint_hook=checkpointer)
-    return TrailRun(
-        trail=checkpointer.trail,
-        result=result,
-        boundaries=checkpointer.boundaries_seen,
-    )
+    return record_trail(prepared, digest_every, observability=observability)
 
 
 def record_resumed_trail(
@@ -128,68 +202,14 @@ def record_resumed_trail(
     engine: str = "reference",
     observability=None,
 ) -> TrailRun:
-    """Kill the cell after ``abort_after`` boundaries, then resume and finish.
-
-    The snapshot written at the kill point is loaded into a *freshly
-    rebuilt* pipeline (new process, new organization, new simulator), so
-    the resumed half shares no live objects with the first — exactly the
-    restart-after-crash scenario.  The returned trail stitches both
-    halves; compare it against :func:`record_digest_trail`'s to prove (or
-    bisect) resume determinism.
-    """
+    """:func:`record_resumed` over a canonical ``prepare_run`` cell."""
     if snapshot_path is None:
         raise CheckpointError("record_resumed_trail needs a snapshot_path")
-    settings = settings or ExperimentSettings()
-    first = _prepare(
-        workload, config_name, settings, trace_fault, fault_seed, engine, observability
+    prepare = partial(
+        _prepare, workload, config_name, settings, trace_fault, fault_seed, engine, observability
     )
-    first_checkpointer = SimulationCheckpointer(
-        first.simulator,
-        first.process,
-        path=snapshot_path,
-        checkpoint_every=1,
-        digest_every=digest_every,
-        abort_after=abort_after,
-        observability=observability,
-    )
-    try:
-        first.run(checkpoint_hook=first_checkpointer)
-        raise CheckpointError(
-            f"run finished in {first_checkpointer.boundaries_seen} boundaries, "
-            f"before the abort point ({abort_after}); nothing to resume"
-        )
-    except AbortSimulation:
-        pass
-
-    resumed = _prepare(
-        workload, config_name, settings, trace_fault, fault_seed, engine, observability
-    )
-    loop_state = resume_from_snapshot(resumed, snapshot_path)
-    resumed_checkpointer = SimulationCheckpointer(
-        resumed.simulator,
-        resumed.process,
-        digest_every=digest_every,
-        observability=observability,
-    )
-    result = resumed.run(
-        checkpoint_hook=resumed_checkpointer, resume_state=loop_state
-    )
-
-    trail = DigestTrail()
-    resume_boundary = loop_state["boundary"]
-    for boundary, digest_map in zip(
-        first_checkpointer.trail.boundaries, first_checkpointer.trail.digests
-    ):
-        if boundary <= resume_boundary:
-            trail.record(boundary, digest_map)
-    for boundary, digest_map in zip(
-        resumed_checkpointer.trail.boundaries, resumed_checkpointer.trail.digests
-    ):
-        trail.record(boundary, digest_map)
-    return TrailRun(
-        trail=trail,
-        result=result,
-        boundaries=resume_boundary + resumed_checkpointer.boundaries_seen,
+    return record_resumed(
+        prepare, abort_after, snapshot_path, digest_every, observability=observability
     )
 
 

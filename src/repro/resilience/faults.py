@@ -432,12 +432,11 @@ def run_fault_campaign(
                 )
                 if perturb is not None:
                     prepared.trace = perturb(prepared.trace, seed=seed)
-                events = None
                 if fault_name == "os_events":
-                    events = adversarial_events(
+                    prepared.events = adversarial_events(
                         prepared.process, len(prepared.trace), seed=seed
                     )
-                result = prepared.run(events=events)
+                result = prepared.run()
                 cell.ok = True
                 cell.faulted_accesses = result.faulted_accesses
                 cell.accesses = result.accesses

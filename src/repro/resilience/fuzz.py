@@ -61,20 +61,17 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 
-from ..core.organizations import build_organization, paging_policy_for
+from ..analysis.experiments import ExperimentSettings, PreparedRun, prepare_run
+from ..core.organizations import CONFIG_SPECS, EXTENDED_CONFIG_NAMES
 from ..core.params import (
-    RMM_LITE_PARAMS,
-    TLB_LITE_PARAMS,
     HierarchyParams,
     LiteParams,
     SetAssocParams,
     SimulationParams,
 )
-from ..core.simulator import Simulator
 from ..core.stats import SimulationResult
 from ..errors import ConfigurationError, FuzzError, InvariantViolation, ReproError
 from ..ioutils import atomic_write_json
-from ..mem.physical import PhysicalMemory
 from ..observability import Observability
 from ..workloads.base import VMASpec, Workload
 from ..workloads.patterns import (
@@ -87,13 +84,8 @@ from ..workloads.patterns import (
     Zipf,
 )
 from .auditor import InvariantAuditor
-from .checkpoint import (
-    AbortSimulation,
-    DigestTrail,
-    SimulationCheckpointer,
-    first_divergence,
-    resume_from_snapshot,
-)
+from .bisect import TrailRun, record_resumed, record_trail
+from .checkpoint import first_divergence
 from .faults import TRACE_FAULTS, adversarial_events, dataclass_from_json
 
 #: Bump when the JSON layout of a fuzz case changes incompatibly.
@@ -106,29 +98,6 @@ CORPUS_VERSION = 1
 #: own: every oracle's runs are wrapped, and any non-taxonomy exception
 #: escaping one of them is attributed to it.
 ORACLE_NAMES = ("engines", "resume", "auditor", "observability", "taxonomy")
-
-#: Configurations the generator samples (every registered organization).
-FUZZ_CONFIG_NAMES = (
-    "4KB",
-    "THP",
-    "TLB_Lite",
-    "RMM",
-    "TLB_PP",
-    "RMM_Lite",
-    "FA_Lite",
-    "RMM_PP_Lite",
-    "L0_Filter",
-    "L0_Lite",
-    "TLB_Pred",
-    "Banked",
-    "Semantic",
-)
-
-#: Configurations whose builder attaches a Lite controller.
-_LITE_CONFIGS = frozenset(
-    {"TLB_Lite", "RMM_Lite", "FA_Lite", "RMM_PP_Lite", "L0_Lite"}
-)
-
 
 # ----------------------------------------------------------------------
 # Seeded RNG streams (the RL001-blessed idiom for fuzz code)
@@ -335,6 +304,42 @@ class FuzzCase:
             seed=e["seed"],
         )
 
+    def prepare(
+        self,
+        engine: str = "reference",
+        auditor: InvariantAuditor | None = None,
+        observability: Observability | None = None,
+    ) -> PreparedRun:
+        """Build this case through the canonical pipeline (``prepare_run``).
+
+        The case's own trace (generated with its trace seed, then
+        perturbed) replaces the one ``prepare_run`` derives from the
+        settings, and the case's OS-event schedule is set against the
+        built process.
+        """
+        workload = self.build_workload()
+        settings = ExperimentSettings(
+            trace_accesses=self.trace_entries(),
+            seed=self.seed,
+            thp_coverage=self.thp_coverage,
+            physical_bytes=self.physical_mb << 20,
+            sim_params=self.sim_params(),
+        )
+        prepared = prepare_run(
+            workload,
+            self.config,
+            settings,
+            hierarchy_params=self.hierarchy_params(),
+            lite_params=self.lite_params(),
+            auditor=auditor,
+            on_fault=self.on_fault,
+            engine=engine,
+            observability=observability,
+        )
+        prepared.trace = self.build_trace(workload)
+        prepared.events = self.build_events(prepared.process, len(prepared.trace))
+        return prepared
+
     def trace_entries(self) -> int:
         """Number of accesses this case drives (literal length or spec)."""
         if self.trace["kind"] == "literal":
@@ -346,63 +351,6 @@ class FuzzCase:
         return replace(
             self, trace={"kind": "literal", "vpns": [int(v) for v in vpns]}
         )
-
-
-# ----------------------------------------------------------------------
-# Building and running one case
-# ----------------------------------------------------------------------
-@dataclass(slots=True)
-class BuiltCase:
-    """A case instantiated into live pipeline objects, ready to run."""
-
-    case: FuzzCase
-    workload: Workload
-    process: object
-    organization: object
-    trace: np.ndarray
-    simulator: Simulator
-    events: list | None
-
-    def run(self, checkpoint_hook=None, resume_state=None) -> SimulationResult:
-        return self.simulator.run(
-            self.trace,
-            events=self.events,
-            checkpoint_hook=checkpoint_hook,
-            resume_state=resume_state,
-        )
-
-
-def build_case(
-    case: FuzzCase,
-    engine: str = "reference",
-    auditor: InvariantAuditor | None = None,
-    observability: Observability | None = None,
-) -> BuiltCase:
-    """Instantiate the canonical pipeline for one fuzz case."""
-    workload = case.build_workload()
-    policy = paging_policy_for(case.config, case.thp_coverage)
-    process = workload.build_process(
-        policy, physical=PhysicalMemory(case.physical_mb << 20, seed=case.seed)
-    )
-    organization = build_organization(
-        case.config,
-        process,
-        params=case.hierarchy_params(),
-        lite_params=case.lite_params(),
-    )
-    trace = case.build_trace(workload)
-    simulator = Simulator(
-        organization,
-        workload_name=workload.name,
-        instructions_per_access=workload.instructions_per_access,
-        sim_params=case.sim_params(),
-        on_fault=case.on_fault,
-        auditor=auditor,
-        engine=engine,
-        observability=observability,
-    )
-    events = case.build_events(process, len(trace))
-    return BuiltCase(case, workload, process, organization, trace, simulator, events)
 
 
 # ----------------------------------------------------------------------
@@ -490,22 +438,16 @@ def _result_mismatch_fields(a: SimulationResult, b: SimulationResult) -> tuple[s
     )
 
 
-def _compare_runs(
-    oracle: str,
-    trail_a: DigestTrail,
-    trail_b: DigestTrail,
-    result_a: SimulationResult,
-    result_b: SimulationResult,
-) -> FuzzFailure | None:
+def _compare_runs(oracle: str, a: TrailRun, b: TrailRun) -> FuzzFailure | None:
     """Digest-trail plus final-result equality, localized on mismatch."""
-    if trail_a.boundaries != trail_b.boundaries:
+    if a.trail.boundaries != b.trail.boundaries:
         return FuzzFailure(
             oracle,
             "boundary-mismatch",
-            f"{len(trail_a.boundaries)} vs {len(trail_b.boundaries)} digested "
+            f"{len(a.trail.boundaries)} vs {len(b.trail.boundaries)} digested "
             "boundaries (the runs disagree about the boundary schedule)",
         )
-    divergence = first_divergence(trail_a, trail_b)
+    divergence = first_divergence(a.trail, b.trail)
     if divergence is not None:
         return FuzzFailure(
             oracle,
@@ -514,8 +456,8 @@ def _compare_runs(
             + ", ".join(divergence.components),
             components=divergence.components,
         )
-    if result_a != result_b:
-        mismatched = _result_mismatch_fields(result_a, result_b)
+    if a.result != b.result:
+        mismatched = _result_mismatch_fields(a.result, b.result)
         return FuzzFailure(
             oracle,
             "result-mismatch",
@@ -543,7 +485,9 @@ def run_case(case: FuzzCase) -> CaseOutcome:
     Prometheus-export toggle coined from ``rng_stream(case.seed,
     "observability")`` — whose trail and result must match the bare
     reference run's.  A full stack costs roughly five simulations plus
-    one killed prefix.
+    one killed prefix.  Every trail is recorded by
+    :func:`repro.resilience.bisect.record_trail` or
+    :func:`~repro.resilience.bisect.record_resumed`.
     """
     started = time.perf_counter()
     want = set(case.oracles)
@@ -552,23 +496,18 @@ def run_case(case: FuzzCase) -> CaseOutcome:
         return CaseOutcome(failure, boundaries, time.perf_counter() - started)
 
     try:
-        reference = build_case(case, engine="reference")
-        ref_checkpointer = SimulationCheckpointer(
-            reference.simulator, reference.process, digest_every=case.digest_every
-        )
-        ref_result = reference.run(checkpoint_hook=ref_checkpointer)
+        reference = record_trail(case.prepare(), case.digest_every)
     except Exception as exc:  # noqa: BLE001 — the stack classifies everything
         return outcome(_classify_exception("taxonomy", exc))
-    boundaries = ref_checkpointer.boundaries_seen
+    boundaries = reference.boundaries
 
     if "auditor" in want:
         try:
-            audited = build_case(case, engine="reference", auditor=InvariantAuditor())
-            audited_result = audited.run()
+            audited_result = case.prepare(auditor=InvariantAuditor()).run()
         except Exception as exc:  # noqa: BLE001 — the stack classifies everything
             return outcome(_classify_exception("auditor", exc), boundaries)
-        if audited_result != ref_result:
-            mismatched = _result_mismatch_fields(ref_result, audited_result)
+        if audited_result != reference.result:
+            mismatched = _result_mismatch_fields(reference.result, audited_result)
             return outcome(
                 FuzzFailure(
                     "auditor",
@@ -582,81 +521,25 @@ def run_case(case: FuzzCase) -> CaseOutcome:
 
     if "engines" in want:
         try:
-            fast = build_case(case, engine="fast")
-            fast_checkpointer = SimulationCheckpointer(
-                fast.simulator, fast.process, digest_every=case.digest_every
-            )
-            fast_result = fast.run(checkpoint_hook=fast_checkpointer)
+            fast = record_trail(case.prepare(engine="fast"), case.digest_every)
         except Exception as exc:  # noqa: BLE001 — the stack classifies everything
             return outcome(_classify_exception("engines", exc), boundaries)
-        failure = _compare_runs(
-            "engines",
-            ref_checkpointer.trail,
-            fast_checkpointer.trail,
-            ref_result,
-            fast_result,
-        )
+        failure = _compare_runs("engines", reference, fast)
         if failure is not None:
             return outcome(failure, boundaries)
 
     if "resume" in want and boundaries >= 2:
         abort_after = max(1, min(boundaries - 1, round(case.resume_frac * boundaries)))
         with TemporaryDirectory(prefix="repro-fuzz-") as tmp:
-            snapshot_path = Path(tmp) / "case.ckpt"
             try:
-                first = build_case(case, engine="reference")
-                first_checkpointer = SimulationCheckpointer(
-                    first.simulator,
-                    first.process,
-                    path=snapshot_path,
-                    checkpoint_every=1,
-                    digest_every=case.digest_every,
-                    abort_after=abort_after,
-                )
-                aborted = False
-                try:
-                    first.run(checkpoint_hook=first_checkpointer)
-                except AbortSimulation:
-                    aborted = True
-                if not aborted:
-                    return outcome(
-                        FuzzFailure(
-                            "resume",
-                            "boundary-mismatch",
-                            f"killed run finished in "
-                            f"{first_checkpointer.boundaries_seen} boundaries, "
-                            f"before the abort point ({abort_after}) the "
-                            f"uninterrupted run's {boundaries} boundaries imply",
-                        ),
-                        boundaries,
-                    )
-                resumed = build_case(case, engine="reference")
-                loop_state = resume_from_snapshot(resumed, snapshot_path)
-                resumed_checkpointer = SimulationCheckpointer(
-                    resumed.simulator, resumed.process, digest_every=case.digest_every
-                )
-                resumed_result = resumed.run(
-                    checkpoint_hook=resumed_checkpointer, resume_state=loop_state
+                resumed = record_resumed(
+                    case.prepare, abort_after, Path(tmp) / "case.ckpt", case.digest_every
                 )
             except Exception as exc:  # noqa: BLE001 — the stack classifies everything
                 return outcome(_classify_exception("resume", exc), boundaries)
-            stitched = DigestTrail()
-            resume_boundary = loop_state["boundary"]
-            for rec_boundary, digest_map in zip(
-                first_checkpointer.trail.boundaries, first_checkpointer.trail.digests
-            ):
-                if rec_boundary <= resume_boundary:
-                    stitched.record(rec_boundary, digest_map)
-            for rec_boundary, digest_map in zip(
-                resumed_checkpointer.trail.boundaries,
-                resumed_checkpointer.trail.digests,
-            ):
-                stitched.record(rec_boundary, digest_map)
-            failure = _compare_runs(
-                "resume", ref_checkpointer.trail, stitched, ref_result, resumed_result
-            )
-            if failure is not None:
-                return outcome(failure, boundaries)
+        failure = _compare_runs("resume", reference, resumed)
+        if failure is not None:
+            return outcome(failure, boundaries)
 
     if "observability" in want:
         # Telemetry must be inert under *either* engine, and exporting
@@ -667,30 +550,16 @@ def run_case(case: FuzzCase) -> CaseOutcome:
         export_per_boundary = bool(obs_rng.random() < 0.5)
         try:
             hub = Observability()
-            observed = build_case(case, engine=obs_engine, observability=hub)
-            obs_checkpointer = SimulationCheckpointer(
-                observed.simulator,
-                observed.process,
-                digest_every=case.digest_every,
+            export = (lambda _state: hub.render_prometheus()) if export_per_boundary else None
+            observed = record_trail(
+                case.prepare(engine=obs_engine, observability=hub),
+                case.digest_every,
                 observability=hub,
+                on_boundary=export,
             )
-            hook = obs_checkpointer
-            if export_per_boundary:
-
-                def hook(state):
-                    obs_checkpointer(state)
-                    hub.render_prometheus()
-
-            obs_result = observed.run(checkpoint_hook=hook)
         except Exception as exc:  # noqa: BLE001 — the stack classifies everything
             return outcome(_classify_exception("observability", exc), boundaries)
-        failure = _compare_runs(
-            "observability",
-            ref_checkpointer.trail,
-            obs_checkpointer.trail,
-            ref_result,
-            obs_result,
-        )
+        failure = _compare_runs("observability", reference, observed)
         if failure is not None:
             return outcome(failure, boundaries)
 
@@ -800,9 +669,9 @@ def _sample_hierarchy(rng: np.random.Generator) -> dict:
 
 
 def _sample_lite(rng: np.random.Generator, config: str, accesses: int, ipa: float) -> dict | None:
-    if config not in _LITE_CONFIGS:
+    base = CONFIG_SPECS[config].lite
+    if base is None:
         return None
-    base = RMM_LITE_PARAMS if config in ("RMM_Lite", "RMM_PP_Lite") else TLB_LITE_PARAMS
     intervals = int(_choice(rng, (4, 8, 12, 20)))
     interval_instructions = max(30, round(accesses * ipa / intervals))
     threshold_mode = _choice(rng, (base.threshold_mode, "relative", "absolute"))
@@ -852,7 +721,7 @@ def generate_case(seed: int, index: int) -> FuzzCase:
         if oracle_rng.random() < 0.5
         else tuple(name for name in ORACLE_NAMES if name != "observability")
     )
-    config = _choice(rng, FUZZ_CONFIG_NAMES)
+    config = _choice(rng, EXTENDED_CONFIG_NAMES)
     workload = _sample_workload(rng)
     accesses = int(_choice(rng, _TRACE_ACCESSES))
     trace, on_fault = _sample_trace(rng, accesses)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..errors import FuzzError
-from .fuzz import CaseOutcome, FuzzCase, FuzzFailure, build_case, run_case
+from .fuzz import CaseOutcome, FuzzCase, FuzzFailure, run_case
 
 #: Hierarchy defaults the config-reduction phase moves toward
 #: (mirrors :class:`repro.core.params.HierarchyParams`).
@@ -108,8 +108,7 @@ def _materialize_trace(case: FuzzCase) -> FuzzCase:
     """Pin the generated trace to literal entries (generator-independent)."""
     if case.trace["kind"] == "literal":
         return case
-    built = build_case(case)
-    return case.with_literal_trace(built.trace)
+    return case.with_literal_trace(case.build_trace(case.build_workload()))
 
 
 def _ddmin_chunks(vpns: list[int], attempt, budget: _Budget) -> list[int]:

@@ -15,8 +15,7 @@ and ``end_interval`` calls land mid-streak and force boundary splits.
 import numpy as np
 
 from repro.analysis.experiments import ExperimentSettings, prepare_run
-from repro.resilience.bisect import bisect_divergence, describe_divergence
-from repro.resilience.checkpoint import SimulationCheckpointer
+from repro.resilience.bisect import bisect_divergence, describe_divergence, record_trail
 from repro.workloads.base import VMASpec, Workload
 from repro.workloads.patterns import Zipf
 from repro.workloads.tracefile import as_vpn_array
@@ -71,24 +70,17 @@ def run_with_digests(
         observability=observability,
     )
     prepared.trace = trace
-    checkpointer = SimulationCheckpointer(
-        prepared.simulator,
-        prepared.process,
-        digest_every=1,
-        observability=observability,
-    )
-    events = [
+    prepared.events = [
         (position, lambda org: org.hierarchy.flush_tlbs()) for position in events_at
     ]
-    hook = checkpointer
+    hook = None
     if on_boundary is not None:
 
         def hook(state):
-            checkpointer(state)
             on_boundary(state["boundary"])
 
-    result = prepared.run(events=events, checkpoint_hook=hook)
-    return checkpointer.trail, result
+    run = record_trail(prepared, observability=observability, on_boundary=hook)
+    return run.trail, run.result
 
 
 def assert_engines_agree(config_name, trace, events_at=()):

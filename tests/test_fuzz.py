@@ -7,12 +7,14 @@ self-contained reproducer, and replayed deterministically into the same
 bucket fingerprint — then passes again once the defect is reverted.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings
+from repro.core.organizations import EXTENDED_CONFIG_NAMES
 from repro.errors import ConfigurationError, FuzzError
 from repro.resilience.faults import (
     CampaignCell,
@@ -24,7 +26,6 @@ from repro.resilience.faults import (
 from repro.resilience.fuzz import (
     CORPUS_VERSION,
     FUZZ_CASE_VERSION,
-    FUZZ_CONFIG_NAMES,
     ORACLE_NAMES,
     FuzzCase,
     FuzzFailure,
@@ -99,13 +100,25 @@ class TestGeneration:
         seen_configs = set()
         for index in range(24):
             case = generate_case(0, index)
-            assert case.config in FUZZ_CONFIG_NAMES
+            assert case.config in EXTENDED_CONFIG_NAMES
             assert set(case.oracles) <= set(ORACLE_NAMES)
             assert case.trace_entries() > 0
             # every case must survive its own JSON round trip
             assert FuzzCase.from_json(case.to_json()) == case
             seen_configs.add(case.config)
         assert len(seen_configs) >= 5, "generator should cover many organizations"
+
+    def test_draws_are_byte_stable(self):
+        """Campaign seed 7's first 60 cases, pinned by digest.
+
+        The generator draws configurations in ``EXTENDED_CONFIG_NAMES``
+        order, so reordering the configuration table (or any other
+        change to the draw sequence) would silently reshuffle every
+        fuzz campaign and orphan the corpus's provenance.
+        """
+        cases = [generate_case(7, index).to_json() for index in range(60)]
+        digest = hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest()
+        assert digest == "bae8fde55df4a4c7c69ba09c236837a41d9358b3d5f82362c0c01c76a6b5728b"
 
 
 class TestCaseSchema:

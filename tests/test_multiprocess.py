@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.organizations import CONFIG_SPECS
 from repro.core.multiprocess import (
     MAX_PROCESSES,
     NAMESPACE_STRIDE,
@@ -103,6 +104,14 @@ class TestRunTimeShared:
             result = run_time_shared(workloads, config, SHARING)
             assert result.accesses == 18_000  # 20k minus 10% warm-up
             assert result.total_energy_pj > 0
+
+    @pytest.mark.parametrize(
+        "config", [name for name, spec in CONFIG_SPECS.items() if spec.lite is not None]
+    )
+    def test_every_lite_config_resizes(self, workloads, config):
+        """The Lite interval scales to the merged run for every Lite design."""
+        result = run_time_shared(workloads, config, SHARING)
+        assert result.lite_intervals > 0
 
     def test_flushing_costs_misses(self, workloads):
         """Without PCID every switch refills the TLBs: more misses."""

@@ -1,9 +1,11 @@
 """Tests for the six configuration builders and their energy bindings."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.organizations import (
-    CONFIG_NAMES,
+    EXTENDED_CONFIG_NAMES,
     build_4kb,
     build_organization,
     build_rmm,
@@ -11,14 +13,36 @@ from repro.core.organizations import (
     build_thp,
     build_tlb_lite,
     build_tlb_pp,
+    lite_params_for,
     paging_policy_for,
 )
 from repro.core.params import HierarchyParams, LiteParams
 from repro.energy.cacti import TABLE2_PAGE_TLB
+from repro.errors import UnknownConfigError
 from repro.mem.paging import DemandPaging, EagerPaging, TransparentHugePaging
 from repro.mem.physical import PhysicalMemory
 from repro.mem.process import Process
 from repro.mmu.translation import PAGES_PER_2MB
+
+
+#: Every configuration's paging policy class, eager-paging layout, and
+#: Lite threshold mode (``None``: no Lite controller), written out here
+#: rather than read from the configuration table it checks.
+EXPECTED_CONFIGS = {
+    "4KB": (DemandPaging, None, None),
+    "THP": (TransparentHugePaging, None, None),
+    "TLB_Lite": (TransparentHugePaging, None, "relative"),
+    "RMM": (EagerPaging, "thp", None),
+    "TLB_PP": (TransparentHugePaging, None, None),
+    "RMM_Lite": (EagerPaging, "4kb", "absolute"),
+    "FA_Lite": (TransparentHugePaging, None, "relative"),
+    "RMM_PP_Lite": (EagerPaging, "thp", "absolute"),
+    "L0_Filter": (TransparentHugePaging, None, None),
+    "L0_Lite": (TransparentHugePaging, None, "relative"),
+    "TLB_Pred": (TransparentHugePaging, None, None),
+    "Banked": (TransparentHugePaging, None, None),
+    "Semantic": (TransparentHugePaging, None, None),
+}
 
 
 def make_process(policy):
@@ -81,12 +105,28 @@ class TestBuilders:
         assert l1.ways == 1
 
     def test_build_organization_dispatch(self):
-        for name in CONFIG_NAMES:
+        assert tuple(EXPECTED_CONFIGS) == EXTENDED_CONFIG_NAMES
+        for name, (policy_type, layout, threshold_mode) in EXPECTED_CONFIGS.items():
             policy = paging_policy_for(name)
+            assert type(policy) is policy_type, name
+            assert getattr(policy, "page_layout", None) == layout, name
             org = build_organization(name, make_process(policy))
             assert org.name == name
-        with pytest.raises(KeyError):
+            if threshold_mode is None:
+                assert org.lite is None, name
+                assert lite_params_for(name, 60_000) is None, name
+            else:
+                paper = org.lite.params
+                assert paper.threshold_mode == threshold_mode, name
+                assert paper.interval_instructions == 1_000_000, name
+                scaled = replace(paper, interval_instructions=10_000)
+                assert lite_params_for(name, 60_000) == scaled, name
+        with pytest.raises(UnknownConfigError):
+            paging_policy_for("bogus")
+        with pytest.raises(UnknownConfigError):
             build_organization("bogus", make_process(DemandPaging()))
+        with pytest.raises(UnknownConfigError):
+            lite_params_for("bogus", 60_000)
 
     def test_summary_renders(self):
         org = build_rmm_lite(make_process(EagerPaging("4kb")))

@@ -179,11 +179,11 @@ class TestFaultCampaigns:
         prepared = prepare_run(
             workload, "TLB_Lite", SETTINGS, auditor=auditor, on_fault="record"
         )
-        events = adversarial_events(
+        prepared.events = adversarial_events(
             prepared.process, len(prepared.trace), shootdowns=4,
             demotion_storms=2, seed=9,
         )
-        result = prepared.run(events=events)
+        result = prepared.run()
         assert result.accesses > 0
         assert auditor.checks_run > 0
         assert not auditor.violations
