@@ -319,35 +319,56 @@ class PageTable:
     # Checkpoint protocol
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Pure-JSON leaf entries in address order.
+        """Pure-JSON leaves in address order, 4 KB leaves as runs of frames.
 
-        Only leaves are serialized; intermediate radix nodes are rebuilt
-        by re-mapping.  Empty intermediate nodes left behind by ``unmap``
-        are therefore not reproduced — they are invisible to lookups and
-        walks, so simulation behaviour is unaffected.
+        ``runs`` holds every maximal run of consecutive 4 KB leaves as
+        ``[vpn, [pfn, ...]]``, merged across leaf tables, so the state
+        depends only on the mapping and not on the order it was
+        installed in.  ``huge`` holds each 2 MB or 1 GB leaf as ``[vpn,
+        pfn, size]``.  Intermediate radix nodes, including empty ones
+        left behind by ``unmap``, are not serialized: they are invisible
+        to lookups and walks, and re-mapping rebuilds the rest.
         """
-        return {
-            "translations": [
-                [leaf.vpn, leaf.pfn, int(leaf.page_size)]
-                for leaf in self.iter_translations()
-            ]
-        }
+        runs: list[list] = []
+        huge: list[list] = []
+
+        def add_run(vpn: int, pfns: list[int]) -> None:
+            if runs and runs[-1][0] + len(runs[-1][1]) == vpn:
+                runs[-1][1].extend(pfns)
+            else:
+                runs.append([vpn, pfns])
+
+        def visit(node: PageTableNode, base: int) -> None:
+            entries = node.entries
+            if node.level == 1:
+                keys = sorted(entries)
+                if keys and keys[-1] - keys[0] == len(keys) - 1:
+                    add_run(base + keys[0], [entries[i].pfn for i in keys])
+                    return
+                for index in keys:
+                    add_run(base + index, [entries[index].pfn])
+                return
+            shift = LEVEL_BITS * (node.level - 1)
+            for index in sorted(entries):
+                entry = entries[index]
+                if type(entry) is Translation:
+                    huge.append([entry.vpn, entry.pfn, int(entry.page_size)])
+                else:
+                    visit(entry, base | (index << shift))
+
+        visit(self.root, 0)
+        return {"runs": runs, "huge": huge}
 
     def load_state_dict(self, state: dict) -> None:
-        """Rebuild the radix tree from serialized leaves.
+        """Rebuild the radix tree from a :meth:`state_dict`.
 
-        Consecutive 4 KB leaves are reinstalled as one :meth:`map_run`;
-        huge leaves go through :meth:`map`.
+        Each huge leaf is installed with :meth:`map` and each run with
+        one :meth:`map_run`, so overlapping leaves raise
+        :class:`repro.errors.AddressSpaceError`.
         """
         self.root = PageTableNode(level=4)
         self._mapped_pages_4k = 0
-        run_vpn, run_pfns = 0, []
-        for vpn, pfn, size in state["translations"]:
-            if size != PageSize.SIZE_4KB:
-                self.map(Translation(vpn, pfn, PageSize(size)))
-                continue
-            if vpn != run_vpn + len(run_pfns):
-                self.map_run(run_vpn, run_pfns)
-                run_vpn, run_pfns = vpn, []
-            run_pfns.append(pfn)
-        self.map_run(run_vpn, run_pfns)
+        for vpn, pfn, size in state["huge"]:
+            self.map(Translation(vpn, pfn, PageSize(size)))
+        for vpn, pfns in state["runs"]:
+            self.map_run(vpn, pfns)

@@ -31,14 +31,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import CheckpointError
-from ..ioutils import atomic_write_json
+from ..ioutils import atomic_write_text
 from ..observability import Observability
 from ..stateful import require
 
 #: Bump when the snapshot layout changes incompatibly.  Policy: loading
 #: rejects any other version outright (snapshots are short-lived restart
 #: aids, not archival artifacts — see docs/robustness.md).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -116,29 +116,32 @@ def restore_simulation(simulator, process, state: dict) -> dict:
 # Snapshot files
 # ----------------------------------------------------------------------
 def write_snapshot(path, state: dict, meta: dict | None = None) -> Path:
-    """Atomically write a versioned, checksummed snapshot file."""
+    """Atomically write a versioned, checksummed snapshot file.
+
+    The file is ``canonical_json(envelope) + "\\n"``.  The payload is
+    encoded once: its text is hashed, then spliced into the envelope
+    between ``meta`` and ``sha256``, where sorted keys place it.
+    """
     payload_text = canonical_json(state)
-    envelope = {
-        "checkpoint_version": CHECKPOINT_VERSION,
-        "meta": dict(meta or {}),
-        "sha256": hashlib.sha256(payload_text.encode()).hexdigest(),
-        "payload": state,
-    }
-    return atomic_write_json(path, envelope)
+    digest = hashlib.sha256(payload_text.encode()).hexdigest()
+    head = canonical_json({"checkpoint_version": CHECKPOINT_VERSION, "meta": dict(meta or {})})
+    text = f'{head[:-1]},"payload":{payload_text},"sha256":"{digest}"}}\n'
+    return atomic_write_text(path, text)
 
 
 def read_snapshot(path) -> tuple[dict, dict]:
     """Read and verify a snapshot file; returns ``(state, meta)``.
 
-    Raises :class:`repro.errors.CheckpointError` on a missing file, an
-    unparseable envelope, a version mismatch, or a checksum mismatch.
+    Raises :class:`repro.errors.CheckpointError` on a missing file, a
+    file that is not UTF-8 JSON, a version mismatch, or a checksum
+    mismatch.
     """
     path = Path(path)
     try:
-        envelope = json.loads(path.read_text())
+        envelope = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise CheckpointError(f"no snapshot at {path}") from exc
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable snapshot {path}: {exc}") from exc
     if not isinstance(envelope, dict) or "payload" not in envelope:
         raise CheckpointError(f"{path} is not a snapshot envelope")

@@ -12,12 +12,14 @@ The acceptance bar of the checkpoint work:
 * on both executors, a sweep restores only snapshots its own experiment
   wrote, and a snapshot that fails to restore leaves no half-restored
   cell behind;
-* snapshot files reject version and checksum mismatches;
+* snapshot files are compact canonical JSON around a payload hashed as
+  written, and reject non-UTF-8 text, version and checksum mismatches;
 * ``bisect-divergence`` pinpoints the first diverging interval boundary
   and the diverging component on a seeded fault-injected run.
 """
 
 import contextlib
+import hashlib
 import json
 
 import pytest
@@ -37,6 +39,8 @@ from repro.resilience.checkpoint import (
     AbortSimulation,
     DigestTrail,
     SimulationCheckpointer,
+    canonical_json,
+    claim_snapshot,
     component_digests,
     first_divergence,
     read_snapshot,
@@ -45,7 +49,7 @@ from repro.resilience.checkpoint import (
     state_digest,
     write_snapshot,
 )
-from repro.resilience.sweep import run_resilient_sweep
+from repro.resilience.sweep import SweepJournal, run_resilient_sweep
 from repro.workloads.base import VMASpec, Workload
 from repro.workloads.patterns import Zipf
 from repro.workloads.registry import get_workload
@@ -66,6 +70,9 @@ def small_workload(name: str = "ckpt") -> Workload:
 #: Worker processes rebuild cells from the registry, so the sweep tests
 #: that run on both executors use a registered workload.
 POVRAY = get_workload("povray")
+
+#: The first bytes of a PNG file: not UTF-8, so not a snapshot.
+PNG_HEADER = b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR"
 
 
 def registry_settings(seed: int) -> ExperimentSettings:
@@ -240,6 +247,33 @@ class TestResumeDeterminism:
         assert cell.row == clean.rows()[0]
         assert not snapshot.exists()
 
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_non_utf8_snapshot_reruns_cell_clean(self, workers, tmp_path):
+        """A snapshot file that is not text is discarded, not failed on."""
+        journal = tmp_path / "sweep.journal"
+        configs = ("THP", "4KB")
+        sweep = dict(journal_path=journal, checkpoint_every=1, workers=workers)
+        run_resilient_sweep(
+            [POVRAY], configs, registry_settings(5), max_cells=1, **sweep
+        )
+        snapshot = tmp_path / "sweep.journal.povray--4KB.ckpt"
+        snapshot.write_bytes(PNG_HEADER)
+        warns = (
+            pytest.warns(UserWarning, match="discarding unusable snapshot")
+            if workers is None
+            else contextlib.nullcontext()  # warned in the worker process
+        )
+        with warns:
+            resumed = run_resilient_sweep(
+                [POVRAY], configs, registry_settings(5), resume=True, **sweep
+            )
+        clean = run_resilient_sweep([POVRAY], ("4KB",), registry_settings(5))
+        cell = resumed.cell("povray", "4KB")
+        assert (cell.status, cell.attempts) == ("ok", 1)
+        assert cell.row == clean.rows()[0]
+        assert SweepJournal(journal).load_state(None).completed["povray|4KB"] == cell.row
+        assert not snapshot.exists()
+
     def test_resume_state_rejects_different_trace(self, tmp_path):
         workload = small_workload()
         path = tmp_path / "cell.ckpt"
@@ -288,8 +322,51 @@ class TestSnapshotFiles:
         garbage.write_text('{"checkpoint_version": 1, "truncat')
         with pytest.raises(CheckpointError):
             read_snapshot(garbage)
+        binary = tmp_path / "binary.ckpt"
+        binary.write_bytes(PNG_HEADER)
+        with pytest.raises(CheckpointError, match="unreadable"):
+            read_snapshot(binary)
         with pytest.raises(CheckpointError):
             read_snapshot(tmp_path / "missing.ckpt")
+
+    @pytest.mark.parametrize("meta", [None, {"cell": "w|c", "boundary": 7}])
+    def test_file_is_canonical_json_with_payload_digest(self, meta, tmp_path):
+        path = tmp_path / "snap.ckpt"
+        state = {"loop": {"boundary": 7}, "hierarchy": {"b": [1, 2.5, None], "a": "é"}}
+        write_snapshot(path, state, meta)
+        text = path.read_text()
+        envelope = json.loads(text)
+        assert text == canonical_json(envelope) + "\n"
+        assert envelope == {
+            "checkpoint_version": CHECKPOINT_VERSION,
+            "meta": meta or {},
+            "payload": state,
+            "sha256": envelope["sha256"],
+        }
+        start = text.index('"payload":') + len('"payload":')
+        payload_text = text[start : text.rindex(',"sha256":')]
+        assert json.loads(payload_text) == state
+        assert envelope["sha256"] == hashlib.sha256(payload_text.encode()).hexdigest()
+
+    def test_version_1_snapshot_is_discarded(self, tmp_path):
+        """A snapshot in the version-1 layout reruns its cell from access 0."""
+        path = tmp_path / "old.ckpt"
+        payload = {
+            "loop": {"boundary": 3},
+            "process": {"page_table": {"translations": [[0, 7, 1], [1, 9, 1]]}},
+        }
+        envelope = {
+            "checkpoint_version": 1,
+            "meta": {"boundary": 3},
+            "payload": payload,
+            "sha256": hashlib.sha256(canonical_json(payload).encode()).hexdigest(),
+        }
+        path.write_text(json.dumps(envelope, sort_keys=True) + "\n")
+        with pytest.raises(CheckpointError, match="version 1 unsupported"):
+            read_snapshot(path)
+        with pytest.warns(UserWarning, match="discarding unusable snapshot"):
+            assert claim_snapshot(path) is None
+        assert not path.exists()
 
     def test_atomic_writers_leave_no_temp_files(self, tmp_path):
         target = tmp_path / "out.json"

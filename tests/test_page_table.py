@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AddressSpaceError
+from repro.mem.paging import TransparentHugePaging
+from repro.mem.physical import PhysicalMemory
+from repro.mem.process import Process
 from repro.mmu.page_table import VPN_LIMIT, PageFault, PageTable
 from repro.mmu.translation import PAGES_PER_1GB, PAGES_PER_2MB, PageSize, Translation
 
@@ -234,9 +237,150 @@ def test_load_state_dict_groups_runs():
 
 
 def test_load_state_dict_rejects_overlapping_leaves():
-    state = {"translations": [[0, 0, 512], [5, 1, 1]]}
+    state = {"runs": [[5, [1]]], "huge": [[0, 0, 512]]}
     with pytest.raises(AddressSpaceError):
         PageTable().load_state_dict(state)
+
+
+# ----------------------------------------------------------------------
+# Checkpoint state: maximal runs of 4 KB frames plus huge leaves
+# ----------------------------------------------------------------------
+def expand(state):
+    """Oracle: the ``(vpn, pfn, size)`` leaves a state describes, by address."""
+    leaves = [tuple(leaf) for leaf in state["huge"]]
+    for vpn, pfns in state["runs"]:
+        for offset, pfn in enumerate(pfns):
+            leaves.append((vpn + offset, pfn, 1))
+    return sorted(leaves)
+
+
+def checked_state(pt):
+    """``pt.state_dict()``, checked against the table's own leaves."""
+    state = pt.state_dict()
+    assert set(state) == {"runs", "huge"}
+    assert expand(state) == [
+        (t.vpn, t.pfn, int(t.page_size)) for t in pt.iter_translations()
+    ]
+    runs = state["runs"]
+    assert all(pfns for _, pfns in runs), "empty run"
+    for (vpn, pfns), (next_vpn, _) in zip(runs, runs[1:]):
+        assert vpn + len(pfns) < next_vpn, "runs out of order or not maximal"
+    huge_vpns = [vpn for vpn, _, _ in state["huge"]]
+    assert huge_vpns == sorted(huge_vpns)
+    return state
+
+
+def frames(count, first=1000):
+    return list(range(first, first + 7 * count, 7))
+
+
+class TestRunState:
+    def test_run_across_a_leaf_table(self):
+        pt = PageTable()
+        pt.map_run(500, frames(30))
+        assert checked_state(pt) == {"runs": [[500, frames(30)]], "huge": []}
+
+    def test_run_across_a_1gb_boundary(self):
+        pt = PageTable()
+        pt.map_run(PAGES_PER_1GB - 10, frames(20))
+        assert checked_state(pt)["runs"] == [[PAGES_PER_1GB - 10, frames(20)]]
+
+    def test_two_vmas_share_a_leaf_table(self):
+        pt = PageTable()
+        pt.map_run(0, frames(10))
+        pt.map_run(20, frames(5, first=9))
+        assert checked_state(pt)["runs"] == [[0, frames(10)], [20, frames(5, first=9)]]
+
+    @pytest.mark.parametrize("size", [PageSize.SIZE_2MB, PageSize.SIZE_1GB])
+    def test_4kb_leaves_around_a_huge_leaf(self, size):
+        pages = int(size)
+        pt = PageTable()
+        pt.map_run(pages - 3, [1, 2, 3])
+        pt.map(Translation(pages, 4 * pages, size))
+        pt.map_run(2 * pages, [4, 5])
+        assert checked_state(pt) == {
+            "runs": [[pages - 3, [1, 2, 3]], [2 * pages, [4, 5]]],
+            "huge": [[pages, 4 * pages, pages]],
+        }
+
+    def test_demoted_huge_pages(self):
+        process = Process(PhysicalMemory(1 << 30, seed=3), TransparentHugePaging())
+        process.mmap(PAGES_PER_2MB * 4, name="heap")
+        start = next(iter(process.address_space)).start_vpn
+        first = process.break_huge_page(start + PAGES_PER_2MB)
+        second = process.break_huge_page(start + 2 * PAGES_PER_2MB)
+        state = checked_state(process.page_table)
+        # The two demoted chunks are adjacent, so they form one run.
+        demoted = list(range(first.pfn, first.pfn + PAGES_PER_2MB))
+        demoted += range(second.pfn, second.pfn + PAGES_PER_2MB)
+        assert [start + PAGES_PER_2MB, demoted] in state["runs"]
+        assert [vpn for vpn, _, _ in state["huge"]] == [start, start + 3 * PAGES_PER_2MB]
+
+    def test_empty_table(self):
+        assert checked_state(PageTable()) == {"runs": [], "huge": []}
+
+
+class TestRunStateIsCanonical:
+    """The state depends on the mapping, not on how it was installed."""
+
+    def test_install_order_does_not_matter(self):
+        pfns = frames(600)
+        in_bulk = PageTable()
+        in_bulk.map_run(300, pfns)
+        backwards = PageTable()
+        for offset in reversed(range(len(pfns))):
+            backwards.map(Translation(300 + offset, pfns[offset], PageSize.SIZE_4KB))
+        assert checked_state(backwards) == checked_state(in_bulk)
+
+    def test_remapped_page_rejoins_its_run(self):
+        pt = PageTable()
+        pt.map_run(0, frames(1000))
+        leaf = pt.unmap(700)
+        pt.map(leaf)
+        fresh = PageTable()
+        fresh.map_run(0, frames(1000))
+        assert checked_state(pt) == checked_state(fresh)
+
+    def test_lingering_empty_leaf_table(self):
+        pt = PageTable()
+        pt.map_run(0, frames(600))
+        for vpn in range(PAGES_PER_2MB, 600):
+            pt.unmap(vpn)
+        assert pt.count_nodes()[1] == 2  # the emptied leaf table lingers
+        fresh = PageTable()
+        fresh.map_run(0, frames(PAGES_PER_2MB))
+        assert checked_state(pt) == checked_state(fresh)
+
+
+#: One page-table edit: map a 4 KB run, map a 2 MB leaf, or unmap a page.
+EDITS = st.one_of(
+    st.tuples(st.just("run"), st.integers(0, 4 * PAGES_PER_2MB), st.integers(1, 700)),
+    st.tuples(st.just("huge"), st.integers(0, 3), st.just(0)),
+    st.tuples(st.just("unmap"), st.integers(0, 4 * PAGES_PER_2MB), st.just(0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(EDITS, max_size=12))
+def test_state_round_trips_after_random_edits(edits):
+    pt = PageTable()
+    for step, (kind, where, count) in enumerate(edits):
+        try:
+            if kind == "run":
+                pt.map_run(where, frames(count, first=step * 1000))
+            elif kind == "huge":
+                base = where * PAGES_PER_2MB
+                pt.map(Translation(base, base + 8 * PAGES_PER_2MB, PageSize.SIZE_2MB))
+            else:
+                pt.unmap(where)
+        except (AddressSpaceError, PageFault):
+            pass
+    state = checked_state(pt)
+    restored = PageTable()
+    restored.load_state_dict(state)
+    assert restored.state_dict() == state
+    assert restored.mapped_bytes == pt.mapped_bytes
+    assert list(restored.iter_translations()) == list(pt.iter_translations())
 
 
 @settings(max_examples=40, deadline=None)
