@@ -38,11 +38,19 @@ class ExperimentSettings:
     sim_params: SimulationParams = field(default_factory=SimulationParams)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trace_accesses, int) or self.trace_accesses <= 0:
+        if (
+            not isinstance(self.trace_accesses, int)
+            or isinstance(self.trace_accesses, bool)
+            or self.trace_accesses <= 0
+        ):
             raise SettingsError(
                 f"trace_accesses must be a positive integer, got {self.trace_accesses!r}"
             )
-        if not isinstance(self.physical_bytes, int) or self.physical_bytes <= 0:
+        if (
+            not isinstance(self.physical_bytes, int)
+            or isinstance(self.physical_bytes, bool)
+            or self.physical_bytes <= 0
+        ):
             raise SettingsError(
                 f"physical_bytes must be a positive integer, got {self.physical_bytes!r}"
             )

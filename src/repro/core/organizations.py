@@ -145,11 +145,10 @@ def _huge_chunks(process: Process, design: str) -> frozenset[int]:
     and model 4 KB and 2 MB pages only.
     """
     chunks = set()
-    for translation in process.page_table.iter_translations():
+    for translation in process.page_table.huge_leaves():
         if translation.page_size is PageSize.SIZE_1GB:
             raise ConfigurationError(f"{design} models 4KB and 2MB pages only")
-        if translation.page_size is PageSize.SIZE_2MB:
-            chunks.add(translation.vpn >> 9)
+        chunks.add(translation.vpn >> 9)
     return frozenset(chunks)
 
 

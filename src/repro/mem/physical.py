@@ -25,10 +25,11 @@ deterministic (lowest address wins) and O(log n), which matters when a
 from __future__ import annotations
 
 import heapq
-import random
+
+import numpy as np
 
 from ..errors import AddressSpaceError
-from ..stateful import require, rng_state_from_json, rng_state_to_json
+from ..stateful import require
 
 #: Frames handed to the scatter pool per refill (order-12 block = 16 MB).
 _SCATTER_REFILL_ORDER = 12
@@ -51,7 +52,8 @@ class PhysicalMemory:
     total_bytes:
         Size of physical memory; must be a multiple of 4 KB.
     seed:
-        Seed for the scatter pool's shuffle (single-frame allocations).
+        Seed for the numpy generator that permutes each scatter-pool
+        refill (single-frame allocations).
     """
 
     # Free-frame count is rebuilt from the serialized free lists on load.
@@ -66,7 +68,7 @@ class PhysicalMemory:
         self._heaps: list[list[int]] = [[] for _ in range(self.max_order + 1)]
         self._free: list[set[int]] = [set() for _ in range(self.max_order + 1)]
         self._frames_free = 0
-        self._rng = random.Random(seed)
+        self._rng = np.random.default_rng(seed)
         self._scatter_pool: list[int] = []
         # Seed the free lists with the power-of-two decomposition of the
         # arena (handles non-power-of-two sizes).
@@ -211,7 +213,12 @@ class PhysicalMemory:
         self.free_block(pfn, 0)
 
     def _refill_scatter_pool(self) -> None:
-        """Split off a chunk of frames and shuffle them into the pool."""
+        """Split off a chunk of frames and add them to the pool, permuted.
+
+        The chunk is the largest block up to order 12 that ``alloc_block``
+        can supply.  A seeded ``Generator.permutation`` orders its frames,
+        which enter the pool as Python ints.
+        """
         order = _SCATTER_REFILL_ORDER
         while order >= 0:
             try:
@@ -221,9 +228,7 @@ class PhysicalMemory:
                 order -= 1
         else:
             raise OutOfMemoryError("physical memory exhausted")
-        frames = list(range(base, base + (1 << order)))
-        self._rng.shuffle(frames)
-        self._scatter_pool.extend(frames)
+        self._scatter_pool.extend((base + self._rng.permutation(1 << order)).tolist())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -253,7 +258,7 @@ class PhysicalMemory:
         if not 0.0 <= fraction <= 1.0:
             raise AddressSpaceError("fraction must be in [0, 1]")
         if seed is not None:
-            self._rng = random.Random(seed)
+            self._rng = np.random.default_rng(seed)
         return self.alloc_frames(int(self._frames_free * fraction))
 
     # ------------------------------------------------------------------
@@ -265,13 +270,14 @@ class PhysicalMemory:
         Free lists serialize as the sorted *live* block starts per order —
         lazily deleted heap entries are dropped, which is behaviour-
         identical because :meth:`_pop_order` always returns the lowest
-        live address either way.
+        live address either way.  The generator's state is numpy's
+        ``bit_generator.state`` dict, which is already pure JSON.
         """
         return {
             "total_frames": self.total_frames,
             "free": [sorted(live) for live in self._free],
             "scatter_pool": list(self._scatter_pool),
-            "rng": rng_state_to_json(self._rng.getstate()),
+            "rng": self._rng.bit_generator.state,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -294,4 +300,4 @@ class PhysicalMemory:
             self._heaps[order] = heap
             self._frames_free += len(starts) << order
         self._scatter_pool = list(state["scatter_pool"])
-        self._rng.setstate(rng_state_from_json(state["rng"]))
+        self._rng.bit_generator.state = state["rng"]

@@ -128,7 +128,7 @@ class Process:
             raise AddressSpaceError("fraction must be in [0, 1]")
         huge = [
             leaf.vpn
-            for leaf in self.page_table.iter_translations()
+            for leaf in self.page_table.huge_leaves()
             if leaf.page_size is PageSize.SIZE_2MB
         ]
         rng = self._rng if seed is None else random.Random(seed)
@@ -152,10 +152,17 @@ class Process:
     # Reports
     # ------------------------------------------------------------------
     def page_size_histogram(self) -> dict[PageSize, int]:
-        """Count of leaf entries per page size (layout sanity checks)."""
+        """Count of leaf entries per page size (layout sanity checks).
+
+        Huge leaves are counted one by one; the 4 KB count is whatever
+        the table maps beyond them.
+        """
         histogram: dict[PageSize, int] = {size: 0 for size in PageSize}
-        for leaf in self.page_table.iter_translations():
+        huge_pages = 0
+        for leaf in self.page_table.huge_leaves():
             histogram[leaf.page_size] += 1
+            huge_pages += int(leaf.page_size)
+        histogram[PageSize.SIZE_4KB] = (self.page_table.mapped_bytes >> 12) - huge_pages
         return histogram
 
     def describe(self) -> str:

@@ -4,7 +4,7 @@ The page table is the in-memory structure the hardware walker traverses on
 a TLB miss.  We model it faithfully as a radix tree with 512-entry nodes
 (PML4 → PDPT → PD → PT); leaves can sit at three levels:
 
-* level 1 (PT): 4 KB page entries,
+* level 1 (PT): 4 KB page entries, stored as bare frame numbers,
 * level 2 (PD): 2 MB page entries (PS bit set),
 * level 3 (PDPT): 1 GB page entries.
 
@@ -48,8 +48,9 @@ class PageFault(Exception):
 class PageTableNode:
     """One 512-entry node of the radix tree.
 
-    ``entries`` maps a 9-bit index either to a child node (non-leaf) or to
-    a :class:`Translation` (leaf entry: PTE, or huge-page PDE/PDPTE).
+    ``entries`` maps a 9-bit index to a child node, to a huge-page
+    :class:`Translation` (a 2 MB PDE or 1 GB PDPTE leaf), or, in a
+    level-1 table, to the bare frame number of a 4 KB PTE.
     """
 
     __slots__ = ("level", "entries")
@@ -64,11 +65,11 @@ class PageTableNode:
 
 
 def _subtree_empty(node: PageTableNode) -> bool:
-    """True if a subtree holds no leaf translation anywhere."""
+    """True if a subtree holds no leaf anywhere."""
+    if node.level == 1:
+        return not node.entries
     for entry in node.entries.values():
-        if isinstance(entry, Translation):
-            return False
-        if not _subtree_empty(entry):
+        if type(entry) is Translation or not _subtree_empty(entry):
             return False
     return True
 
@@ -105,11 +106,11 @@ class PageTable:
         Raises :class:`repro.errors.AddressSpaceError` if any part of the
         region is already mapped (the OS substrate must unmap first),
         which catches accidental double-allocation bugs in paging
-        policies.  A 4 KB leaf goes through the same leaf-table installer
-        as :meth:`map_run`.
+        policies.  A 4 KB leaf is a one-page :meth:`map_run`: its table
+        keeps the frame number, not the :class:`Translation`.
         """
         if translation.page_size is PageSize.SIZE_4KB:
-            self._install_4k(translation.vpn, [translation])
+            self.map_run(translation.vpn, (translation.pfn,))
             return
         if not 0 <= translation.vpn <= VPN_LIMIT - int(translation.page_size):
             raise _outside(translation.vpn)
@@ -151,10 +152,42 @@ class PageTable:
         by a huge page, or outside the page-number space,
         :class:`repro.errors.AddressSpaceError` names the first such page
         and the table is left as it was.  An empty run is a no-op.
+
+        Two passes over the leaf tables the run spans: the first checks
+        every table in address order and mutates nothing, the second
+        creates missing nodes and stores each table's frame numbers with
+        one ``dict.update``.
         """
-        size = PageSize.SIZE_4KB
-        vpns = range(vpn4k, vpn4k + len(pfns))
-        self._install_4k(vpn4k, [Translation(vpn, pfn, size) for vpn, pfn in zip(vpns, pfns)])
+        if not pfns:
+            return
+        end = vpn4k + len(pfns)
+        if vpn4k < 0:
+            raise _outside(vpn4k)
+        low = vpn4k
+        stop = min(end, VPN_LIMIT)
+        while low < stop:
+            high = min((low | LEVEL_MASK) + 1, stop)
+            table = self._leaf_table(low, create=False)
+            if table is not None and table.entries:
+                first = low & LEVEL_MASK
+                taken = table.entries.keys() & range(first, first + high - low)
+                if taken:
+                    index = min(taken)
+                    vpn = low - first + index
+                    existing = Translation(vpn, table.entries[index], PageSize.SIZE_4KB)
+                    raise AddressSpaceError(f"vpn {vpn:#x} already mapped ({existing!r})")
+            low = high
+        if end > VPN_LIMIT:
+            raise _outside(max(vpn4k, VPN_LIMIT))
+        low = vpn4k
+        while low < end:
+            high = min((low | LEVEL_MASK) + 1, end)
+            first = low & LEVEL_MASK
+            self._leaf_table(low, create=True).entries.update(
+                zip(range(first, first + high - low), pfns[low - vpn4k : high - vpn4k])
+            )
+            low = high
+        self._mapped_pages_4k += len(pfns)
 
     def _leaf_table(self, vpn4k: int, create: bool) -> Optional[PageTableNode]:
         """The level-1 node holding ``vpn4k``'s entry.
@@ -179,63 +212,26 @@ class PageTable:
             node = child
         return node
 
-    def _install_4k(self, vpn4k: int, leaves: list[Translation]) -> None:
-        """Install 4 KB ``leaves`` for consecutive pages from ``vpn4k``.
-
-        Two passes over the leaf tables the run spans: the first checks
-        every table in address order and mutates nothing, the second
-        creates missing nodes and fills each table with one
-        ``dict.update``.
-        """
-        if not leaves:
-            return
-        end = vpn4k + len(leaves)
-        if vpn4k < 0:
-            raise _outside(vpn4k)
-        low = vpn4k
-        stop = min(end, VPN_LIMIT)
-        while low < stop:
-            high = min((low | LEVEL_MASK) + 1, stop)
-            table = self._leaf_table(low, create=False)
-            if table is not None and table.entries:
-                first = low & LEVEL_MASK
-                taken = table.entries.keys() & range(first, first + high - low)
-                if taken:
-                    existing = table.entries[min(taken)]
-                    raise AddressSpaceError(
-                        f"vpn {existing.vpn:#x} already mapped ({existing!r})"
-                    )
-            low = high
-        if end > VPN_LIMIT:
-            raise _outside(max(vpn4k, VPN_LIMIT))
-        low = vpn4k
-        while low < end:
-            high = min((low | LEVEL_MASK) + 1, end)
-            first = low & LEVEL_MASK
-            self._leaf_table(low, create=True).entries.update(
-                zip(range(first, first + high - low), leaves[low - vpn4k : high - vpn4k])
-            )
-            low = high
-        self._mapped_pages_4k += len(leaves)
-
     def unmap(self, vpn4k: int) -> Translation:
         """Remove the leaf entry covering ``vpn4k``; returns it.
 
         Empty intermediate nodes are left in place (as real kernels often
         do); they are invisible to lookups.
         """
-        path = []
         node = self.root
         while True:
             index = node.index_for(vpn4k)
             entry = node.entries.get(index)
             if entry is None:
                 raise PageFault(vpn4k)
-            if isinstance(entry, Translation):
+            if node.level == 1:
+                del node.entries[index]
+                self._mapped_pages_4k -= 1
+                return Translation(vpn4k, entry, PageSize.SIZE_4KB)
+            if type(entry) is Translation:
                 del node.entries[index]
                 self._mapped_pages_4k -= int(entry.page_size)
                 return entry
-            path.append(node)
             node = entry
 
     # ------------------------------------------------------------------
@@ -251,11 +247,11 @@ class PageTable:
         corruption a hostile trace would exploit.
 
         The four-level descent is unrolled: this runs on every page walk,
-        which dominates simulation time whenever TLBs miss.  Entries are
-        either :class:`Translation` leaves or :class:`PageTableNode`
-        children (``map`` enforces that), so an exact type test picks the
-        leaf case.  Level-1 nodes hold only 4 KB leaves, so the last level
-        returns its entry directly.
+        which dominates simulation time whenever TLBs miss.  Above level 1
+        entries are either huge-page :class:`Translation` leaves or
+        :class:`PageTableNode` children (``map`` enforces that), so an
+        exact type test picks the leaf case.  Level-1 tables hold frame
+        numbers, so a 4 KB hit builds its :class:`Translation` here.
         """
         if not 0 <= vpn4k < VPN_LIMIT:
             return None
@@ -268,7 +264,10 @@ class PageTable:
         entry = entry.entries.get((vpn4k >> _SHIFT_L2) & LEVEL_MASK)
         if entry is None or type(entry) is Translation:
             return entry
-        return entry.entries.get(vpn4k & LEVEL_MASK)
+        pfn = entry.entries.get(vpn4k & LEVEL_MASK)
+        if pfn is None:
+            return None
+        return Translation(vpn4k, pfn, PageSize.SIZE_4KB)
 
     def walk(self, vpn4k: int) -> Translation:
         """Like :meth:`lookup` but raises :class:`PageFault` if unmapped."""
@@ -290,14 +289,40 @@ class PageTable:
         return self._mapped_pages_4k << 12
 
     def iter_translations(self) -> Iterator[Translation]:
-        """Yield all leaf entries in depth-first (address) order."""
+        """Yield all leaf entries in depth-first (address) order.
+
+        Each 4 KB leaf is handed out as a fresh :class:`Translation`.
+        """
+
+        def visit(node: PageTableNode, base: int) -> Iterator[Translation]:
+            entries = node.entries
+            if node.level == 1:
+                for index in sorted(entries):
+                    yield Translation(base | index, entries[index], PageSize.SIZE_4KB)
+                return
+            shift = LEVEL_BITS * (node.level - 1)
+            for index in sorted(entries):
+                entry = entries[index]
+                if type(entry) is Translation:
+                    yield entry
+                else:
+                    yield from visit(entry, base | (index << shift))
+
+        yield from visit(self.root, 0)
+
+    def huge_leaves(self) -> Iterator[Translation]:
+        """Yield the 2 MB and 1 GB leaves in address order.
+
+        No level-1 table is entered, so the cost does not grow with the
+        number of 4 KB leaves.
+        """
 
         def visit(node: PageTableNode) -> Iterator[Translation]:
             for index in sorted(node.entries):
                 entry = node.entries[index]
-                if isinstance(entry, Translation):
+                if type(entry) is Translation:
                     yield entry
-                else:
+                elif entry.level > 1:
                     yield from visit(entry)
 
         yield from visit(self.root)
@@ -310,7 +335,8 @@ class PageTable:
             for entry in node.entries.values():
                 if isinstance(entry, PageTableNode):
                     counts[entry.level] += 1
-                    visit(entry)
+                    if entry.level > 1:
+                        visit(entry)
 
         visit(self.root)
         return counts
@@ -343,10 +369,10 @@ class PageTable:
             if node.level == 1:
                 keys = sorted(entries)
                 if keys and keys[-1] - keys[0] == len(keys) - 1:
-                    add_run(base + keys[0], [entries[i].pfn for i in keys])
+                    add_run(base + keys[0], [entries[i] for i in keys])
                     return
                 for index in keys:
-                    add_run(base + index, [entries[index].pfn])
+                    add_run(base + index, [entries[index]])
                 return
             shift = LEVEL_BITS * (node.level - 1)
             for index in sorted(entries):

@@ -174,7 +174,7 @@ def demotion_storm_events(
     def storm(organization, _seed_base=seed) -> None:
         huge = [
             leaf.vpn
-            for leaf in process.page_table.iter_translations()
+            for leaf in process.page_table.huge_leaves()
             if leaf.page_size is PageSize.SIZE_2MB
         ]
         if not huge:

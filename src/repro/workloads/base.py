@@ -27,6 +27,12 @@ from .patterns import AccessPattern, Region
 #: 4 KB pages per MiB.
 PAGES_PER_MB = 256
 
+#: The latest trace :meth:`Workload.trace` generated, as ``(workload,
+#: num_accesses, seed, trace)``.  One process-wide slot suffices because
+#: every matrix walk loops workload-major, so a workload's configurations
+#: ask for its trace back to back.
+_latest_trace: tuple | None = None
+
 
 @dataclass(frozen=True, slots=True)
 class VMASpec:
@@ -110,9 +116,21 @@ class Workload:
         return process
 
     def trace(self, num_accesses: int, seed: int = 0) -> np.ndarray:
-        """Generate the reference stream (int64 vpn array)."""
+        """The reference stream (int64 vpn array), shared and read-only.
+
+        A call with the same workload object, length and seed as the
+        previous one returns the same array; anything else drops that
+        array before generating the new one.  Writing into the array
+        raises ``ValueError``: callers that perturb a trace copy it.
+        """
+        global _latest_trace
         if num_accesses <= 0:
             raise WorkloadError("num_accesses must be positive")
+        if _latest_trace is not None:
+            workload, length, latest_seed, trace = _latest_trace
+            if workload is self and length == num_accesses and latest_seed == seed:
+                return trace
+            _latest_trace = trace = None
         rng = np.random.default_rng(seed)
         pattern = self.pattern_factory(self.regions())
         trace = pattern.generate(rng, num_accesses)
@@ -120,6 +138,8 @@ class Workload:
             raise AssertionError(
                 f"pattern produced {len(trace)} accesses, wanted {num_accesses}"
             )
+        trace.flags.writeable = False
+        _latest_trace = (self, num_accesses, seed, trace)
         return trace
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -21,6 +21,7 @@ The acceptance bar of the checkpoint work:
 import contextlib
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -50,6 +51,7 @@ from repro.resilience.checkpoint import (
     write_snapshot,
 )
 from repro.resilience.sweep import SweepJournal, run_resilient_sweep
+from repro.stateful import rng_state_to_json
 from repro.workloads.base import VMASpec, Workload
 from repro.workloads.patterns import Zipf
 from repro.workloads.registry import get_workload
@@ -348,21 +350,30 @@ class TestSnapshotFiles:
         assert json.loads(payload_text) == state
         assert envelope["sha256"] == hashlib.sha256(payload_text.encode()).hexdigest()
 
-    def test_version_1_snapshot_is_discarded(self, tmp_path):
-        """A snapshot in the version-1 layout reruns its cell from access 0."""
+    #: The process state of each retired snapshot version.
+    OLD_PROCESS_LAYOUTS = {
+        # Version 1 listed every leaf as a [vpn, pfn, size] triple.
+        1: {"page_table": {"translations": [[0, 7, 1], [1, 9, 1]]}},
+        # Version 2 held the allocator's Mersenne Twister state.
+        2: {
+            "page_table": {"runs": [[0, [7, 9]]], "huge": []},
+            "physical": {"rng": rng_state_to_json(random.Random(0).getstate())},
+        },
+    }
+
+    @pytest.mark.parametrize("version", sorted(OLD_PROCESS_LAYOUTS))
+    def test_version_1_snapshot_is_discarded(self, tmp_path, version):
+        """A snapshot in an older layout reruns its cell from access 0."""
         path = tmp_path / "old.ckpt"
-        payload = {
-            "loop": {"boundary": 3},
-            "process": {"page_table": {"translations": [[0, 7, 1], [1, 9, 1]]}},
-        }
+        payload = {"loop": {"boundary": 3}, "process": self.OLD_PROCESS_LAYOUTS[version]}
         envelope = {
-            "checkpoint_version": 1,
+            "checkpoint_version": version,
             "meta": {"boundary": 3},
             "payload": payload,
             "sha256": hashlib.sha256(canonical_json(payload).encode()).hexdigest(),
         }
         path.write_text(json.dumps(envelope, sort_keys=True) + "\n")
-        with pytest.raises(CheckpointError, match="version 1 unsupported"):
+        with pytest.raises(CheckpointError, match=f"version {version} unsupported"):
             read_snapshot(path)
         with pytest.warns(UserWarning, match="discarding unusable snapshot"):
             assert claim_snapshot(path) is None

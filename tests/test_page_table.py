@@ -111,6 +111,48 @@ class TestIntrospection:
         assert counts[1] == 1  # 2MB leaf lives at level 2, no new PT node
 
 
+class TestFrameNumberLeaves:
+    """Level-1 tables hold frame numbers; readers hand out Translations."""
+
+    def test_huge_leaves_yields_only_huge_leaves_in_address_order(self):
+        pt = PageTable()
+        one_gb = Translation(PAGES_PER_1GB, PAGES_PER_1GB, PageSize.SIZE_1GB)
+        high_2mb = Translation(2 * PAGES_PER_1GB + PAGES_PER_2MB, 0, PageSize.SIZE_2MB)
+        low_2mb = Translation(PAGES_PER_2MB, 4 * PAGES_PER_2MB, PageSize.SIZE_2MB)
+        for leaf in (one_gb, high_2mb, low_2mb):  # not in address order
+            pt.map(leaf)
+        pt.map_run(PAGES_PER_2MB - 3, [1, 2, 3])
+        pt.map_run(2 * PAGES_PER_2MB, [4, 5])
+        pt.map_run(PAGES_PER_1GB - 2, [6, 7])
+        pt.map_run(2 * PAGES_PER_1GB, [8])
+        pt.map_run(2 * PAGES_PER_1GB + 2 * PAGES_PER_2MB, [9])
+        assert list(pt.huge_leaves()) == [low_2mb, one_gb, high_2mb]
+        assert list(PageTable().huge_leaves()) == []
+
+    def test_lookup_and_unmap_return_the_mapped_translation(self):
+        pt = PageTable()
+        leaf = Translation(700, 1234, PageSize.SIZE_4KB)
+        pt.map(leaf)
+        pt.map_run(701, [55])
+        assert pt.lookup(700) == leaf
+        assert pt.walk(700) == leaf
+        assert pt.lookup(701) == Translation(701, 55, PageSize.SIZE_4KB)
+        assert pt.unmap(700) == leaf
+        assert pt.lookup(700) is None
+        assert pt.unmap(701) == Translation(701, 55, PageSize.SIZE_4KB)
+
+    def test_map_run_over_a_mapped_page_names_it(self):
+        pt = PageTable()
+        pt.map_run(1000, [5, 6, 7])
+        with pytest.raises(
+            AddressSpaceError,
+            match=r"vpn 0x3e8 already mapped \(Translation\(vpn=1000, pfn=5,",
+        ):
+            pt.map_run(998, list(range(10)))
+        assert [pt.translate(v) for v in range(1000, 1003)] == [5, 6, 7]
+        assert pt.lookup(998) is None
+
+
 def per_page(vpn, pfns):
     """Reference: the run installed with one ``map`` per page."""
     pt = PageTable()

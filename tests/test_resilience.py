@@ -85,6 +85,10 @@ class TestErrorTaxonomy:
         with pytest.raises(SettingsError):
             ExperimentSettings(physical_bytes=0)
         with pytest.raises(SettingsError):
+            ExperimentSettings(trace_accesses=True)
+        with pytest.raises(SettingsError):
+            ExperimentSettings(physical_bytes=True)
+        with pytest.raises(SettingsError):
             ExperimentSettings(thp_coverage=float("nan"))
         with pytest.raises(SettingsError):
             ExperimentSettings(thp_coverage=1.5)

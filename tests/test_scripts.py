@@ -21,10 +21,68 @@ for _entry in (REPO_ROOT / "scripts", REPO_ROOT / "benchmarks"):
     if str(_entry) not in sys.path:
         sys.path.insert(0, str(_entry))
 
+bench_e2e = importlib.import_module("bench_e2e")
 bench_report = importlib.import_module("bench_report")
 bench_throughput = importlib.import_module("bench_throughput")
 coverage_gate = importlib.import_module("coverage_gate")
 perf_smoke = importlib.import_module("perf_smoke")
+
+
+# ----------------------------------------------------------------------
+# scripts/bench_e2e.py — the BENCH_e2e.json trajectory
+# ----------------------------------------------------------------------
+class TestBenchE2E:
+    def stub_runs(self, monkeypatch, commit, wall_s):
+        """Stub the git lookup and the harness; record the harness calls."""
+        calls = []
+
+        def run_harness(checkout, workload, seed, seconds):
+            calls.append((workload, seed, seconds))
+            return {
+                "correct": True,
+                "attempted": 6,
+                "failed": 0,
+                "metrics": {
+                    "wall_s": {"value": wall_s, "unit": "s"},
+                    "setup_s": {"value": 0.5, "unit": "s"},
+                },
+            }
+
+        monkeypatch.setattr(bench_e2e, "commit_of", lambda checkout: commit)
+        monkeypatch.setattr(bench_e2e, "run_harness", run_harness)
+        return calls
+
+    def test_one_entry_per_commit(self, tmp_path, monkeypatch):
+        out = tmp_path / "BENCH_e2e.json"
+        names = bench_e2e.workload_names(REPO_ROOT)
+        calls = self.stub_runs(monkeypatch, "aaa", 10.0)
+        assert bench_e2e.main(["--output", str(out)]) == 0
+        assert calls == [(name, 42, 20) for name in names]
+        self.stub_runs(monkeypatch, "bbb", 6.0)
+        assert bench_e2e.main(["--output", str(out)]) == 0
+        # A rerun at the first commit replaces its entry in place.
+        self.stub_runs(monkeypatch, "aaa", 9.0)
+        assert bench_e2e.main(["--output", str(out)]) == 0
+
+        payload = json.loads(out.read_text())
+        assert payload["generated_by"] == "scripts/bench_e2e.py"
+        entries = payload["entries"]
+        assert [(e["commit"], e["seed"]) for e in entries] == [("aaa", 42), ("bbb", 42)]
+        assert list(entries[0]["workloads"]) == names
+        assert entries[0]["workloads"][names[0]] == {"wall_s": 9.0, "setup_s": 0.5}
+        assert entries[1]["workloads"][names[-1]] == {"wall_s": 6.0, "setup_s": 0.5}
+
+    def test_failed_run_is_not_recorded(self, tmp_path, monkeypatch):
+        out = tmp_path / "BENCH_e2e.json"
+        self.stub_runs(monkeypatch, "aaa", 10.0)
+        monkeypatch.setattr(
+            bench_e2e,
+            "run_harness",
+            lambda *args: {"correct": False, "failed": 1, "metrics": {}},
+        )
+        with pytest.raises(RuntimeError, match="1 cells failed"):
+            bench_e2e.main(["--output", str(out)])
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------
