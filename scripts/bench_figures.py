@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Time the figure suite bench by bench and record it in ``BENCH_figures.json``.
+
+Runs ``pytest benchmarks/ --benchmark-only -q --durations=0`` in each
+given checkout, alternating between the checkouts for ``--rounds``
+rounds, and reads each bench's seconds (setup, call and teardown summed)
+from pytest's durations report.  The output file holds one entry per
+commit: the commit hash and, for each run, the suite's wall time and
+each bench's seconds.  A rerun at a commit replaces that commit's entry
+(``bench_e2e.merge_entry``); other entries keep their place.
+
+Each checkout runs its own ``benchmarks/`` against its own ``src/``, so
+a clone of an earlier commit measures that commit.
+
+Usage::
+
+    python3 scripts/bench_figures.py [--checkout PATH ...] [--rounds 2]
+        [--output BENCH_figures.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from bench_e2e import REPO_ROOT, commit_of, merge_entry
+
+COMMAND = ["pytest", "benchmarks/", "--benchmark-only", "-q", "--durations=0"]
+#: One line of the durations report: ``12.34s call     path::test``.
+DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown)\s+(\S+)$")
+
+
+def parse_durations(output: str) -> dict[str, float]:
+    """Seconds per bench (pytest node id), summed over its phases."""
+    benches: dict[str, float] = {}
+    for line in output.splitlines():
+        match = DURATION.match(line.strip())
+        if match:
+            seconds, node = match.groups()
+            benches[node] = benches.get(node, 0.0) + float(seconds)
+    return {node: round(seconds, 2) for node, seconds in benches.items()}
+
+
+def run_suite(checkout: Path) -> dict:
+    """One run of the figure suite in ``checkout``: total and per-bench seconds."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    started = time.perf_counter()
+    completed = subprocess.run(
+        [sys.executable, "-m", *COMMAND], cwd=checkout, env=env, capture_output=True, text=True
+    )
+    total = time.perf_counter() - started
+    if completed.returncode != 0:
+        raise RuntimeError(
+            f"{checkout}: pytest exited {completed.returncode}\n"
+            f"{completed.stdout[-4000:]}{completed.stderr[-4000:]}"
+        )
+    return {"total_s": round(total, 2), "benches": parse_durations(completed.stdout)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--checkout", type=Path, action="append",
+        help="checkout to measure; repeat to alternate (default: this repository)",
+    )
+    parser.add_argument("--rounds", type=int, default=2)
+    parser.add_argument("--output", type=Path, default=REPO_ROOT / "BENCH_figures.json")
+    args = parser.parse_args(argv)
+
+    checkouts = [path.resolve() for path in args.checkout or [REPO_ROOT]]
+    runs: dict[Path, list[dict]] = {checkout: [] for checkout in checkouts}
+    for round_index in range(args.rounds):
+        for checkout in checkouts:
+            run = run_suite(checkout)
+            runs[checkout].append(run)
+            print(f"round {round_index + 1}: {checkout} {run['total_s']:.1f} s", flush=True)
+
+    payload = {
+        "generated_by": "scripts/bench_figures.py",
+        "command": " ".join(COMMAND),
+        "entries": [],
+    }
+    if args.output.exists():
+        payload = json.loads(args.output.read_text())
+    for checkout in checkouts:
+        entry = {"commit": commit_of(checkout), "runs": runs[checkout]}
+        payload["entries"] = merge_entry(payload["entries"], entry)
+    args.output.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {args.output}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

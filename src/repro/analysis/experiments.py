@@ -197,6 +197,10 @@ def run_workload_config_with_org(
 
     The organization carries the energy bindings that post-hoc analyses
     (e.g. the Section 6.2 static-energy model) need alongside the result.
+
+    The figure drivers run the fast engine, whose results and state
+    digests equal the reference loop's at every boundary; an
+    ``on_fault="record"`` run still takes the reference loop.
     """
     prepared = prepare_run(
         workload,
@@ -208,6 +212,7 @@ def run_workload_config_with_org(
         record_history=record_history,
         auditor=auditor,
         on_fault=on_fault,
+        engine="fast",
     )
     return prepared.run(), prepared.organization
 

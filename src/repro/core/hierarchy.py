@@ -457,6 +457,17 @@ class MixedTLBHierarchy(BaseHierarchy):
             return ((vpn >> 9) << 1) | 1
         return vpn << 1
 
+    def drain_shape(self) -> tuple[bool, bool]:
+        """Probe-path shape: (L1-range live, L2-range live).
+
+        The fast engine's mixed template specializes to this pair and
+        re-specializes when a fill latches a range TLB.  The huge-chunk
+        set is not part of the shape: it changes only at OS events, which
+        fall on drain boundaries, and each generated drain reads it
+        afresh on entry.
+        """
+        return self._l1_range_active is not None, self._l2_range_active is not None
+
     def access(self, vpn: int) -> None:
         """Translate one memory reference through the mixed hierarchy."""
         self.accesses += 1
@@ -489,8 +500,18 @@ class MixedTLBHierarchy(BaseHierarchy):
             )
         if entry is not None or range_entry is not None:
             return
+        self.walk_fill(vpn)
+
+    def walk_fill(self, vpn: int) -> None:
+        """Full L2 miss: page walk, then the mixed L1/L2 fills.
+
+        Fills under the walked reference's size-disambiguated key and runs
+        the background range-table walk.  The fast engine's generated
+        drains call this same method on every full L2 miss.
+        """
         self.l2_misses += 1
         result = self.walker.walk(vpn)
+        key = self.oracle_key(vpn, (vpn >> 9) in self._huge_chunks)
         self.l1_mixed.fill(key, result.translation)
         self.l2_mixed.fill(key, result.translation)
         range_table = self.range_table
@@ -612,10 +633,7 @@ class PredictedMixedHierarchy(MixedTLBHierarchy):
         if l2_entry is not None:
             self.l1_mixed.fill(key, l2_entry)
             return
-        self.l2_misses += 1
-        result = self.walker.walk(vpn)
-        self.l1_mixed.fill(key, result.translation)
-        self.l2_mixed.fill(key, result.translation)
+        self.walk_fill(vpn)
 
     @property
     def misprediction_rate(self) -> float:

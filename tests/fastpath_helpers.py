@@ -47,6 +47,31 @@ def streaky_trace() -> np.ndarray:
     return np.repeat(base, RUN_LENGTH)
 
 
+def mixed_trace() -> np.ndarray:
+    """Streaks over all three 2 MB heap chunks and the 4 KB-only stack.
+
+    The small workload's own trace stays inside one huge page, which a
+    mixed-page-size L1 serves from a single entry.  This trace spreads
+    over 150 heap and 120 stack pages, so the mixed hierarchies meet 4 KB
+    and 2 MB keys, L1 evictions and deeper-rank hits, L2 hits, and, under
+    RMM_PP_Lite, L2-range hits that latch the L1-range TLB and synthesise
+    4 KB entries (on huge chunks too).  Runs of 1-11 accesses put
+    boundaries inside streaks.
+    """
+    regions = small_workload().regions()
+    heap, stack = regions["heap"], regions["stack"]
+    rng = np.random.default_rng(11)
+    pool = np.concatenate(
+        [
+            heap.start_vpn + rng.choice(heap.num_pages, 150, replace=False),
+            stack.start_vpn + rng.choice(stack.num_pages, 120, replace=False),
+        ]
+    )
+    pages = rng.choice(pool, size=SETTINGS.trace_accesses)
+    runs = rng.integers(1, 12, size=SETTINGS.trace_accesses)
+    return np.repeat(pages, runs)[: SETTINGS.trace_accesses]
+
+
 def run_with_digests(
     config_name,
     trace,
@@ -54,9 +79,12 @@ def run_with_digests(
     events_at=(),
     observability=None,
     on_boundary=None,
+    make_events=None,
 ):
     """One run over a custom trace: (digest trail, result).
 
+    ``events_at`` schedules TLB flushes; ``make_events(process)`` adds a
+    schedule built against the cell's live process (demotion storms).
     ``observability`` threads a telemetry hub through the simulator and
     the checkpointer; ``on_boundary(boundary)`` is called from the
     checkpoint hook at every interval boundary (the inertness suite uses
@@ -73,6 +101,8 @@ def run_with_digests(
     prepared.events = [
         (position, lambda org: org.hierarchy.flush_tlbs()) for position in events_at
     ]
+    if make_events is not None:
+        prepared.events += make_events(prepared.process)
     hook = None
     if on_boundary is not None:
 
@@ -83,9 +113,13 @@ def run_with_digests(
     return run.trail, run.result
 
 
-def assert_engines_agree(config_name, trace, events_at=()):
-    ref_trail, ref_result = run_with_digests(config_name, trace, "reference", events_at)
-    fast_trail, fast_result = run_with_digests(config_name, trace, "fast", events_at)
+def assert_engines_agree(config_name, trace, events_at=(), make_events=None):
+    ref_trail, ref_result = run_with_digests(
+        config_name, trace, "reference", events_at, make_events=make_events
+    )
+    fast_trail, fast_result = run_with_digests(
+        config_name, trace, "fast", events_at, make_events=make_events
+    )
     divergence = bisect_divergence(ref_trail, fast_trail)
     assert divergence is None, describe_divergence(divergence)
     assert fast_result == ref_result

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.analysis.experiments import ExperimentSettings, run_matrix, run_workload_config
+from repro.analysis.experiments import (
+    ExperimentSettings,
+    prepare_run,
+    run_matrix,
+    run_workload_config,
+)
 from repro.analysis.normalize import (
     average_ratio,
     normalized_energy,
@@ -10,6 +15,7 @@ from repro.analysis.normalize import (
     reduction_percent,
 )
 from repro.analysis.report import percent, render_series, render_table
+from repro.core.fastpath import FastEngine
 from repro.workloads.base import VMASpec, Workload
 from repro.workloads.patterns import Mixture, UniformRandom, Zipf
 
@@ -51,6 +57,32 @@ class TestExperimentDrivers:
     def test_lite_interval_scaled_to_trace(self):
         assert ExperimentSettings(trace_accesses=10_000).scaled_lite_interval() == 10_000
         assert ExperimentSettings(trace_accesses=10_000_000).scaled_lite_interval() == 200_000
+
+    @pytest.mark.parametrize("config", ("THP", "TLB_PP", "RMM_Lite"))
+    def test_drivers_run_the_fast_engine(self, config, monkeypatch):
+        """The figure drivers drain on the fast engine, with reference results."""
+        built = []
+        original = FastEngine.__init__
+
+        def spy(self, hierarchy, trace, probe=None):
+            built.append(hierarchy)
+            original(self, hierarchy, trace, probe)
+
+        monkeypatch.setattr(FastEngine, "__init__", spy)
+        result = run_workload_config(tiny_workload(), config, SETTINGS)
+        assert len(built) == 1
+        reference = prepare_run(tiny_workload(), config, SETTINGS)
+        assert reference.simulator.engine == "reference"
+        assert reference.run() == result
+        assert len(built) == 1
+
+    def test_recording_drivers_keep_the_reference_loop(self, monkeypatch):
+        def explode(self, hierarchy, trace, probe=None):
+            raise AssertionError("FastEngine constructed for on_fault='record'")
+
+        monkeypatch.setattr(FastEngine, "__init__", explode)
+        result = run_workload_config(tiny_workload(), "TLB_PP", SETTINGS, on_fault="record")
+        assert result.faulted_accesses == 0
 
     def test_walk_ratio_knob_raises_energy(self):
         from repro.core.params import SimulationParams

@@ -22,6 +22,7 @@ for _entry in (REPO_ROOT / "scripts", REPO_ROOT / "benchmarks"):
         sys.path.insert(0, str(_entry))
 
 bench_e2e = importlib.import_module("bench_e2e")
+bench_figures = importlib.import_module("bench_figures")
 bench_report = importlib.import_module("bench_report")
 bench_throughput = importlib.import_module("bench_throughput")
 coverage_gate = importlib.import_module("coverage_gate")
@@ -83,6 +84,53 @@ class TestBenchE2E:
         with pytest.raises(RuntimeError, match="1 cells failed"):
             bench_e2e.main(["--output", str(out)])
         assert not out.exists()
+
+
+# ----------------------------------------------------------------------
+# scripts/bench_figures.py — the BENCH_figures.json trajectory
+# ----------------------------------------------------------------------
+class TestBenchFigures:
+    def test_parse_durations_sums_phases_per_bench(self):
+        output = "\n".join(
+            [
+                "....",
+                "============ slowest durations ============",
+                "41.20s setup    benchmarks/bench_fig02_characterization.py::test_fig02",
+                "1.05s call     benchmarks/bench_fig02_characterization.py::test_fig02",
+                "0.50s call     benchmarks/bench_fig10_main.py::test_fig10",
+                "(12 durations < 0.005s hidden.  Use -vv to show these durations.)",
+                "4 passed in 43.00s",
+            ]
+        )
+        assert bench_figures.parse_durations(output) == {
+            "benchmarks/bench_fig02_characterization.py::test_fig02": 42.25,
+            "benchmarks/bench_fig10_main.py::test_fig10": 0.5,
+        }
+
+    def test_checkouts_alternate_and_merge_per_commit(self, tmp_path, monkeypatch):
+        out = tmp_path / "BENCH_figures.json"
+        order = []
+
+        def run_suite(checkout):
+            order.append(checkout.name)
+            return {"total_s": float(len(order)), "benches": {"b::t": 1.0}}
+
+        monkeypatch.setattr(bench_figures, "run_suite", run_suite)
+        monkeypatch.setattr(bench_figures, "commit_of", lambda checkout: checkout.name)
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        argv = ["--checkout", str(parent), "--checkout", str(change), "--output", str(out)]
+        assert bench_figures.main(argv) == 0
+        assert order == ["parent", "change", "parent", "change"]
+        # A rerun at one commit replaces that commit's entry in place.
+        rerun = ["--checkout", str(parent), "--rounds", "1", "--output", str(out)]
+        assert bench_figures.main(rerun) == 0
+
+        payload = json.loads(out.read_text())
+        assert payload["generated_by"] == "scripts/bench_figures.py"
+        entries = payload["entries"]
+        assert [entry["commit"] for entry in entries] == ["parent", "change"]
+        assert [run["total_s"] for run in entries[0]["runs"]] == [5.0]
+        assert [run["total_s"] for run in entries[1]["runs"]] == [2.0, 4.0]
 
 
 # ----------------------------------------------------------------------
