@@ -2,9 +2,9 @@
 """Watch Lite adapt: way counts and MPKI over a phased workload.
 
 Runs the astar model (whose search/expand phases need different L1-4KB
-sizes — the paper's Figure 4 motivation) under TLB_Lite with decision
-history recording enabled, then prints a timeline of Lite's choices:
-interval MPKI, the action taken, and the active way counts.
+sizes — the paper's Figure 4 motivation) under TLB_Lite, then prints a
+timeline of sampled windows — L1 MPKI and the way counts Lite left
+active — and the L1-4KB lookup shares by active way count.
 
 Run time: ~10 seconds.
 """
@@ -23,13 +23,7 @@ def main() -> None:
         epsilon_relative=0.125,
         reactivate_probability=1 / 64,
     )
-    result = run_workload_config(
-        workload,
-        "TLB_Lite",
-        settings,
-        lite_params=lite_params,
-        record_history=True,
-    )
+    result = run_workload_config(workload, "TLB_Lite", settings, lite_params=lite_params)
 
     print(f"{workload.name}: {result.lite_intervals} Lite intervals measured\n")
     print("timeline (one line per sampled window):")

@@ -33,7 +33,6 @@ def main() -> None:
     org = build_tlb_lite(
         process,
         lite_params=LiteParams(interval_instructions=9_000, reactivate_probability=0.0),
-        record_history=True,
     )
 
     def memory_pressure(_organization):

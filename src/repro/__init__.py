@@ -68,11 +68,7 @@ from .mem import (
     TransparentHugePaging,
 )
 from .mmu import PageSize, PageTable, RangeTranslation, Translation
-from .resilience import (
-    InvariantAuditor,
-    run_fault_campaign,
-    run_resilient_sweep,
-)
+from .resilience import InvariantAuditor, run_resilient_sweep
 from .workloads import (
     Workload,
     all_workloads,
@@ -116,7 +112,6 @@ __all__ = [
     "ConfigurationError",
     "InvariantViolation",
     "InvariantAuditor",
-    "run_fault_campaign",
     "run_resilient_sweep",
     # mem
     "Process",

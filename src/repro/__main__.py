@@ -80,6 +80,7 @@ import argparse
 import json
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 from .analysis.experiments import ExperimentSettings, prepare_run, run_workload_config
@@ -96,12 +97,8 @@ from .mem.physical import PhysicalMemory
 from .mem.process import Process
 from .mmu.translation import PAGES_PER_2MB
 from .resilience.auditor import InvariantAuditor
-from .resilience.bisect import (
-    bisect_divergence,
-    describe_divergence,
-    record_digest_trail,
-    record_resumed_trail,
-)
+from .resilience.bisect import describe_divergence, record_resumed, record_trail
+from .resilience.checkpoint import first_divergence
 from .resilience.faults import TRACE_FAULTS, ChaosPolicy
 from .resilience.sweep import SweepJournal, run_resilient_sweep
 from .workloads.registry import all_workloads, get_workload
@@ -249,26 +246,24 @@ def _cmd_sweep(args) -> int:
 def _cmd_bisect(args) -> int:
     workload = get_workload(args.workload)
     settings = ExperimentSettings(trace_accesses=args.accesses, seed=args.seed)
-    reference = record_digest_trail(
-        workload, args.config, settings, digest_every=args.digest_every
+    reference = record_trail(
+        prepare_run(workload, args.config, settings), digest_every=args.digest_every
     )
     if args.fault is not None:
         comparison = "clean trace vs fault-injected trace " f"({args.fault})"
-        other = record_digest_trail(
-            workload,
-            args.config,
-            settings,
-            digest_every=args.digest_every,
-            trace_fault=args.fault,
-            fault_seed=args.fault_seed,
-        )
+        # Perturbed traces produce unmappable VPNs; the tolerant simulator
+        # survives them, so the trail reaches the end of the trace.
+        faulted = prepare_run(workload, args.config, settings, on_fault="record")
+        faulted.trace = TRACE_FAULTS[args.fault](faulted.trace, seed=args.fault_seed)
+        other = record_trail(faulted, digest_every=args.digest_every)
     elif args.seed_b is not None:
         comparison = f"seed {args.seed} vs seed {args.seed_b}"
         settings_b = ExperimentSettings(
             trace_accesses=args.accesses, seed=args.seed_b
         )
-        other = record_digest_trail(
-            workload, args.config, settings_b, digest_every=args.digest_every
+        other = record_trail(
+            prepare_run(workload, args.config, settings_b),
+            digest_every=args.digest_every,
         )
     else:
         comparison = (
@@ -276,15 +271,13 @@ def _cmd_bisect(args) -> int:
             "and resumed from its snapshot"
         )
         with tempfile.TemporaryDirectory(prefix="repro-bisect-") as tmp:
-            other = record_resumed_trail(
-                workload,
-                args.config,
-                settings,
+            other = record_resumed(
+                partial(prepare_run, workload, args.config, settings),
+                args.abort_after,
+                Path(tmp) / "cell.ckpt",
                 digest_every=args.digest_every,
-                abort_after=args.abort_after,
-                snapshot_path=Path(tmp) / "cell.ckpt",
             )
-    divergence = bisect_divergence(reference.trail, other.trail)
+    divergence = first_divergence(reference.trail, other.trail)
     print(
         f"{workload.name} / {args.config}: {comparison} — "
         f"{len(reference.trail.boundaries)} digested boundaries"

@@ -20,7 +20,6 @@ from ..core.organizations import (
 from ..core.params import HierarchyParams, LiteParams, SimulationParams, scaled_lite_interval
 from ..core.simulator import Simulator
 from ..core.stats import SimulationResult
-from ..energy.model import EnergyModel
 from ..errors import SettingsError
 from ..mem.physical import PhysicalMemory
 from ..mem.process import Process
@@ -113,8 +112,6 @@ def prepare_run(
     settings: ExperimentSettings | None = None,
     hierarchy_params: HierarchyParams | None = None,
     lite_params: LiteParams | None = None,
-    energy_model: EnergyModel | None = None,
-    record_history: bool = False,
     auditor=None,
     on_fault: str = "raise",
     engine: str = "reference",
@@ -131,7 +128,6 @@ def prepare_run(
         process,
         params=hierarchy_params,
         lite_params=lite_params or lite_params_for(config_name, settings.trace_accesses),
-        record_history=record_history,
     )
     trace = workload.trace(settings.trace_accesses, seed=settings.seed)
     simulator = Simulator(
@@ -139,7 +135,6 @@ def prepare_run(
         workload_name=workload.name,
         instructions_per_access=workload.instructions_per_access,
         sim_params=settings.sim_params,
-        energy_model=energy_model,
         auditor=auditor,
         on_fault=on_fault,
         engine=engine,
@@ -162,8 +157,6 @@ def run_workload_config(
     settings: ExperimentSettings | None = None,
     hierarchy_params: HierarchyParams | None = None,
     lite_params: LiteParams | None = None,
-    energy_model: EnergyModel | None = None,
-    record_history: bool = False,
     auditor=None,
     on_fault: str = "raise",
 ) -> SimulationResult:
@@ -174,8 +167,6 @@ def run_workload_config(
         settings,
         hierarchy_params=hierarchy_params,
         lite_params=lite_params,
-        energy_model=energy_model,
-        record_history=record_history,
         auditor=auditor,
         on_fault=on_fault,
     )
@@ -188,8 +179,6 @@ def run_workload_config_with_org(
     settings: ExperimentSettings | None = None,
     hierarchy_params: HierarchyParams | None = None,
     lite_params: LiteParams | None = None,
-    energy_model: EnergyModel | None = None,
-    record_history: bool = False,
     auditor=None,
     on_fault: str = "raise",
 ):
@@ -208,8 +197,6 @@ def run_workload_config_with_org(
         settings,
         hierarchy_params=hierarchy_params,
         lite_params=lite_params,
-        energy_model=energy_model,
-        record_history=record_history,
         auditor=auditor,
         on_fault=on_fault,
         engine="fast",

@@ -605,15 +605,7 @@ class FastEngine:
         """Feed accesses ``[start, stop)`` through the hierarchy."""
         if self._tokens is None:
             # Permanently unsupported hierarchy type: reference loop.
-            # The tolist matches the reference drain — components store
-            # the vpns they are handed, and a leaked np.int64 would
-            # poison the pure-JSON state digests.
-            if self._probe is not None:
-                self._probe.replayed_accesses += stop - start
-                self._probe.fallback_spans += 1
-            slow = self._hierarchy.access
-            for vpn in self._vpns[start:stop].tolist():
-                slow(vpn)
+            self._replay_raw(start, stop)
             return
         if start != self._pos:
             self._seek(start)
@@ -639,7 +631,8 @@ class FastEngine:
         while tok < stop_tok:
             drain = self._drain_for_shape()
             if drain is None:
-                tok = self._replay_span(tok, stop_tok)
+                self._replay_raw(int(cum[tok]), int(cum[stop_tok]))
+                tok = stop_tok
             else:
                 tok = drain(tokens, cum, tok, stop_tok)
         self._tok = tok
@@ -690,20 +683,19 @@ class FastEngine:
             self._drains[key] = drain
             return drain
 
-    def _replay_span(self, tok: int, stop_tok: int) -> int:
-        """Reference-path replay for unsupported hierarchy shapes.
+    def _replay_raw(self, lo: int, hi: int) -> None:
+        """Reference-path replay of positions ``[lo, hi)``.
 
-        Replays the raw trace slice rather than decoding tokens, so the
-        fallback pays exactly the reference loop's per-access cost.  The
+        The fallback for hierarchy types and shapes without a template
+        replays the raw trace slice rather than decoding tokens, so it
+        pays exactly the reference loop's per-access cost.  The
         ``tolist`` matches the reference drain: components store the vpns
         they are handed, and a leaked ``np.int64`` would poison the
         pure-JSON state digests.
         """
-        slow = self._hierarchy.access
-        cum = self._cum
         if self._probe is not None:
             self._probe.fallback_spans += 1
-            self._probe.replayed_accesses += int(cum[stop_tok]) - int(cum[tok])
-        for vpn in self._vpns[int(cum[tok]) : int(cum[stop_tok])].tolist():
-            slow(vpn)
-        return stop_tok
+            self._probe.replayed_accesses += hi - lo
+        access = self._hierarchy.access
+        for vpn in self._vpns[lo:hi].tolist():
+            access(vpn)

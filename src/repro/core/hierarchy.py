@@ -36,10 +36,6 @@ from ..tlb.mixed_fa import MixedFullyAssociativeTLB
 from ..tlb.range_tlb import RangeTLB
 from ..tlb.set_assoc import SetAssociativeTLB
 
-# ConfigurationError used to be defined here; it now lives in the
-# repro.errors taxonomy and is re-exported for its historical importers.
-
-
 class L1Slot:
     """One per-page-size L1 TLB position in the parallel probe."""
 

@@ -25,7 +25,7 @@ never fully disabled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError, SimulationError, UsageError
 from ..stateful import require, rng_state_from_json, rng_state_to_json
@@ -127,7 +127,7 @@ class LiteController:
     miss count of the interval just ended.
     """
 
-    def __init__(self, tlbs: list, params: LiteParams, record_history: bool = False) -> None:
+    def __init__(self, tlbs: list, params: LiteParams) -> None:
         self.params = params
         self.units = [ResizableUnit(tlb) for tlb in tlbs]
         self.counters: dict[str, LRUDistanceCounters] = {}
@@ -138,7 +138,7 @@ class LiteController:
         self._rng = random.Random(params.seed)
         self.previous_mpki: float | None = None
         self.stats = LiteStats()
-        self.history: list[LiteIntervalRecord] | None = [] if record_history else None
+        self.history: list[LiteIntervalRecord] = []
         self._instructions_seen = 0
 
     # ------------------------------------------------------------------
@@ -166,15 +166,14 @@ class LiteController:
         self.previous_mpki = actual_mpki
         for counters in self.counters.values():
             counters.reset()
-        if self.history is not None:
-            self.history.append(
-                LiteIntervalRecord(
-                    instructions_seen=self._instructions_seen,
-                    actual_mpki=actual_mpki,
-                    action=action,
-                    active_units={u.name: u.active_units for u in self.units},
-                )
+        self.history.append(
+            LiteIntervalRecord(
+                instructions_seen=self._instructions_seen,
+                actual_mpki=actual_mpki,
+                action=action,
+                active_units=self.active_configuration(),
             )
+        )
         return action
 
     # ------------------------------------------------------------------
@@ -219,7 +218,7 @@ class LiteController:
         monitored TLBs' own state dicts (restoring a TLB restores its
         ``active_ways``/``active_entries``), so the controller only owns
         the decision-side state — RNG stream, MPKI memory, distance
-        counters, aggregate stats, and the optional history.
+        counters, aggregate stats, and the interval history.
         """
         return {
             "rng": rng_state_to_json(self._rng.getstate()),
@@ -230,9 +229,7 @@ class LiteController:
                 name: counters.state_dict()
                 for name, counters in sorted(self.counters.items())
             },
-            "history": None
-            if self.history is None
-            else [
+            "history": [
                 {
                     "instructions_seen": record.instructions_seen,
                     "actual_mpki": record.actual_mpki,
@@ -256,15 +253,12 @@ class LiteController:
         self.stats.load_state_dict(state["stats"])
         for name, values in state["counters"].items():
             self.counters[name].load_state_dict(values)
-        if state["history"] is None:
-            self.history = None
-        else:
-            self.history = [
-                LiteIntervalRecord(
-                    instructions_seen=record["instructions_seen"],
-                    actual_mpki=record["actual_mpki"],
-                    action=record["action"],
-                    active_units=dict(record["active_units"]),
-                )
-                for record in state["history"]
-            ]
+        self.history = [
+            LiteIntervalRecord(
+                instructions_seen=record["instructions_seen"],
+                actual_mpki=record["actual_mpki"],
+                action=record["action"],
+                active_units=dict(record["active_units"]),
+            )
+            for record in state["history"]
+        ]

@@ -207,9 +207,7 @@ def build_thp(process: Process, params: HierarchyParams | None = None) -> Organi
     return Organization("THP", hierarchy, _paged_bindings(hierarchy), None, summary)
 
 
-def _lite_controller(
-    hierarchy: TLBHierarchy, lite_params: LiteParams, record_history: bool
-) -> LiteController:
+def _lite_controller(hierarchy: TLBHierarchy, lite_params: LiteParams) -> LiteController:
     """Attach Lite to every resizable L1-page TLB.
 
     The paper resizes "all L1-page TLBs (4KB, 2MB, and 1GB)"; the 4-entry
@@ -219,18 +217,17 @@ def _lite_controller(
     free.
     """
     monitored = [slot.tlb for slot in hierarchy.l1_slots]
-    return LiteController(monitored, lite_params, record_history=record_history)
+    return LiteController(monitored, lite_params)
 
 
 def build_tlb_lite(
     process: Process,
     params: HierarchyParams | None = None,
     lite_params: LiteParams = TLB_LITE_PARAMS,
-    record_history: bool = False,
 ) -> Organization:
     """TLB_Lite: THP hierarchy + the Lite way-disabling mechanism."""
     organization = build_thp(process, params)
-    lite = _lite_controller(organization.hierarchy, lite_params, record_history)
+    lite = _lite_controller(organization.hierarchy, lite_params)
     summary = ConfigurationSummary(
         "TLB_Lite",
         organization.summary.page_sizes,
@@ -306,7 +303,6 @@ def build_rmm_lite(
     process: Process,
     params: HierarchyParams | None = None,
     lite_params: LiteParams = RMM_LITE_PARAMS,
-    record_history: bool = False,
 ) -> Organization:
     """RMM_Lite: 4 KB pages + ranges at both levels, Lite on the L1-4KB.
 
@@ -325,7 +321,7 @@ def build_rmm_lite(
         l2_range=RangeTLB("L2-range", params.l2_range_entries),
         range_table=process.range_table,
     )
-    lite = LiteController([l1_4kb], lite_params, record_history=record_history)
+    lite = LiteController([l1_4kb], lite_params)
     summary = ConfigurationSummary(
         "RMM_Lite",
         ("4KB", "range"),
@@ -348,7 +344,6 @@ def build_fa_lite(
     params: HierarchyParams | None = None,
     lite_params: LiteParams = TLB_LITE_PARAMS,
     fa_entries: int = 64,
-    record_history: bool = False,
 ) -> Organization:
     """FA_Lite: single fully-associative mixed L1 TLB + Lite (Section 4.4).
 
@@ -368,7 +363,7 @@ def build_fa_lite(
         _sa_binding(hierarchy.l2_page, "l2_page_tlb"),
         *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
     ]
-    lite = LiteController([l1_fa], lite_params, record_history=record_history)
+    lite = LiteController([l1_fa], lite_params)
     summary = ConfigurationSummary(
         "FA_Lite",
         ("4KB", "2MB"),
@@ -385,7 +380,6 @@ def build_rmm_pp_lite(
     process: Process,
     params: HierarchyParams | None = None,
     lite_params: LiteParams = RMM_LITE_PARAMS,
-    record_history: bool = False,
 ) -> Organization:
     """RMM_PP_Lite: the combined design the paper proposes (Section 6.1).
 
@@ -407,7 +401,7 @@ def build_rmm_pp_lite(
         l2_range=RangeTLB("L2-range", params.l2_range_entries),
         range_table=process.range_table,
     )
-    lite = LiteController([l1_mixed], lite_params, record_history=record_history)
+    lite = LiteController([l1_mixed], lite_params)
     bindings = [
         _sa_binding(l1_mixed, "l1_page_tlbs"),
         _sa_binding(l2_mixed, "l2_page_tlb"),
@@ -435,7 +429,6 @@ def build_l0_filter(
     params: HierarchyParams | None = None,
     lite_params: LiteParams | None = None,
     l0_entries: int = 8,
-    record_history: bool = False,
 ) -> Organization:
     """L0_Filter / L0_Lite: TLB filtering (paper Section 7 related work).
 
@@ -463,7 +456,7 @@ def build_l0_filter(
     lite = None
     name = "L0_Filter"
     if lite_params is not None:
-        lite = _lite_controller(hierarchy, lite_params, record_history)
+        lite = _lite_controller(hierarchy, lite_params)
         name = "L0_Lite"
     summary = ConfigurationSummary(
         name,
@@ -700,7 +693,6 @@ def build_organization(
     process: Process,
     params: HierarchyParams | None = None,
     lite_params: LiteParams | None = None,
-    record_history: bool = False,
 ) -> Organization:
     """Build any named configuration against a populated process.
 
@@ -711,9 +703,7 @@ def build_organization(
     spec = _spec(config_name)
     if spec.lite is None:
         return spec.builder(process, params)
-    return spec.builder(
-        process, params, lite_params=lite_params or spec.lite, record_history=record_history
-    )
+    return spec.builder(process, params, lite_params=lite_params or spec.lite)
 
 
 def lite_params_for(config_name: str, accesses: int) -> LiteParams | None:

@@ -23,11 +23,10 @@ from functools import partial
 
 from ..energy.model import EnergyModel
 from ..energy.performance import miss_cycles
-from ..errors import CheckpointError, SimulationError
+from ..errors import CheckpointError, ConfigurationError, SimulationError
 from ..mmu.page_table import PageFault
 from ..observability import Observability, SimulatorInstrumentation
 from .fastpath import ENGINES, FastEngine
-from .hierarchy import ConfigurationError
 from .organizations import Organization
 from .params import SimulationParams
 from .stats import FaultRecord, SimulationResult, TimelineSample
@@ -36,6 +35,10 @@ from .stats import FaultRecord, SimulationResult, TimelineSample
 #: Everything else (programming errors, resource exhaustion) still raises.
 FAULT_EXCEPTIONS = (PageFault, ConfigurationError, ValueError, KeyError,
                     IndexError, OverflowError)
+
+#: A tolerant run keeps a :class:`FaultRecord` for at most this many
+#: faulted accesses; ``faulted_accesses`` still counts every one.
+MAX_FAULT_RECORDS = 256
 
 
 def _ignore(*_args) -> None:
@@ -50,7 +53,8 @@ class Simulator:
     ``"record"`` survives :data:`FAULT_EXCEPTIONS` raised by an access
     (out-of-range or negative VPNs, adversarial events that desync the
     hierarchy), skipping the access and flagging the result via
-    ``faulted_accesses``/``fault_records``.
+    ``faulted_accesses``/``fault_records`` (the first
+    :data:`MAX_FAULT_RECORDS` faults).
 
     ``auditor`` optionally enables sanitizer-style invariant checking (see
     :class:`repro.resilience.auditor.InvariantAuditor`): the accounting
@@ -81,10 +85,8 @@ class Simulator:
         workload_name: str = "workload",
         instructions_per_access: float = 3.0,
         sim_params: SimulationParams | None = None,
-        energy_model: EnergyModel | None = None,
         on_fault: str = "raise",
         auditor=None,
-        max_fault_records: int = 256,
         engine: str = "reference",
         observability: Observability | None = None,
     ) -> None:
@@ -102,12 +104,11 @@ class Simulator:
         self.workload_name = workload_name
         self.instructions_per_access = instructions_per_access
         self.sim_params = sim_params or SimulationParams()
-        self.energy_model = energy_model or EnergyModel(
+        self.energy_model = EnergyModel(
             walk_l1_hit_ratio=self.sim_params.walk_l1_hit_ratio
         )
         self.on_fault = on_fault
         self.auditor = auditor
-        self.max_fault_records = max_fault_records
         self.engine = engine
         self.observability = Observability.resolve(observability)
 
@@ -295,7 +296,7 @@ class Simulator:
                             access(segment[i])
                             i += 1
                     except FAULT_EXCEPTIONS as exc:
-                        if len(faults) < self.max_fault_records:
+                        if len(faults) < MAX_FAULT_RECORDS:
                             faults.append(
                                 FaultRecord(
                                     start + i,

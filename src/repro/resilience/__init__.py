@@ -28,11 +28,8 @@ Five pillars, each usable on its own:
 from .auditor import InvariantAuditor
 from .bisect import (
     TrailRun,
-    bisect_divergence,
     describe_divergence,
-    record_digest_trail,
     record_resumed,
-    record_resumed_trail,
     record_trail,
 )
 from .checkpoint import (
@@ -53,14 +50,11 @@ from .checkpoint import (
 )
 from .faults import (
     TRACE_FAULTS,
-    CampaignCell,
-    CampaignReport,
     ChaosPolicy,
     adversarial_events,
     inject_duplicate_bursts,
     inject_negative_vpns,
     inject_out_of_range,
-    run_fault_campaign,
     truncate_trace,
 )
 from .supervisor import WorkerTask
@@ -93,11 +87,8 @@ from .sweep import (
 __all__ = [
     "InvariantAuditor",
     "TrailRun",
-    "bisect_divergence",
     "describe_divergence",
-    "record_digest_trail",
     "record_resumed",
-    "record_resumed_trail",
     "record_trail",
     "CHECKPOINT_VERSION",
     "AbortSimulation",
@@ -113,13 +104,10 @@ __all__ = [
     "state_digest",
     "write_snapshot",
     "TRACE_FAULTS",
-    "CampaignCell",
-    "CampaignReport",
     "adversarial_events",
     "inject_duplicate_bursts",
     "inject_negative_vpns",
     "inject_out_of_range",
-    "run_fault_campaign",
     "truncate_trace",
     "ChaosPolicy",
     "CORPUS_VERSION",

@@ -17,30 +17,25 @@ fixture):
   snapshot on disk), rebuilds it through a zero-argument factory,
   resumes it from the snapshot, and stitches the two digest trails
   together — the fresh-vs-resumed comparison behind the determinism CI
-  job;
+  job.
 
-:func:`record_digest_trail` and :func:`record_resumed_trail` apply them
-to a canonical ``prepare_run`` cell, optionally with a perturbed trace,
-and :func:`bisect_divergence` binary-searches two trails for the first
-diverging boundary and names the diverging components.
+:func:`repro.resilience.checkpoint.first_divergence` binary-searches two
+trails for the first diverging boundary and names the diverging
+components; :func:`describe_divergence` renders its verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from ..analysis.experiments import ExperimentSettings, prepare_run
 from ..errors import CheckpointError
 from .checkpoint import (
     AbortSimulation,
     DigestTrail,
     Divergence,
     SimulationCheckpointer,
-    first_divergence,
     resume_from_snapshot,
 )
-from .faults import TRACE_FAULTS
 
 
 @dataclass(slots=True)
@@ -129,93 +124,6 @@ def record_resumed(
     for boundary, digest_map in zip(rest.trail.boundaries, rest.trail.digests):
         trail.record(boundary, digest_map)
     return TrailRun(trail, rest.result, resume_boundary + rest.boundaries)
-
-
-def _prepare(
-    workload,
-    config_name,
-    settings,
-    trace_fault,
-    fault_seed,
-    engine="reference",
-    observability=None,
-):
-    """Canonical cell build, optionally with a perturbed trace."""
-    # Perturbed traces produce unmappable VPNs; the simulator must survive
-    # them (tolerant mode) for the trail to reach the end of the trace.
-    on_fault = "record" if trace_fault is not None else "raise"
-    prepared = prepare_run(
-        workload,
-        config_name,
-        settings,
-        on_fault=on_fault,
-        engine=engine,
-        observability=observability,
-    )
-    if trace_fault is not None:
-        try:
-            inject = TRACE_FAULTS[trace_fault]
-        except KeyError:
-            raise CheckpointError(
-                f"unknown trace fault {trace_fault!r}; "
-                f"choose from {sorted(TRACE_FAULTS)}"
-            ) from None
-        prepared.trace = inject(prepared.trace, seed=fault_seed)
-    return prepared
-
-
-def record_digest_trail(
-    workload,
-    config_name: str,
-    settings: ExperimentSettings | None = None,
-    digest_every: int = 1,
-    trace_fault: str | None = None,
-    fault_seed: int = 0,
-    engine: str = "reference",
-    observability=None,
-) -> TrailRun:
-    """:func:`record_trail` over a canonical ``prepare_run`` cell.
-
-    ``engine`` selects the simulator drain engine, so two trails of the
-    same cell under ``"reference"`` and ``"fast"`` can be bisected
-    against each other to localize an engine divergence.
-
-    ``observability`` threads a telemetry hub through the simulator and
-    the checkpointer — the inertness suite records trails with the hub
-    on and off and proves them identical.
-    """
-    prepared = _prepare(
-        workload, config_name, settings, trace_fault, fault_seed, engine, observability
-    )
-    return record_trail(prepared, digest_every, observability=observability)
-
-
-def record_resumed_trail(
-    workload,
-    config_name: str,
-    settings: ExperimentSettings | None = None,
-    digest_every: int = 1,
-    abort_after: int = 3,
-    snapshot_path=None,
-    trace_fault: str | None = None,
-    fault_seed: int = 0,
-    engine: str = "reference",
-    observability=None,
-) -> TrailRun:
-    """:func:`record_resumed` over a canonical ``prepare_run`` cell."""
-    if snapshot_path is None:
-        raise CheckpointError("record_resumed_trail needs a snapshot_path")
-    prepare = partial(
-        _prepare, workload, config_name, settings, trace_fault, fault_seed, engine, observability
-    )
-    return record_resumed(
-        prepare, abort_after, snapshot_path, digest_every, observability=observability
-    )
-
-
-def bisect_divergence(trail_a: DigestTrail, trail_b: DigestTrail) -> Divergence | None:
-    """First boundary and components where two trails disagree (or None)."""
-    return first_divergence(trail_a, trail_b)
 
 
 def describe_divergence(divergence: Divergence | None) -> str:

@@ -2,7 +2,7 @@
 
 Utopia and Victima evaluate translation under hostile or irregular
 mapping conditions; this module brings the same adversarial mindset to
-the reproduction.  Two families of faults:
+the reproduction.  Three families of faults:
 
 * **trace perturbations** — pure functions over a VPN array that model
   corrupted or pathological reference streams: out-of-range VPNs (beyond
@@ -18,12 +18,9 @@ the reproduction.  Two families of faults:
   the supervisor itself* — the chaos CI job proves a kill-riddled sweep
   still converges to the same journal as an unfaulted serial run.
 
-:func:`run_fault_campaign` drives a (fault × configuration) matrix for
-one workload through the canonical pipeline with the simulator in
-fault-tolerant mode and reports, per cell, whether the run survived and
-how degraded it is.  The acceptance bar is *no unhandled exceptions*:
-every failure is either absorbed (flagged stats) or reported as a
-structured error in the campaign cell.
+The differential fuzzer (:mod:`repro.resilience.fuzz`) draws the trace
+perturbations and storms into its cases, and ``bisect-divergence
+--fault`` compares a clean cell against a perturbed one.
 """
 
 from __future__ import annotations
@@ -32,49 +29,58 @@ import os
 import signal
 import time
 import zlib
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from ..analysis.experiments import ExperimentSettings, prepare_run
-from ..errors import ConfigurationError, ReproError
-from ..ioutils import atomic_write_json
-from ..resilience.auditor import InvariantAuditor
-
-#: Bump when the campaign-report JSON layout changes incompatibly.
-CAMPAIGN_VERSION = 1
+from ..errors import ConfigurationError
 
 
-def dataclass_from_json(cls, data, what: str):
-    """Strictly construct a dataclass from a plain dict.
+def check_json_keys(data, expected, what: str, schema: str, optional=()) -> None:
+    """Reject a plain dict whose key set drifted from a schema.
 
-    Unlike ``cls(**data)`` — which surfaces schema drift as a raw
-    ``TypeError`` deep inside a worker or a replay — this validates the
-    key set first and reports unknown *and* missing keys together as a
-    :class:`repro.errors.ConfigurationError`, so corpus/journal files
-    written by a newer build fail loudly with an actionable message.
-    Fields with defaults may be omitted; extra keys never pass.
+    ``data`` must be a dict holding every key of ``expected`` except
+    those in ``optional``, and nothing else.  Unknown *and* missing keys
+    are reported together as a :class:`repro.errors.ConfigurationError`,
+    so corpus/journal files written by a newer build fail loudly with an
+    actionable message instead of a raw ``TypeError`` deep inside a
+    worker or a replay.
     """
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"{what}: expected an object, got {type(data).__name__}"
         )
-    spec = {field.name: field for field in fields(cls)}
-    unknown = sorted(set(data) - set(spec))
-    required = {
-        name
-        for name, field_spec in spec.items()
-        if field_spec.default is MISSING and field_spec.default_factory is MISSING
-    }
-    missing = sorted(required - set(data))
+    unknown = sorted(set(data) - set(expected))
+    missing = sorted(set(expected) - set(optional) - set(data))
     if unknown or missing:
         raise ConfigurationError(
-            f"{what} does not match this build's {cls.__name__} schema"
+            f"{what} does not match this build's {schema} schema"
             + (f"; unknown keys: {', '.join(unknown)}" if unknown else "")
             + (f"; missing keys: {', '.join(missing)}" if missing else "")
             + " (file written by a different version?)"
         )
+
+
+def dataclass_from_json(cls, data, what: str):
+    """Strictly construct a dataclass from a plain dict.
+
+    The key set is checked by :func:`check_json_keys` first; fields with
+    defaults may be omitted, extra keys never pass.
+    """
+    spec = fields(cls)
+    check_json_keys(
+        data,
+        [field.name for field in spec],
+        what,
+        cls.__name__,
+        optional=[
+            field.name
+            for field in spec
+            if field.default is not MISSING or field.default_factory is not MISSING
+        ],
+    )
     return cls(**data)
+
 
 #: A VPN far beyond any mapped VMA (the 48-bit canonical ceiling).
 OUT_OF_RANGE_VPN = 1 << 36
@@ -123,7 +129,7 @@ def inject_duplicate_bursts(
     return vpns
 
 
-#: Named trace perturbations used by campaigns and the CLI.
+#: Named trace perturbations used by the fuzzer and the CLI.
 TRACE_FAULTS = {
     "out_of_range": inject_out_of_range,
     "negative": inject_negative_vpns,
@@ -280,176 +286,3 @@ class ChaosPolicy:
         supervisor boundary instead of deep inside a worker.
         """
         return dataclass_from_json(cls, data, "chaos policy")
-
-
-# ----------------------------------------------------------------------
-# Campaigns
-# ----------------------------------------------------------------------
-@dataclass(slots=True)
-class CampaignCell:
-    """Outcome of one (fault, configuration) cell."""
-
-    fault: str
-    configuration: str
-    ok: bool
-    faulted_accesses: int = 0
-    accesses: int = 0
-    energy_per_access_pj: float = 0.0
-    error: str | None = None
-    error_type: str | None = None
-    seconds: float = 0.0
-
-    @property
-    def degraded(self) -> bool:
-        return self.faulted_accesses > 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CampaignCell":
-        """Strict load; schema drift raises ``ConfigurationError``."""
-        return dataclass_from_json(cls, data, "campaign cell")
-
-
-@dataclass(slots=True)
-class CampaignReport:
-    """All cells of one workload's fault campaign."""
-
-    workload: str
-    cells: list[CampaignCell] = field(default_factory=list)
-
-    @property
-    def survived(self) -> bool:
-        """True when every cell either ran or failed *structurally*."""
-        return all(
-            cell.ok
-            or (cell.error_type is not None and not cell.error_type.startswith("unhandled:"))
-            for cell in self.cells
-        )
-
-    def failed_cells(self) -> list[CampaignCell]:
-        return [cell for cell in self.cells if not cell.ok]
-
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for cell in self.cells:
-            if cell.ok:
-                status = (
-                    f"ok, {cell.faulted_accesses} faulted accesses"
-                    if cell.degraded
-                    else "ok"
-                )
-            else:
-                status = f"handled error: {cell.error_type}: {cell.error}"
-            lines.append(f"{cell.fault:>16s} × {cell.configuration:<9s} {status}")
-        return lines
-
-    def to_json(self) -> dict:
-        """Versioned plain-dict form for CI artifact archiving."""
-        return {
-            "campaign_version": CAMPAIGN_VERSION,
-            "workload": self.workload,
-            "survived": self.survived,
-            "cells": [cell.to_json() for cell in self.cells],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CampaignReport":
-        """Strict inverse of :meth:`to_json`.
-
-        Version or key-set mismatches raise
-        :class:`repro.errors.ConfigurationError` — an archived report
-        from a newer build must fail loudly, never half-load.
-        """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"campaign report: expected an object, got {type(data).__name__}"
-            )
-        version = data.get("campaign_version")
-        if version != CAMPAIGN_VERSION:
-            raise ConfigurationError(
-                f"campaign report version {version!r} unsupported "
-                f"(this build reads version {CAMPAIGN_VERSION})"
-            )
-        expected = {"campaign_version", "workload", "survived", "cells"}
-        unknown = sorted(set(data) - expected)
-        missing = sorted(expected - set(data))
-        if unknown or missing:
-            raise ConfigurationError(
-                "campaign report does not match this build's schema"
-                + (f"; unknown keys: {', '.join(unknown)}" if unknown else "")
-                + (f"; missing keys: {', '.join(missing)}" if missing else "")
-            )
-        return cls(
-            workload=data["workload"],
-            cells=[CampaignCell.from_json(cell) for cell in data["cells"]],
-        )
-
-    def write(self, path) -> None:
-        """Atomically archive the report (the CI-artifact path)."""
-        atomic_write_json(path, self.to_json(), indent=2)
-
-
-def run_fault_campaign(
-    workload,
-    config_names: tuple[str, ...] = ("THP", "TLB_Lite", "RMM_Lite"),
-    settings: ExperimentSettings | None = None,
-    faults: tuple[str, ...] = tuple(TRACE_FAULTS),
-    os_events: bool = True,
-    audit: bool = False,
-    seed: int = 0,
-    report_path=None,
-) -> CampaignReport:
-    """Run every (fault × configuration) cell in fault-tolerant mode.
-
-    Trace faults named in ``faults`` must be keys of :data:`TRACE_FAULTS`;
-    the pseudo-fault ``"os_events"`` (added when ``os_events`` is true)
-    runs an unperturbed trace under a shootdown + demotion schedule.
-    Every cell is isolated: an exception is captured into the cell, never
-    propagated, so a campaign always returns a full report.  When
-    ``report_path`` is given, the finished report is also archived there
-    as versioned JSON (atomic write) — the CI-artifact path, alongside
-    ``BENCH_throughput.json``.
-    """
-    settings = settings or ExperimentSettings(trace_accesses=50_000)
-    report = CampaignReport(workload=workload.name)
-    plans = [(name, TRACE_FAULTS[name]) for name in faults]
-    if os_events:
-        plans.append(("os_events", None))
-    for fault_name, perturb in plans:
-        for config_name in config_names:
-            started = time.perf_counter()
-            cell = CampaignCell(fault=fault_name, configuration=config_name, ok=False)
-            try:
-                auditor = InvariantAuditor() if audit else None
-                prepared = prepare_run(
-                    workload,
-                    config_name,
-                    settings,
-                    auditor=auditor,
-                    on_fault="record",
-                )
-                if perturb is not None:
-                    prepared.trace = perturb(prepared.trace, seed=seed)
-                if fault_name == "os_events":
-                    prepared.events = adversarial_events(
-                        prepared.process, len(prepared.trace), seed=seed
-                    )
-                result = prepared.run()
-                cell.ok = True
-                cell.faulted_accesses = result.faulted_accesses
-                cell.accesses = result.accesses
-                cell.energy_per_access_pj = result.energy_per_access_pj
-            except ReproError as exc:
-                # Structured, expected degradation: report, don't crash.
-                cell.error = str(exc)
-                cell.error_type = type(exc).__name__
-            except Exception as exc:  # noqa: BLE001 — campaign isolation
-                cell.error = str(exc)
-                cell.error_type = f"unhandled:{type(exc).__name__}"
-            cell.seconds = time.perf_counter() - started
-            report.cells.append(cell)
-    if report_path is not None:
-        report.write(report_path)
-    return report

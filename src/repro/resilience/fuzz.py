@@ -86,7 +86,7 @@ from ..workloads.patterns import (
 from .auditor import InvariantAuditor
 from .bisect import TrailRun, record_resumed, record_trail
 from .checkpoint import first_divergence
-from .faults import TRACE_FAULTS, adversarial_events, dataclass_from_json
+from .faults import TRACE_FAULTS, adversarial_events, check_json_keys, dataclass_from_json
 
 #: Bump when the JSON layout of a fuzz case changes incompatibly.
 FUZZ_CASE_VERSION = 1
@@ -216,15 +216,9 @@ class FuzzCase:
                 f"(this build reads version {FUZZ_CASE_VERSION})"
             )
         body = {key: value for key, value in data.items() if key != "case_version"}
-        expected = {field.name for field in fields(cls)}
-        unknown = sorted(set(body) - expected)
-        missing = sorted(expected - set(body))
-        if unknown or missing:
-            raise ConfigurationError(
-                "fuzz case does not match this build's schema"
-                + (f"; unknown keys: {', '.join(unknown)}" if unknown else "")
-                + (f"; missing keys: {', '.join(missing)}" if missing else "")
-            )
+        check_json_keys(
+            body, [field.name for field in fields(cls)], "fuzz case", "FuzzCase"
+        )
         body["oracles"] = tuple(body["oracles"])
         for oracle in body["oracles"]:
             if oracle not in ORACLE_NAMES:
@@ -799,15 +793,12 @@ def load_reproducer(path) -> tuple[FuzzCase, dict]:
             f"{path}: corpus version {version!r} unsupported "
             f"(this build reads version {CORPUS_VERSION})"
         )
-    expected = {"corpus_version", "fingerprint", "failure", "case", "found"}
-    unknown = sorted(set(envelope) - expected)
-    missing = sorted(expected - set(envelope))
-    if unknown or missing:
-        raise ConfigurationError(
-            f"{path} does not match this build's reproducer schema"
-            + (f"; unknown keys: {', '.join(unknown)}" if unknown else "")
-            + (f"; missing keys: {', '.join(missing)}" if missing else "")
-        )
+    check_json_keys(
+        envelope,
+        ("corpus_version", "fingerprint", "failure", "case", "found"),
+        str(path),
+        "reproducer",
+    )
     return FuzzCase.from_json(envelope["case"]), envelope
 
 

@@ -15,7 +15,8 @@ and ``end_interval`` calls land mid-streak and force boundary splits.
 import numpy as np
 
 from repro.analysis.experiments import ExperimentSettings, prepare_run
-from repro.resilience.bisect import bisect_divergence, describe_divergence, record_trail
+from repro.resilience.bisect import describe_divergence, record_trail
+from repro.resilience.checkpoint import first_divergence
 from repro.workloads.base import VMASpec, Workload
 from repro.workloads.patterns import Zipf
 from repro.workloads.tracefile import as_vpn_array
@@ -120,6 +121,6 @@ def assert_engines_agree(config_name, trace, events_at=(), make_events=None):
     fast_trail, fast_result = run_with_digests(
         config_name, trace, "fast", events_at, make_events=make_events
     )
-    divergence = bisect_divergence(ref_trail, fast_trail)
+    divergence = first_divergence(ref_trail, fast_trail)
     assert divergence is None, describe_divergence(divergence)
     assert fast_result == ref_result

@@ -22,6 +22,7 @@ import contextlib
 import hashlib
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -29,12 +30,7 @@ from repro.analysis.experiments import ExperimentSettings, prepare_run
 from repro.core.organizations import EXTENDED_CONFIG_NAMES
 from repro.errors import CheckpointError
 from repro.ioutils import atomic_write_json, atomic_write_text
-from repro.resilience.bisect import (
-    bisect_divergence,
-    describe_divergence,
-    record_digest_trail,
-    record_resumed_trail,
-)
+from repro.resilience.bisect import describe_divergence, record_resumed, record_trail
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
     AbortSimulation,
@@ -50,6 +46,7 @@ from repro.resilience.checkpoint import (
     state_digest,
     write_snapshot,
 )
+from repro.resilience.faults import inject_duplicate_bursts, inject_out_of_range
 from repro.resilience.sweep import SweepJournal, run_resilient_sweep
 from repro.stateful import rng_state_to_json
 from repro.workloads.base import VMASpec, Workload
@@ -91,9 +88,9 @@ def kill_every_cell(journal, configs, seed: int) -> None:
     assert all(cell.status == "failed" for cell in report.cells)
 
 
-def killed_snapshot(workload, config_name, path, abort_after=3, **prepare_kwargs):
+def killed_snapshot(workload, config_name, path, abort_after=3):
     """Run a cell until ``abort_after`` boundaries, leaving a snapshot."""
-    prepared = prepare_run(workload, config_name, SETTINGS, **prepare_kwargs)
+    prepared = prepare_run(workload, config_name, SETTINGS)
     checkpointer = SimulationCheckpointer(
         prepared.simulator,
         prepared.process,
@@ -131,11 +128,11 @@ class TestStateRoundTrip:
         path = tmp_path / "cell.ckpt"
         # The first Lite interval ends around boundary 32 at these settings;
         # kill at 35 so the snapshot carries at least one history record.
-        killed_snapshot(workload, "TLB_Lite", path, abort_after=35, record_history=True)
+        killed_snapshot(workload, "TLB_Lite", path, abort_after=35)
         saved_state, _ = read_snapshot(path)
         assert saved_state["lite"]["history"], "no Lite intervals before the kill"
 
-        rebuilt = prepare_run(workload, "TLB_Lite", SETTINGS, record_history=True)
+        rebuilt = prepare_run(workload, "TLB_Lite", SETTINGS)
         loop_state = resume_from_snapshot(rebuilt, path)
         assert rebuilt.organization.lite.state_dict() == saved_state["lite"]
         records = rebuilt.organization.lite.history
@@ -160,15 +157,13 @@ class TestResumeDeterminism:
     )
     def test_resumed_run_is_byte_identical(self, config_name, tmp_path):
         workload = small_workload()
-        fresh = record_digest_trail(workload, config_name, SETTINGS)
-        resumed = record_resumed_trail(
-            workload,
-            config_name,
-            SETTINGS,
-            abort_after=4,
-            snapshot_path=tmp_path / "cell.ckpt",
+        fresh = record_trail(prepare_run(workload, config_name, SETTINGS))
+        resumed = record_resumed(
+            partial(prepare_run, workload, config_name, SETTINGS),
+            4,
+            tmp_path / "cell.ckpt",
         )
-        assert bisect_divergence(fresh.trail, resumed.trail) is None
+        assert first_divergence(fresh.trail, resumed.trail) is None
         assert resumed.result == fresh.result
 
     def test_sweep_killed_mid_cell_resumes_byte_identical(self, tmp_path):
@@ -428,11 +423,10 @@ class TestBisection:
     def test_fault_injected_run_pinpoints_component(self):
         """Seeded trace fault → first diverging boundary + component named."""
         workload = small_workload()
-        clean = record_digest_trail(workload, "4KB", SETTINGS)
-        faulty = record_digest_trail(
-            workload, "4KB", SETTINGS, trace_fault="duplicate_burst", fault_seed=7
-        )
-        divergence = bisect_divergence(clean.trail, faulty.trail)
+        clean = record_trail(prepare_run(workload, "4KB", SETTINGS))
+        faulty = prepare_run(workload, "4KB", SETTINGS, on_fault="record")
+        faulty.trace = inject_duplicate_bursts(faulty.trace, seed=7)
+        divergence = first_divergence(clean.trail, record_trail(faulty).trail)
         assert divergence is not None
         assert divergence.boundary > 1  # the burst lands mid-trace
         assert divergence.components == ("hierarchy.structures.L1-4KB",)
@@ -440,11 +434,10 @@ class TestBisection:
 
     def test_out_of_range_fault_diverges_hierarchy_and_loop(self):
         workload = small_workload()
-        clean = record_digest_trail(workload, "TLB_Lite", SETTINGS)
-        faulty = record_digest_trail(
-            workload, "TLB_Lite", SETTINGS, trace_fault="out_of_range", fault_seed=7
-        )
-        divergence = bisect_divergence(clean.trail, faulty.trail)
+        clean = record_trail(prepare_run(workload, "TLB_Lite", SETTINGS))
+        faulty = prepare_run(workload, "TLB_Lite", SETTINGS, on_fault="record")
+        faulty.trace = inject_out_of_range(faulty.trace, seed=7)
+        divergence = first_divergence(clean.trail, record_trail(faulty).trail)
         assert divergence is not None
         assert "loop" in divergence.components  # recorded fault entries
         assert any(c.startswith("hierarchy.") for c in divergence.components)
@@ -473,6 +466,14 @@ class TestCLI:
             == 1
         )
         assert "first divergence at boundary" in capsys.readouterr().out
+        assert (
+            main(
+                ["bisect-divergence", "povray", "--config", "THP",
+                 "--accesses", "6000", "--seed-b", "6"]
+            )
+            == 1
+        )
+        assert "first divergence" in capsys.readouterr().out
 
     def test_sweep_checkpoint_every_requires_journal(self, capsys):
         from repro.__main__ import main

@@ -21,6 +21,8 @@ Divergences, should a change introduce one, are localized with
 component naming.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -36,12 +38,8 @@ from repro.core.fastpath import ENGINES, encode_trace
 from repro.core.organizations import EXTENDED_CONFIG_NAMES
 from repro.errors import SimulationError, TraceError
 from repro.observability import Observability
-from repro.resilience.bisect import (
-    bisect_divergence,
-    describe_divergence,
-    record_digest_trail,
-    record_resumed_trail,
-)
+from repro.resilience.bisect import describe_divergence, record_resumed, record_trail
+from repro.resilience.checkpoint import first_divergence
 from repro.resilience.faults import demotion_storm_events
 from repro.workloads.tracefile import as_vpn_array
 
@@ -139,11 +137,11 @@ class TestDifferentialEquivalence:
     @pytest.mark.parametrize("config_name", EXTENDED_CONFIG_NAMES)
     def test_results_and_digests_identical(self, config_name):
         """Byte-identical result + per-boundary digests for each config."""
-        reference = record_digest_trail(small_workload(), config_name, SETTINGS)
-        fast = record_digest_trail(
-            small_workload(), config_name, SETTINGS, engine="fast"
+        reference = record_trail(prepare_run(small_workload(), config_name, SETTINGS))
+        fast = record_trail(
+            prepare_run(small_workload(), config_name, SETTINGS, engine="fast")
         )
-        divergence = bisect_divergence(reference.trail, fast.trail)
+        divergence = first_divergence(reference.trail, fast.trail)
         assert divergence is None, describe_divergence(divergence)
         assert fast.boundaries == reference.boundaries
         assert fast.result == reference.result
@@ -265,16 +263,13 @@ class TestResumeDeterminism:
         ("4KB", "TLB_Lite", "RMM_Lite", "FA_Lite", "Banked", *MIXED_CONFIGS),
     )
     def test_fast_resumed_matches_fresh_reference(self, config_name, tmp_path):
-        fresh = record_digest_trail(small_workload(), config_name, SETTINGS)
-        resumed = record_resumed_trail(
-            small_workload(),
-            config_name,
-            SETTINGS,
-            abort_after=4,
-            snapshot_path=tmp_path / "cell.ckpt",
-            engine="fast",
+        fresh = record_trail(prepare_run(small_workload(), config_name, SETTINGS))
+        resumed = record_resumed(
+            partial(prepare_run, small_workload(), config_name, SETTINGS, engine="fast"),
+            4,
+            tmp_path / "cell.ckpt",
         )
-        divergence = bisect_divergence(fresh.trail, resumed.trail)
+        divergence = first_divergence(fresh.trail, resumed.trail)
         assert divergence is None, describe_divergence(divergence)
         assert resumed.result == fresh.result
 

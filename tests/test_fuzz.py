@@ -9,20 +9,13 @@ bucket fingerprint — then passes again once the defect is reverted.
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
-from repro.analysis.experiments import ExperimentSettings
 from repro.core.organizations import EXTENDED_CONFIG_NAMES
 from repro.errors import ConfigurationError, FuzzError
-from repro.resilience.faults import (
-    CampaignCell,
-    CampaignReport,
-    ChaosPolicy,
-    dataclass_from_json,
-    run_fault_campaign,
-)
+from repro.resilience.faults import ChaosPolicy, dataclass_from_json
 from repro.resilience.fuzz import (
     CORPUS_VERSION,
     FUZZ_CASE_VERSION,
@@ -41,7 +34,6 @@ from repro.resilience.fuzz import (
 )
 from repro.resilience.minimize import minimize_case
 from repro.tlb.set_assoc import SetAssociativeTLB
-from repro.workloads.registry import get_workload
 
 
 def _install_restore_defect(monkeypatch) -> None:
@@ -338,8 +330,17 @@ class TestCommittedCorpus:
 
 
 # ----------------------------------------------------------------------
-# Satellites: strict campaign JSON + CI report artifacts
+# Strict JSON for the fuzz and chaos campaigns' task specs
 # ----------------------------------------------------------------------
+@dataclass
+class _Record:
+    """A schema with required and defaulted fields."""
+
+    name: str
+    count: int
+    note: str | None = None
+
+
 class TestStrictCampaignJson:
     def test_chaos_policy_round_trip(self):
         policy = ChaosPolicy(kill_probability=0.25, oom_at_boundary=3, seed=9)
@@ -353,58 +354,11 @@ class TestStrictCampaignJson:
         with pytest.raises(ConfigurationError, match="expected an object"):
             ChaosPolicy.from_json([0.5])
 
-    def test_campaign_cell_rejects_missing_required_key(self):
-        with pytest.raises(ConfigurationError, match="missing keys: fault"):
-            CampaignCell.from_json({"configuration": "THP", "ok": True})
+    def test_dataclass_from_json_rejects_missing_required_key(self):
+        with pytest.raises(ConfigurationError, match="missing keys: name"):
+            dataclass_from_json(_Record, {"count": 1}, "record")
 
     def test_dataclass_from_json_allows_defaulted_omissions(self):
-        cell = dataclass_from_json(
-            CampaignCell,
-            {"fault": "negative", "configuration": "THP", "ok": True},
-            "campaign cell",
-        )
-        assert cell.faulted_accesses == 0 and cell.error is None
-
-    def test_campaign_report_round_trip(self):
-        report = CampaignReport(
-            workload="povray",
-            cells=[
-                CampaignCell(fault="negative", configuration="THP", ok=True,
-                             faulted_accesses=3, accesses=100),
-                CampaignCell(fault="truncate", configuration="RMM_Lite", ok=False,
-                             error="boom", error_type="SimulationError"),
-            ],
-        )
-        restored = CampaignReport.from_json(report.to_json())
-        assert restored.workload == report.workload
-        assert restored.cells == report.cells
-        assert restored.survived == report.survived
-
-    def test_campaign_report_rejects_wrong_version(self):
-        payload = CampaignReport(workload="x").to_json()
-        payload["campaign_version"] = 99
-        with pytest.raises(ConfigurationError, match="version 99"):
-            CampaignReport.from_json(payload)
-
-    def test_campaign_report_rejects_unknown_key(self):
-        payload = CampaignReport(workload="x").to_json()
-        payload["notes"] = "hi"
-        with pytest.raises(ConfigurationError, match="unknown keys: notes"):
-            CampaignReport.from_json(payload)
-
-
-class TestCampaignArtifact:
-    def test_report_path_archives_versioned_json(self, tmp_path):
-        out = tmp_path / "campaign.json"
-        report = run_fault_campaign(
-            get_workload("povray"),
-            ("THP",),
-            ExperimentSettings(trace_accesses=4_000, seed=2),
-            faults=("negative",),
-            os_events=False,
-            report_path=out,
-        )
-        assert report.survived
-        archived = CampaignReport.from_json(json.loads(out.read_text()))
-        assert archived.workload == report.workload
-        assert archived.cells == report.cells
+        record = dataclass_from_json(_Record, {"name": "x", "count": 1}, "record")
+        assert record == _Record("x", 1)
+        assert record.note is None

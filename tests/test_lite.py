@@ -19,7 +19,7 @@ def make_controller(**overrides):
     defaults.update(overrides)
     params = LiteParams(**defaults)
     tlb = SetAssociativeTLB("L1-4KB", 64, 4)
-    controller = LiteController([tlb], params, record_history=True)
+    controller = LiteController([tlb], params)
     return controller, tlb
 
 

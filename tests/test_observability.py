@@ -20,6 +20,7 @@ The digest harness is shared with the engine-equivalence suite
 """
 
 import json
+from functools import partial
 
 import pytest
 
@@ -48,13 +49,8 @@ from repro.observability import (
     render_totals_prometheus,
     write_metrics_sidecar,
 )
-from repro.resilience.bisect import (
-    bisect_divergence,
-    describe_divergence,
-    record_digest_trail,
-    record_resumed_trail,
-)
-from repro.resilience.checkpoint import SimulationCheckpointer
+from repro.resilience.bisect import describe_divergence, record_resumed, record_trail
+from repro.resilience.checkpoint import SimulationCheckpointer, first_divergence
 from repro.resilience.sweep import run_resilient_sweep
 from repro.workloads.tracefile import as_vpn_array
 from tests.fastpath_helpers import (
@@ -334,7 +330,7 @@ class TestInertness:
             ("enabled", on_trail, on_result),
             ("enabled+export", exp_trail, exp_result),
         ):
-            divergence = bisect_divergence(bare_trail, trail)
+            divergence = first_divergence(bare_trail, trail)
             assert divergence is None, f"{label}: {describe_divergence(divergence)}"
             assert result == bare_result, label
 
@@ -372,14 +368,17 @@ class TestInertness:
             events_at=(3_350,),
             observability=Observability(),
         )
-        divergence = bisect_divergence(bare_trail, on_trail)
+        divergence = first_divergence(bare_trail, on_trail)
         assert divergence is None, describe_divergence(divergence)
         assert on_result == bare_result
 
     def test_run_gauges_match_result(self):
         hub = Observability()
-        trail = record_digest_trail(
-            small_workload(), "TLB_Lite", SETTINGS, engine="fast", observability=hub
+        trail = record_trail(
+            prepare_run(
+                small_workload(), "TLB_Lite", SETTINGS, engine="fast", observability=hub
+            ),
+            observability=hub,
         )
         gauges = hub.snapshot()["gauges"]
         assert gauges["run.accesses"] == trail.result.accesses
@@ -395,17 +394,22 @@ class TestInertness:
 class TestResumeInertness:
     @pytest.mark.parametrize("config_name", ("TLB_Lite", "Banked"))
     def test_resumed_run_with_hub_matches_fresh_bare(self, config_name, tmp_path):
-        fresh = record_digest_trail(small_workload(), config_name, SETTINGS)
-        resumed = record_resumed_trail(
-            small_workload(),
-            config_name,
-            SETTINGS,
-            abort_after=4,
-            snapshot_path=tmp_path / "cell.ckpt",
-            engine="fast",
-            observability=Observability(),
+        hub = Observability()
+        fresh = record_trail(prepare_run(small_workload(), config_name, SETTINGS))
+        resumed = record_resumed(
+            partial(
+                prepare_run,
+                small_workload(),
+                config_name,
+                SETTINGS,
+                engine="fast",
+                observability=hub,
+            ),
+            4,
+            tmp_path / "cell.ckpt",
+            observability=hub,
         )
-        divergence = bisect_divergence(fresh.trail, resumed.trail)
+        divergence = first_divergence(fresh.trail, resumed.trail)
         assert divergence is None, describe_divergence(divergence)
         assert resumed.result == fresh.result
 

@@ -114,7 +114,7 @@ class TestSimulatorEvents:
         lite_params = LiteParams(
             interval_instructions=3000, reactivate_probability=0.0
         )
-        org = build_tlb_lite(process, lite_params=lite_params, record_history=True)
+        org = build_tlb_lite(process, lite_params=lite_params)
         hierarchy = org.hierarchy
 
         def breakdown(_organization):

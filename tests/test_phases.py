@@ -70,9 +70,7 @@ class TestStationaryWorkloads:
 
     def test_phases_drive_lite_reconfigurations(self):
         """On phased workloads Lite keeps making decisions over time."""
-        result = run_workload_config(
-            get_workload("astar"), "TLB_Lite", SETTINGS, record_history=True
-        )
+        result = run_workload_config(get_workload("astar"), "TLB_Lite", SETTINGS)
         ways_over_time = [
             sample.active_ways["L1-4KB"] for sample in result.timeline
         ]
