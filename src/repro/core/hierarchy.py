@@ -22,6 +22,8 @@ size; range TLBs are probed only after their first fill.  The hierarchy
 tracks aggregate L1/L2 miss counts (the performance model's inputs) and
 attributes every L1 hit to its serving structure (Table 5's hit shares),
 with range hits taking precedence since both mappings are redundant.
+:class:`BaseHierarchy` owns the range TLBs, their enable latches and the
+background range-table walk once for every shape.
 """
 
 from __future__ import annotations
@@ -50,20 +52,76 @@ class L1Slot:
 
 
 class BaseHierarchy:
-    """Counters and bookkeeping shared by both hierarchy shapes."""
+    """Counters, bookkeeping and the RMM range path every shape shares.
 
-    def __init__(self, walker: PageWalker) -> None:
+    Parameters
+    ----------
+    walker:
+        Page walker bound to the process's page table and MMU cache.
+    l1_range / l2_range:
+        RMM range TLBs (either may be ``None``; an L1-range TLB without an
+        L2-range TLB is rejected since fills flow L2 → L1).
+    range_table:
+        The process's software range table; enables background range
+        walks on L2 misses.
+
+    Subclasses list their page structures in :meth:`page_structures` and
+    their page hits in :meth:`page_hit_attribution`; the range TLBs, the
+    MMU caches and the range hits are added here.
+    """
+
+    def __init__(
+        self,
+        walker: PageWalker,
+        l1_range: RangeTLB | None = None,
+        l2_range: RangeTLB | None = None,
+        range_table: RangeTable | None = None,
+    ) -> None:
+        if l1_range is not None and l2_range is None:
+            raise ConfigurationError("an L1-range TLB requires an L2-range TLB")
+        if l2_range is not None and range_table is None:
+            raise ConfigurationError("range TLBs require a range table")
         self.walker = walker
+        self.l1_range = l1_range
+        self.l2_range = l2_range
+        self.range_table = range_table
+        # Static-enable latches: range TLBs are probed once first filled.
+        self._l1_range_active: RangeTLB | None = None
+        self._l2_range_active: RangeTLB | None = None
         self.accesses = 0
         self.l1_misses = 0
         self.l2_misses = 0
         self.range_walk_refs = 0
+        self.range_attributed_hits = 0
 
     def access(self, vpn: int) -> None:
         raise NotImplementedError
 
-    def all_structures(self) -> list[TranslationStructure]:
+    def walk_range_table(self, vpn: int) -> None:
+        """Background range-table walk after a full L2 miss: energy only.
+
+        Costs no cycles; a range found fills the L2-range TLB and latches
+        it on.  Called only when the hierarchy has a range table.
+        """
+        self.range_walk_refs += self.range_table.walk_memory_refs()
+        range_entry = self.range_table.lookup(vpn)
+        if range_entry is not None and self.l2_range is not None:
+            self.l2_range.fill(range_entry)
+            self._l2_range_active = self.l2_range
+
+    def page_structures(self) -> list[TranslationStructure]:
+        """The page TLBs, in probe order."""
         raise NotImplementedError
+
+    def all_structures(self) -> list[TranslationStructure]:
+        """Page TLBs, then the range TLBs, then the MMU caches."""
+        structures = self.page_structures()
+        if self.l1_range is not None:
+            structures.append(self.l1_range)
+        if self.l2_range is not None:
+            structures.append(self.l2_range)
+        structures.extend(self.walker.mmu_cache.structures)
+        return structures
 
     def sync_stats(self) -> None:
         """Flush pending counters of every structure."""
@@ -79,9 +137,18 @@ class BaseHierarchy:
         self.l1_misses = 0
         self.l2_misses = 0
         self.range_walk_refs = 0
+        self.range_attributed_hits = 0
+
+    def page_hit_attribution(self) -> dict[str, int]:
+        """L1 page hits per serving structure."""
+        raise NotImplementedError
 
     def hit_attribution(self) -> dict[str, int]:
-        raise NotImplementedError
+        """L1 hits per serving structure (range hits take precedence)."""
+        attribution = self.page_hit_attribution()
+        if self.l1_range is not None:
+            attribution[self.l1_range.name] = self.range_attributed_hits
+        return attribution
 
     def flush_tlbs(self) -> None:
         """Invalidate every TLB and MMU-cache entry (context switch)."""
@@ -116,6 +183,9 @@ class BaseHierarchy:
             "l1_misses": self.l1_misses,
             "l2_misses": self.l2_misses,
             "range_walk_refs": self.range_walk_refs,
+            "l1_range_active": self._l1_range_active is not None,
+            "l2_range_active": self._l2_range_active is not None,
+            "range_attributed_hits": self.range_attributed_hits,
             "walker": self.walker.state_dict(),
             "structures": {
                 structure.name: structure.state_dict()
@@ -135,6 +205,9 @@ class BaseHierarchy:
         self.l1_misses = state["l1_misses"]
         self.l2_misses = state["l2_misses"]
         self.range_walk_refs = state["range_walk_refs"]
+        self._l1_range_active = self.l1_range if state["l1_range_active"] else None
+        self._l2_range_active = self.l2_range if state["l2_range_active"] else None
+        self.range_attributed_hits = state["range_attributed_hits"]
         self.walker.load_state_dict(state["walker"])
         for name, structure_state in state["structures"].items():
             structures[name].load_state_dict(structure_state)
@@ -150,14 +223,8 @@ class TLBHierarchy(BaseHierarchy):
         4 KB pages (it starts enabled, the others enable on first use).
     l2_page:
         The L2 TLB; holds 4 KB translations only (Sandy Bridge baseline).
-    walker:
-        Page walker bound to the process's page table and MMU cache.
-    l1_range / l2_range:
-        RMM range TLBs (either may be ``None``; an L1-range TLB without an
-        L2-range TLB is rejected since fills flow L2 → L1).
-    range_table:
-        The process's software range table; enables background range
-        walks on L2 misses.
+    walker, l1_range, l2_range, range_table:
+        As for :class:`BaseHierarchy`.
     """
 
     def __init__(
@@ -169,11 +236,7 @@ class TLBHierarchy(BaseHierarchy):
         l2_range: RangeTLB | None = None,
         range_table: RangeTable | None = None,
     ) -> None:
-        super().__init__(walker)
-        if l1_range is not None and l2_range is None:
-            raise ConfigurationError("an L1-range TLB requires an L2-range TLB")
-        if l2_range is not None and range_table is None:
-            raise ConfigurationError("range TLBs require a range table")
+        super().__init__(walker, l1_range, l2_range, range_table)
         self.l1_slots = l1_slots
         self._slot_by_size = {slot.page_size: slot for slot in l1_slots}
         if PageSize.SIZE_4KB not in self._slot_by_size:
@@ -182,13 +245,6 @@ class TLBHierarchy(BaseHierarchy):
         self._slot_4kb.enabled = True
         self._active_slots = [slot for slot in l1_slots if slot.enabled]
         self.l2_page = l2_page
-        self.l1_range = l1_range
-        self.l2_range = l2_range
-        self.range_table = range_table
-        # Static-enable latches: range TLBs are probed once first filled.
-        self._l1_range_active: RangeTLB | None = None
-        self._l2_range_active: RangeTLB | None = None
-        self.range_attributed_hits = 0
 
     # ------------------------------------------------------------------
     def drain_shape(self) -> tuple[int, bool, bool]:
@@ -269,40 +325,20 @@ class TLBHierarchy(BaseHierarchy):
         slot.tlb.fill(vpn >> slot.shift, translation)
         if translation.page_size is PageSize.SIZE_4KB:
             self.l2_page.fill(vpn, translation)
-        range_table = self.range_table
-        if range_table is not None:
-            # Background range-table walk: energy only, no cycles.
-            self.range_walk_refs += range_table.walk_memory_refs()
-            range_entry = range_table.lookup(vpn)
-            if range_entry is not None and self.l2_range is not None:
-                self.l2_range.fill(range_entry)
-                self._l2_range_active = self.l2_range
+        if self.range_table is not None:
+            self.walk_range_table(vpn)
 
     # ------------------------------------------------------------------
-    def all_structures(self) -> list[TranslationStructure]:
-        structures: list[TranslationStructure] = [slot.tlb for slot in self.l1_slots]
-        structures.append(self.l2_page)
-        if self.l1_range is not None:
-            structures.append(self.l1_range)
-        if self.l2_range is not None:
-            structures.append(self.l2_range)
-        structures.extend(self.walker.mmu_cache.structures)
-        return structures
+    def page_structures(self) -> list[TranslationStructure]:
+        return [slot.tlb for slot in self.l1_slots] + [self.l2_page]
 
-    def hit_attribution(self) -> dict[str, int]:
-        """L1 hits per serving structure (range hits take precedence)."""
-        attribution = {
-            slot.tlb.name: slot.attributed_hits for slot in self.l1_slots
-        }
-        if self.l1_range is not None:
-            attribution[self.l1_range.name] = self.range_attributed_hits
-        return attribution
+    def page_hit_attribution(self) -> dict[str, int]:
+        return {slot.tlb.name: slot.attributed_hits for slot in self.l1_slots}
 
     def reset_measurement(self) -> None:
         super().reset_measurement()
         for slot in self.l1_slots:
             slot.attributed_hits = 0
-        self.range_attributed_hits = 0
 
     def shootdown_huge_page(self, base_vpn: int) -> None:
         slot = self._slot_by_size.get(PageSize.SIZE_2MB)
@@ -318,9 +354,6 @@ class TLBHierarchy(BaseHierarchy):
         state["attributed_hits"] = {
             str(int(slot.page_size)): slot.attributed_hits for slot in self.l1_slots
         }
-        state["l1_range_active"] = self._l1_range_active is not None
-        state["l2_range_active"] = self._l2_range_active is not None
-        state["range_attributed_hits"] = self.range_attributed_hits
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -334,9 +367,6 @@ class TLBHierarchy(BaseHierarchy):
             slot.enabled = slot.page_size in enabled
             slot.attributed_hits = state["attributed_hits"][str(int(slot.page_size))]
         self._active_slots = [self._slot_by_size[size] for size in enabled]
-        self._l1_range_active = self.l1_range if state["l1_range_active"] else None
-        self._l2_range_active = self.l2_range if state["l2_range_active"] else None
-        self.range_attributed_hits = state["range_attributed_hits"]
 
 
 class L0FilterHierarchy(TLBHierarchy):
@@ -376,11 +406,11 @@ class L0FilterHierarchy(TLBHierarchy):
         if entry is not None:
             self.l0.fill(entry)
 
-    def all_structures(self) -> list[TranslationStructure]:
-        return [self.l0, *super().all_structures()]
+    def page_structures(self) -> list[TranslationStructure]:
+        return [self.l0, *super().page_structures()]
 
-    def hit_attribution(self) -> dict[str, int]:
-        attribution = super().hit_attribution()
+    def page_hit_attribution(self) -> dict[str, int]:
+        attribution = super().page_hit_attribution()
         attribution[self.l0.name] = self.l0_attributed_hits
         return attribution
 
@@ -428,21 +458,11 @@ class MixedTLBHierarchy(BaseHierarchy):
         l2_range: RangeTLB | None = None,
         range_table: RangeTable | None = None,
     ) -> None:
-        super().__init__(walker)
-        if l1_range is not None and l2_range is None:
-            raise ConfigurationError("an L1-range TLB requires an L2-range TLB")
-        if l2_range is not None and range_table is None:
-            raise ConfigurationError("range TLBs require a range table")
+        super().__init__(walker, l1_range, l2_range, range_table)
         self.l1_mixed = l1_mixed
         self.l2_mixed = l2_mixed
         # Mutable: huge-page breakdown events remove chunks at runtime.
         self._huge_chunks = set(huge_chunks)
-        self.l1_range = l1_range
-        self.l2_range = l2_range
-        self.range_table = range_table
-        self._l1_range_active: RangeTLB | None = None
-        self._l2_range_active: RangeTLB | None = None
-        self.range_attributed_hits = 0
         self.attributed_hits_4kb = 0
         self.attributed_hits_2mb = 0
 
@@ -510,37 +530,22 @@ class MixedTLBHierarchy(BaseHierarchy):
         key = self.oracle_key(vpn, (vpn >> 9) in self._huge_chunks)
         self.l1_mixed.fill(key, result.translation)
         self.l2_mixed.fill(key, result.translation)
-        range_table = self.range_table
-        if range_table is not None:
-            self.range_walk_refs += range_table.walk_memory_refs()
-            range_entry = range_table.lookup(vpn)
-            if range_entry is not None and self.l2_range is not None:
-                self.l2_range.fill(range_entry)
-                self._l2_range_active = self.l2_range
+        if self.range_table is not None:
+            self.walk_range_table(vpn)
 
-    def all_structures(self) -> list[TranslationStructure]:
-        structures: list[TranslationStructure] = [self.l1_mixed, self.l2_mixed]
-        if self.l1_range is not None:
-            structures.append(self.l1_range)
-        if self.l2_range is not None:
-            structures.append(self.l2_range)
-        structures.extend(self.walker.mmu_cache.structures)
-        return structures
+    def page_structures(self) -> list[TranslationStructure]:
+        return [self.l1_mixed, self.l2_mixed]
 
-    def hit_attribution(self) -> dict[str, int]:
-        attribution = {
+    def page_hit_attribution(self) -> dict[str, int]:
+        return {
             "L1-mixed (4KB)": self.attributed_hits_4kb,
             "L1-mixed (2MB)": self.attributed_hits_2mb,
         }
-        if self.l1_range is not None:
-            attribution[self.l1_range.name] = self.range_attributed_hits
-        return attribution
 
     def reset_measurement(self) -> None:
         super().reset_measurement()
         self.attributed_hits_4kb = 0
         self.attributed_hits_2mb = 0
-        self.range_attributed_hits = 0
 
     def shootdown_huge_page(self, base_vpn: int) -> None:
         chunk = base_vpn >> 9
@@ -556,9 +561,6 @@ class MixedTLBHierarchy(BaseHierarchy):
         state["huge_chunks"] = sorted(self._huge_chunks)
         state["attributed_hits_4kb"] = self.attributed_hits_4kb
         state["attributed_hits_2mb"] = self.attributed_hits_2mb
-        state["l1_range_active"] = self._l1_range_active is not None
-        state["l2_range_active"] = self._l2_range_active is not None
-        state["range_attributed_hits"] = self.range_attributed_hits
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -566,9 +568,6 @@ class MixedTLBHierarchy(BaseHierarchy):
         self._huge_chunks = set(state["huge_chunks"])
         self.attributed_hits_4kb = state["attributed_hits_4kb"]
         self.attributed_hits_2mb = state["attributed_hits_2mb"]
-        self._l1_range_active = self.l1_range if state["l1_range_active"] else None
-        self._l2_range_active = self.l2_range if state["l2_range_active"] else None
-        self.range_attributed_hits = state["range_attributed_hits"]
 
 
 class PredictedMixedHierarchy(MixedTLBHierarchy):
@@ -695,10 +694,10 @@ class FullyAssociativeL1Hierarchy(BaseHierarchy):
         if result.translation.page_size is PageSize.SIZE_4KB:
             self.l2_page.fill(vpn, result.translation)
 
-    def all_structures(self) -> list[TranslationStructure]:
-        return [self.l1_fa, self.l2_page, *self.walker.mmu_cache.structures]
+    def page_structures(self) -> list[TranslationStructure]:
+        return [self.l1_fa, self.l2_page]
 
-    def hit_attribution(self) -> dict[str, int]:
+    def page_hit_attribution(self) -> dict[str, int]:
         return {self.l1_fa.name: self.attributed_hits}
 
     def reset_measurement(self) -> None:

@@ -38,7 +38,8 @@ class ResizableUnit:
 
     Set-associative TLBs resize by *ways* (``set_active_ways``); fully-
     associative ones (Section 4.4) resize by *entries*
-    (``set_active_entries``).  Both expose power-of-two capacities.
+    (``set_active_entries``).  Both expose power-of-two capacities and
+    report the current one as ``active_units``.
     """
 
     def __init__(self, tlb) -> None:
@@ -46,11 +47,9 @@ class ResizableUnit:
         if hasattr(tlb, "set_active_ways"):
             self.max_units = tlb.ways
             self._setter = tlb.set_active_ways
-            self._getter = lambda: tlb.active_ways
         elif hasattr(tlb, "set_active_entries"):
             self.max_units = tlb.entries
             self._setter = tlb.set_active_entries
-            self._getter = lambda: tlb.active_entries
         else:
             raise UsageError(f"{tlb!r} is not resizable")
         if self.max_units & (self.max_units - 1):
@@ -64,10 +63,10 @@ class ResizableUnit:
 
     @property
     def active_units(self) -> int:
-        return self._getter()
+        return self.tlb.active_units
 
     def resize(self, units: int) -> None:
-        if units != self._getter():
+        if units != self.tlb.active_units:
             self._setter(units)
 
 

@@ -19,22 +19,11 @@ from typing import Iterator
 
 from .engine import FileContext, LintRule
 from .findings import Finding, Severity
+from .project import dotted_name
 
 # ---------------------------------------------------------------------------
 # Shared AST helpers
 # ---------------------------------------------------------------------------
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for Name/Attribute chains, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _module_aliases(tree: ast.Module, module: str) -> set[str]:

@@ -263,23 +263,12 @@ class SimulatorInstrumentation:
         self.samples.inc()
 
     def finish(self, result, events_fired: int) -> None:
-        """Publish end-of-run gauges and close the run/phase spans."""
-        run = self._run_scope
-        run.gauge("accesses", "measured accesses").set(result.accesses)
-        run.gauge("instructions", "measured instructions").set(result.instructions)
-        run.gauge("l1_misses", "L1 TLB misses").set(result.l1_misses)
-        run.gauge("l2_misses", "L2 TLB misses").set(result.l2_misses)
-        run.gauge("page_walks", "page walks performed").set(result.page_walks)
-        run.gauge("page_walk_refs", "page-walk memory references").set(
-            result.page_walk_refs
-        )
-        run.gauge("range_walk_refs", "range-walk memory references").set(
-            result.range_walk_refs
-        )
-        run.gauge("faulted_accesses", "accesses that faulted (tolerant mode)").set(
-            result.faulted_accesses
-        )
-        run.gauge("events_fired", "scheduled OS events fired").set(events_fired)
+        """Publish the events-fired gauge and close the run/phase spans.
+
+        The ``SimulationResult`` already carries every other end-of-run
+        total, so no gauge restates one.
+        """
+        self._run_scope.gauge("events_fired", "scheduled OS events fired").set(events_fired)
         if self.probe is not None:
             fastpath = self.obs.registry.scope("fastpath")
             for name, value in self.probe.as_dict().items():

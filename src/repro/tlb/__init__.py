@@ -1,8 +1,8 @@
 """TLB structures: set-associative, fully-associative, and range TLBs."""
 
 from .banked import BankedSetAssociativeTLB
-from .base import TLBStats, TranslationStructure
-from .fully_assoc import FullyAssociativeTLB
+from .base import BatchedTLB, PartitionedTLB, TLBStats, TranslationStructure
+from .fully_assoc import FullyAssociativeTLB, RecencyStackTLB
 from .mixed_fa import MixedFullyAssociativeTLB
 from .range_tlb import RangeTLB
 from .replacement import PLRUSetAssociativeTLB
@@ -12,6 +12,9 @@ from .set_assoc import SetAssociativeTLB
 __all__ = [
     "TLBStats",
     "TranslationStructure",
+    "BatchedTLB",
+    "RecencyStackTLB",
+    "PartitionedTLB",
     "SetAssociativeTLB",
     "BankedSetAssociativeTLB",
     "FullyAssociativeTLB",

@@ -14,12 +14,11 @@ next bank (the usual design point).
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from ..stateful import require
-from .base import TranslationStructure
+from .base import PartitionedTLB
 from .set_assoc import SetAssociativeTLB, _is_power_of_two
 
 
-class BankedSetAssociativeTLB(TranslationStructure):
+class BankedSetAssociativeTLB(PartitionedTLB):
     """A set-associative TLB split into independently probed banks."""
 
     def __init__(self, name: str, entries: int, ways: int, banks: int) -> None:
@@ -32,7 +31,7 @@ class BankedSetAssociativeTLB(TranslationStructure):
             raise ConfigurationError(f"{entries} entries not divisible by {banks} banks")
         self.entries = entries
         self.ways = ways
-        self.banks = [
+        self.parts = [
             SetAssociativeTLB(f"{name}[{index}]", entries // banks, ways)
             for index in range(banks)
         ]
@@ -45,81 +44,12 @@ class BankedSetAssociativeTLB(TranslationStructure):
     @property
     def bank_entries(self) -> int:
         """Capacity of one bank (the energy-relevant structure size)."""
-        return self.entries // len(self.banks)
+        return self.entries // len(self.parts)
 
-    def _bank_for(self, key: int) -> SetAssociativeTLB:
-        return self.banks[(key >> self._set_shift) & self._bank_mask]
-
-    def lookup(self, key: int):
-        """Probe only the selected bank (one bank-sized read)."""
-        return self._bank_for(key).lookup(key)
-
-    def peek(self, key: int):
-        """Containment check without side effects."""
-        return self._bank_for(key).peek(key)
-
-    def fill(self, key: int, value) -> None:
-        """Insert into the selected bank (one bank-sized write)."""
-        self._bank_for(key).fill(key, value)
-
-    def invalidate(self, key: int) -> bool:
-        """Remove one translation; returns True if it was present."""
-        return self._bank_for(key).invalidate(key)
-
-    def flush(self) -> None:
-        """Invalidate every bank."""
-        for bank in self.banks:
-            bank.flush()
-
-    def sync_stats(self) -> None:
-        """Aggregate the banks' counters into this structure's stats.
-
-        Per-way histograms add up directly because every bank shares the
-        same geometry, so the energy accountant prices each probe as one
-        bank-sized access.
-        """
-        self.stats.reset()
-        for bank in self.banks:
-            bank.sync_stats()
-            self.stats.hits += bank.stats.hits
-            self.stats.misses += bank.stats.misses
-            self.stats.lookups_by_ways.update(bank.stats.lookups_by_ways)
-            self.stats.fills_by_ways.update(bank.stats.fills_by_ways)
-
-    def reset_stats(self) -> None:
-        """Reset this structure's and every bank's statistics."""
-        for bank in self.banks:
-            bank.sync_stats()
-            bank.stats.reset()
-        self.stats.reset()
-
-    @property
-    def interval_misses(self) -> int:
-        """Misses since the last sync, summed over banks."""
-        return sum(bank.interval_misses for bank in self.banks)
-
-    def occupancy(self) -> int:
-        """Valid entries across all banks."""
-        return sum(bank.occupancy() for bank in self.banks)
+    def _part(self, key: int) -> SetAssociativeTLB:
+        """The bank the VPN bits above the per-bank set index select."""
+        return self.parts[(key >> self._set_shift) & self._bank_mask]
 
     def bank_occupancies(self) -> list[int]:
         """Per-bank occupancy (bank-imbalance diagnostics)."""
-        return [bank.occupancy() for bank in self.banks]
-
-    def state_dict(self) -> dict:
-        """Pure-JSON mutable state: every bank plus the aggregate stats."""
-        return {
-            "banks": [bank.state_dict() for bank in self.banks],
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot onto a canonically constructed structure."""
-        require(
-            len(state["banks"]) == len(self.banks),
-            f"{self.name}: snapshot holds {len(state['banks'])} banks, "
-            f"expected {len(self.banks)}",
-        )
-        for bank, bank_state in zip(self.banks, state["banks"]):
-            bank.load_state_dict(bank_state)
-        self.stats.load_state_dict(state["stats"])
+        return [bank.occupancy() for bank in self.parts]

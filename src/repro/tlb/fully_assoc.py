@@ -1,4 +1,4 @@
-"""Fully-associative, true-LRU lookup structure.
+"""Fully-associative, true-LRU lookup structures.
 
 Used for the small structures of the hierarchy: the L1-1GB TLB (4 entries
 in Sandy Bridge), the PDPTE and PML4E paging-structure caches, and — in the
@@ -11,33 +11,30 @@ size in powers-of-two" (Section 4.4).  ``set_active_entries`` implements
 that capacity reduction, and ``hit_rank_counters`` provides the same
 Figure 6 grouping as the set-associative TLB (index ``rank.bit_length()``).
 
-Statistics follow the same sync discipline as
-:class:`repro.tlb.set_assoc.SetAssociativeTLB`: plain pending integers,
-flushed into per-configuration histograms by :meth:`sync_stats`.
+:class:`RecencyStackTLB` is the recency stack every fully-associative
+structure shares — this module's tag-keyed TLB, the range TLB
+(:mod:`repro.tlb.range_tlb`) and the mixed-page-size L1
+(:mod:`repro.tlb.mixed_fa`).  Each of those supplies only its own
+``lookup``/``peek``/``fill``, its invalidation, and the JSON codec of
+one stack entry.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigurationError
 from ..stateful import decode_entry, encode_entry, require
-from .base import TranslationStructure
+from .base import BatchedTLB
 
 
-class FullyAssociativeTLB(TranslationStructure):
-    """A fully-associative cache keyed by arbitrary hashable tags.
+class RecencyStackTLB(BatchedTLB):
+    """One true-LRU recency stack (MRU first), resized by entries.
 
-    Maintains a single recency list (MRU first).
+    Statistics follow the :class:`repro.tlb.base.BatchedTLB` discipline,
+    keyed by the active entry count.  A snapshot holds each stack entry
+    as :meth:`_encode` renders it.
     """
 
-    __slots__ = (
-        "entries",
-        "active_entries",
-        "_stack",
-        "hit_rank_counters",
-        "_pending_hits",
-        "_pending_misses",
-        "_pending_fills",
-    )
+    __slots__ = ("entries", "active_entries", "_stack", "hit_rank_counters")
 
     def __init__(self, name: str, entries: int) -> None:
         super().__init__(name)
@@ -45,11 +42,80 @@ class FullyAssociativeTLB(TranslationStructure):
             raise ConfigurationError("entries must be >= 1")
         self.entries = entries
         self.active_entries = entries
-        self._stack: list[list] = []  # [key, value] pairs, MRU first
+        self._stack: list = []  # MRU first
         self.hit_rank_counters: list[int] | None = None
-        self._pending_hits = 0
-        self._pending_misses = 0
-        self._pending_fills = 0
+
+    def flush(self) -> None:
+        """Invalidate all entries."""
+        self._stack.clear()
+
+    @property
+    def active_units(self) -> int:
+        """Active entries: the capacity :meth:`sync_stats` files counts under."""
+        return self.active_entries
+
+    def set_active_entries(self, entries: int) -> None:
+        """Resize the structure in the Lite fashion (Section 4.4).
+
+        Shrinking drops the least-recently-used entries; growing raises
+        the capacity with the new slots starting invalid.
+        """
+        if entries < 1 or entries > self.entries:
+            raise ConfigurationError(
+                f"active entries {entries} outside [1, {self.entries}]"
+            )
+        self.sync_stats()
+        if entries < self.active_entries:
+            del self._stack[entries:]
+        self.active_entries = entries
+
+    def occupancy(self) -> int:
+        """Number of valid entries currently held."""
+        return len(self._stack)
+
+    #: JSON codec of one stack entry (a cached translation by default).
+    _encode = staticmethod(encode_entry)
+    _decode = staticmethod(decode_entry)
+
+    def state_dict(self) -> dict:
+        """Pure-JSON mutable state: recency stack, pending counts, stats."""
+        return {
+            "entries": self.entries,
+            "active_entries": self.active_entries,
+            "stack": [self._encode(entry) for entry in self._stack],
+            "pending": [self._pending_hits, self._pending_misses, self._pending_fills],
+            "stats": self.stats.state_dict(),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a snapshot onto a canonically constructed structure."""
+        require(
+            state["entries"] == self.entries,
+            f"{self.name}: snapshot capacity {state['entries']} does not "
+            f"match {self.entries}",
+        )
+        self.active_entries = state["active_entries"]
+        self._stack = [self._decode(data) for data in state["stack"]]
+        self._pending_hits, self._pending_misses, self._pending_fills = state["pending"]
+        self.stats.load_state_dict(state["stats"])
+
+
+class FullyAssociativeTLB(RecencyStackTLB):
+    """A fully-associative cache keyed by arbitrary hashable tags.
+
+    Each stack entry is a ``[key, value]`` pair.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _encode(pair: list) -> list:
+        return [pair[0], encode_entry(pair[1])]
+
+    @staticmethod
+    def _decode(data: list) -> list:
+        key, value = data
+        return [key, decode_entry(value)]
 
     def lookup(self, key):
         """Probe the structure; return the value or ``None`` on a miss."""
@@ -94,69 +160,6 @@ class FullyAssociativeTLB(TranslationStructure):
                 return True
         return False
 
-    def flush(self) -> None:
-        """Invalidate all entries."""
-        self._stack.clear()
-
-    def sync_stats(self) -> None:
-        """Flush pending access counts into the per-configuration stats."""
-        pending_lookups = self._pending_hits + self._pending_misses
-        if pending_lookups:
-            self.stats.hits += self._pending_hits
-            self.stats.misses += self._pending_misses
-            self.stats.lookups_by_ways[self.active_entries] += pending_lookups
-            self._pending_hits = 0
-            self._pending_misses = 0
-        if self._pending_fills:
-            self.stats.fills_by_ways[self.active_entries] += self._pending_fills
-            self._pending_fills = 0
-
-    @property
-    def interval_misses(self) -> int:
-        """Misses since the last :meth:`sync_stats`."""
-        return self._pending_misses
-
-    def set_active_entries(self, entries: int) -> None:
-        """Resize the structure in the Lite fashion (Section 4.4).
-
-        Shrinking drops the least-recently-used entries; growing raises
-        the capacity with the new slots starting invalid.
-        """
-        if entries < 1 or entries > self.entries:
-            raise ConfigurationError(
-                f"active entries {entries} outside [1, {self.entries}]"
-            )
-        self.sync_stats()
-        if entries < self.active_entries:
-            del self._stack[entries:]
-        self.active_entries = entries
-
-    def occupancy(self) -> int:
-        """Number of valid entries currently held."""
-        return len(self._stack)
-
     def resident_keys(self) -> list:
         """Keys in recency order (MRU first); for tests."""
         return [pair[0] for pair in self._stack]
-
-    def state_dict(self) -> dict:
-        """Pure-JSON mutable state: recency stack, pending counts, stats."""
-        return {
-            "entries": self.entries,
-            "active_entries": self.active_entries,
-            "stack": [[pair[0], encode_entry(pair[1])] for pair in self._stack],
-            "pending": [self._pending_hits, self._pending_misses, self._pending_fills],
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot onto a canonically constructed structure."""
-        require(
-            state["entries"] == self.entries,
-            f"{self.name}: snapshot capacity {state['entries']} does not "
-            f"match {self.entries}",
-        )
-        self.active_entries = state["active_entries"]
-        self._stack = [[key, decode_entry(value)] for key, value in state["stack"]]
-        self._pending_hits, self._pending_misses, self._pending_fills = state["pending"]
-        self.stats.load_state_dict(state["stats"])

@@ -15,44 +15,26 @@ The paper uses two instances:
 * the **L1-range TLB** introduced by RMM_Lite (4 entries), probed in
   parallel with the L1-page TLBs on *every* memory operation.
 
-Replacement is true LRU over the entries, like the page TLBs.  Statistics
-follow the pending/sync discipline of the other TLB classes.
+Replacement is true LRU over the entries, like the page TLBs: the
+recency stack, its Lite resizing, statistics and snapshot are
+:class:`repro.tlb.fully_assoc.RecencyStackTLB`'s.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import ConfigurationError
 from ..mmu.translation import RangeTranslation
-from ..stateful import decode_entry, encode_entry, require
-from .base import TranslationStructure
+from .fully_assoc import RecencyStackTLB
 
 
-class RangeTLB(TranslationStructure):
-    """Fully-associative TLB whose entries hit by interval containment."""
+class RangeTLB(RecencyStackTLB):
+    """Fully-associative TLB whose entries hit by interval containment.
 
-    __slots__ = (
-        "entries",
-        "active_entries",
-        "_stack",
-        "hit_rank_counters",
-        "_pending_hits",
-        "_pending_misses",
-        "_pending_fills",
-    )
+    Each stack entry is a :class:`RangeTranslation`.
+    """
 
-    def __init__(self, name: str, entries: int) -> None:
-        super().__init__(name)
-        if entries < 1:
-            raise ConfigurationError("entries must be >= 1")
-        self.entries = entries
-        self.active_entries = entries
-        self._stack: list[RangeTranslation] = []  # MRU first
-        self.hit_rank_counters: list[int] | None = None
-        self._pending_hits = 0
-        self._pending_misses = 0
-        self._pending_fills = 0
+    __slots__ = ()
 
     def lookup(self, vpn4k: int) -> Optional[RangeTranslation]:
         """Probe for a range containing ``vpn4k``; None on a miss."""
@@ -100,65 +82,6 @@ class RangeTLB(TranslationStructure):
         self._stack[:] = [r for r in self._stack if not r.overlaps(rng)]
         return before - len(self._stack)
 
-    def flush(self) -> None:
-        """Invalidate all entries."""
-        self._stack.clear()
-
-    def sync_stats(self) -> None:
-        """Flush pending access counts into the per-configuration stats."""
-        pending_lookups = self._pending_hits + self._pending_misses
-        if pending_lookups:
-            self.stats.hits += self._pending_hits
-            self.stats.misses += self._pending_misses
-            self.stats.lookups_by_ways[self.active_entries] += pending_lookups
-            self._pending_hits = 0
-            self._pending_misses = 0
-        if self._pending_fills:
-            self.stats.fills_by_ways[self.active_entries] += self._pending_fills
-            self._pending_fills = 0
-
-    @property
-    def interval_misses(self) -> int:
-        """Misses since the last :meth:`sync_stats`."""
-        return self._pending_misses
-
-    def set_active_entries(self, entries: int) -> None:
-        """Lite-style capacity reduction (drops LRU-most entries)."""
-        if entries < 1 or entries > self.entries:
-            raise ConfigurationError(
-                f"active entries {entries} outside [1, {self.entries}]"
-            )
-        self.sync_stats()
-        if entries < self.active_entries:
-            del self._stack[entries:]
-        self.active_entries = entries
-
-    def occupancy(self) -> int:
-        """Number of valid entries currently held."""
-        return len(self._stack)
-
     def resident_ranges(self) -> list[RangeTranslation]:
         """Ranges in recency order (MRU first); for tests."""
         return list(self._stack)
-
-    def state_dict(self) -> dict:
-        """Pure-JSON mutable state: recency stack, pending counts, stats."""
-        return {
-            "entries": self.entries,
-            "active_entries": self.active_entries,
-            "stack": [encode_entry(rng) for rng in self._stack],
-            "pending": [self._pending_hits, self._pending_misses, self._pending_fills],
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot onto a canonically constructed structure."""
-        require(
-            state["entries"] == self.entries,
-            f"{self.name}: snapshot capacity {state['entries']} does not "
-            f"match {self.entries}",
-        )
-        self.active_entries = state["active_entries"]
-        self._stack = [decode_entry(data) for data in state["stack"]]
-        self._pending_hits, self._pending_misses, self._pending_fills = state["pending"]
-        self.stats.load_state_dict(state["stats"])

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from ..errors import ConfigurationError
 from ..stateful import decode_entry, encode_entry, require
-from .base import TranslationStructure
+from .base import BatchedTLB
 from .set_assoc import _is_power_of_two
 
 
-class PLRUSetAssociativeTLB(TranslationStructure):
+class PLRUSetAssociativeTLB(BatchedTLB):
     """Set-associative TLB with tree-PLRU replacement and way-disabling.
 
     Interface-compatible with :class:`repro.tlb.set_assoc.SetAssociativeTLB`
@@ -37,9 +37,6 @@ class PLRUSetAssociativeTLB(TranslationStructure):
         "active_ways",
         "_slots",
         "_trees",
-        "_pending_hits",
-        "_pending_misses",
-        "_pending_fills",
     )
 
     def __init__(self, name: str, entries: int, ways: int) -> None:
@@ -58,9 +55,6 @@ class PLRUSetAssociativeTLB(TranslationStructure):
         # Per set: fixed way slots (None = invalid) and PLRU tree bits.
         self._slots: list[list] = [[None] * ways for _ in range(self.num_sets)]
         self._trees: list[list[int]] = [[0] * max(ways - 1, 1) for _ in range(self.num_sets)]
-        self._pending_hits = 0
-        self._pending_misses = 0
-        self._pending_fills = 0
 
     # ------------------------------------------------------------------
     def _touch(self, set_index: int, way: int) -> None:
@@ -126,24 +120,6 @@ class PLRUSetAssociativeTLB(TranslationStructure):
         self._pending_misses += 1
         return None
 
-    def sync_stats(self) -> None:
-        """Flush pending access counts into the per-configuration stats."""
-        pending_lookups = self._pending_hits + self._pending_misses
-        if pending_lookups:
-            self.stats.hits += self._pending_hits
-            self.stats.misses += self._pending_misses
-            self.stats.lookups_by_ways[self.active_ways] += pending_lookups
-            self._pending_hits = 0
-            self._pending_misses = 0
-        if self._pending_fills:
-            self.stats.fills_by_ways[self.active_ways] += self._pending_fills
-            self._pending_fills = 0
-
-    @property
-    def interval_misses(self) -> int:
-        """Misses since the last :meth:`sync_stats`."""
-        return self._pending_misses
-
     def fill(self, key: int, value) -> None:
         """Insert a translation into the PLRU victim slot."""
         self._pending_fills += 1
@@ -184,6 +160,11 @@ class PLRUSetAssociativeTLB(TranslationStructure):
         for slots in self._slots:
             for way in range(self.ways):
                 slots[way] = None
+
+    @property
+    def active_units(self) -> int:
+        """Active ways: the capacity :meth:`sync_stats` files counts under."""
+        return self.active_ways
 
     def set_active_ways(self, ways: int) -> None:
         """Way-disabling: restrict lookups/fills to the first ``ways`` slots."""

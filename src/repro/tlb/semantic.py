@@ -12,7 +12,8 @@ Here the classifier is a chunk-granular map derived from the process's
 VMAs: THP-ineligible "stack"-named VMAs form the stack class, other
 ineligible VMAs the global class, everything else the heap class.
 Partitions can have different geometries; statistics stay per partition
-(they are separate structures to the energy model).
+(they are separate structures to the energy model), and
+:class:`repro.tlb.base.PartitionedTLB` sums them for reporting.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import ConfigurationError
-from ..stateful import require
-from .base import TranslationStructure
+from .base import PartitionedTLB
 from .set_assoc import SetAssociativeTLB
 
 #: Semantic classes, in partition order.
@@ -29,7 +29,7 @@ STACK, GLOBALS, HEAP = 0, 1, 2
 CLASS_NAMES = ("stack", "globals", "heap")
 
 
-class SemanticPartitionedTLB(TranslationStructure):
+class SemanticPartitionedTLB(PartitionedTLB):
     """An L1 TLB split into semantic partitions probed selectively."""
 
     def __init__(
@@ -41,86 +41,12 @@ class SemanticPartitionedTLB(TranslationStructure):
         super().__init__(name)
         if not partitions:
             raise ConfigurationError("need at least one partition")
-        self.partitions = partitions
+        self.parts = partitions
         self._classify = classify
 
-    def lookup(self, key: int):
-        """Probe only the partition owning the address's semantic class."""
-        return self.partitions[self._classify(key)].lookup(key)
-
-    def peek(self, key: int):
-        """Containment check without side effects."""
-        return self.partitions[self._classify(key)].peek(key)
-
-    def fill(self, key: int, value) -> None:
-        """Insert into the owning partition."""
-        self.partitions[self._classify(key)].fill(key, value)
-
-    def invalidate(self, key: int) -> bool:
-        """Remove one translation; returns True if it was present."""
-        return self.partitions[self._classify(key)].invalidate(key)
-
-    def flush(self) -> None:
-        """Invalidate every partition."""
-        for partition in self.partitions:
-            partition.flush()
-
-    def sync_stats(self) -> None:
-        """Aggregate partition counters (per-partition stats stay primary).
-
-        Hit/miss totals and the per-way histograms are summed for
-        reporting, keeping the aggregate self-consistent (histogram totals
-        equal hits + misses — the invariant auditor checks this identity
-        on every structure).  The merged histograms are *not* used for
-        energy: partitions have different geometries, so the energy model
-        binds each partition separately.
-        """
-        self.stats.reset()
-        for partition in self.partitions:
-            partition.sync_stats()
-            self.stats.hits += partition.stats.hits
-            self.stats.misses += partition.stats.misses
-            self.stats.lookups_by_ways.update(partition.stats.lookups_by_ways)
-            self.stats.fills_by_ways.update(partition.stats.fills_by_ways)
-
-    def reset_stats(self) -> None:
-        """Reset this structure's and every partition's statistics."""
-        for partition in self.partitions:
-            partition.sync_stats()
-            partition.stats.reset()
-        self.stats.reset()
-
-    @property
-    def interval_misses(self) -> int:
-        """Misses since the last sync, summed over partitions."""
-        return sum(partition.interval_misses for partition in self.partitions)
-
-    def occupancy(self) -> int:
-        """Valid entries across all partitions."""
-        return sum(partition.occupancy() for partition in self.partitions)
-
-    def state_dict(self) -> dict:
-        """Pure-JSON mutable state: every partition plus aggregate stats.
-
-        The classifier closure is construction geometry (derived from the
-        process's VMA layout, which the canonical rebuild reproduces), so
-        it is not serialized.
-        """
-        return {
-            "partitions": [partition.state_dict() for partition in self.partitions],
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot onto a canonically constructed structure."""
-        require(
-            len(state["partitions"]) == len(self.partitions),
-            f"{self.name}: snapshot holds {len(state['partitions'])} "
-            f"partitions, expected {len(self.partitions)}",
-        )
-        for partition, partition_state in zip(self.partitions, state["partitions"]):
-            partition.load_state_dict(partition_state)
-        self.stats.load_state_dict(state["stats"])
+    def _part(self, key: int) -> SetAssociativeTLB:
+        """The partition owning the address's semantic class."""
+        return self.parts[self._classify(key)]
 
 
 def classify_by_vma(address_space) -> Callable[[int], int]:

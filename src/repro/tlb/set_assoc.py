@@ -16,9 +16,10 @@ makes the counter-based miss prediction exact.
 
 Hot-path design: lookups and fills bump plain integers; the per-way-
 configuration histograms that energy accounting needs are flushed into
-:class:`repro.tlb.base.TLBStats` by :meth:`sync_stats`, which runs
-automatically whenever the active-way configuration changes (the only
-event that would mis-attribute pending counts).  Lite's LRU-distance
+:class:`repro.tlb.base.TLBStats` by
+:meth:`repro.tlb.base.BatchedTLB.sync_stats`, which runs automatically
+whenever the active-way configuration changes (the only event that
+would mis-attribute pending counts).  Lite's LRU-distance
 monitoring is a plain counter list (``hit_rank_counters``) incremented
 inline — the index is ``rank.bit_length()``, which groups stack positions
 exactly as the paper's Figure 6 does ({0}, {1}, {2-3}, {4-7}, ...).
@@ -28,14 +29,14 @@ from __future__ import annotations
 
 from ..errors import ConfigurationError
 from ..stateful import decode_entry, encode_entry, require
-from .base import TranslationStructure
+from .base import BatchedTLB
 
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-class SetAssociativeTLB(TranslationStructure):
+class SetAssociativeTLB(BatchedTLB):
     """A set-associative, true-LRU TLB keyed by page-granularity VPN.
 
     Parameters
@@ -66,9 +67,6 @@ class SetAssociativeTLB(TranslationStructure):
         "active_ways",
         "_sets",
         "hit_rank_counters",
-        "_pending_hits",
-        "_pending_misses",
-        "_pending_fills",
     )
 
     def __init__(self, name: str, entries: int, ways: int) -> None:
@@ -89,10 +87,6 @@ class SetAssociativeTLB(TranslationStructure):
         # Each set: list of [key, value] pairs ordered MRU -> LRU.
         self._sets: list[list[list]] = [[] for _ in range(self.num_sets)]
         self.hit_rank_counters: list[int] | None = None
-        # Pending counts since the last sync (all at current active_ways).
-        self._pending_hits = 0
-        self._pending_misses = 0
-        self._pending_fills = 0
 
     # ------------------------------------------------------------------
     # Core operations
@@ -157,29 +151,13 @@ class SetAssociativeTLB(TranslationStructure):
             entries.clear()
 
     # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def sync_stats(self) -> None:
-        """Flush pending access counts into the per-configuration stats."""
-        pending_lookups = self._pending_hits + self._pending_misses
-        if pending_lookups:
-            self.stats.hits += self._pending_hits
-            self.stats.misses += self._pending_misses
-            self.stats.lookups_by_ways[self.active_ways] += pending_lookups
-            self._pending_hits = 0
-            self._pending_misses = 0
-        if self._pending_fills:
-            self.stats.fills_by_ways[self.active_ways] += self._pending_fills
-            self._pending_fills = 0
-
-    @property
-    def interval_misses(self) -> int:
-        """Misses since the last :meth:`sync_stats` (Lite interval input)."""
-        return self._pending_misses
-
-    # ------------------------------------------------------------------
     # Way-disabling (the Lite reconfiguration mechanism)
     # ------------------------------------------------------------------
+    @property
+    def active_units(self) -> int:
+        """Active ways: the capacity :meth:`sync_stats` files counts under."""
+        return self.active_ways
+
     def set_active_ways(self, ways: int) -> None:
         """Reconfigure the number of active ways.
 

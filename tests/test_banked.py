@@ -17,7 +17,7 @@ class TestBankedStructure:
     def test_geometry(self):
         tlb = BankedSetAssociativeTLB("b", 64, 4, 4)
         assert tlb.bank_entries == 16
-        assert len(tlb.banks) == 4
+        assert len(tlb.parts) == 4
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -36,9 +36,9 @@ class TestBankedStructure:
         tlb = BankedSetAssociativeTLB("b", 64, 4, 4)
         key = 123
         tlb.fill(key, key)
-        bank = tlb._bank_for(key)
+        bank = tlb._part(key)
         assert bank.peek(key) == key
-        for other in tlb.banks:
+        for other in tlb.parts:
             if other is not bank:
                 assert other.peek(key) is None
 
