@@ -13,11 +13,13 @@ smaller L1-4KB TLBs once huge pages serve the bulk of translations, and
 motivation for Lite's dynamic resizing.
 """
 
+from dataclasses import replace
+
 from conftest import BENCH_ACCESSES, emit
 
 from repro.analysis.experiments import ExperimentSettings, run_workload_config
 from repro.analysis.report import render_series, render_table
-from repro.core.params import HierarchyParams, SimulationParams
+from repro.core.params import HierarchyParams, SetAssocParams, SimulationParams
 from repro.workloads.registry import tlb_intensive_workloads
 
 SETTINGS = ExperimentSettings(
@@ -28,8 +30,8 @@ SETTINGS = ExperimentSettings(
 VARIANTS = {
     "Base": ("4KB", HierarchyParams()),
     "64": ("THP", HierarchyParams()),
-    "32": ("THP", HierarchyParams().with_l1_4kb(32, 2)),
-    "16": ("THP", HierarchyParams().with_l1_4kb(16, 1)),
+    "32": ("THP", replace(HierarchyParams(), l1_4kb=SetAssocParams(32, 2))),
+    "16": ("THP", replace(HierarchyParams(), l1_4kb=SetAssocParams(16, 1))),
 }
 
 

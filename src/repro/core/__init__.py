@@ -8,7 +8,7 @@ from .hierarchy import (
     MixedTLBHierarchy,
     TLBHierarchy,
 )
-from .lite import LiteController, LiteIntervalRecord, LiteStats, ResizableUnit
+from .lite import LiteController, LiteIntervalRecord, LiteStats
 from .organizations import (
     CONFIG_NAMES,
     EXTENDED_CONFIG_NAMES,
@@ -46,7 +46,6 @@ __all__ = [
     "LiteController",
     "LiteIntervalRecord",
     "LiteStats",
-    "ResizableUnit",
     "TLBHierarchy",
     "MixedTLBHierarchy",
     "BaseHierarchy",

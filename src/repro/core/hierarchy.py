@@ -110,7 +110,7 @@ class BaseHierarchy:
             self._l2_range_active = self.l2_range
 
     def page_structures(self) -> list[TranslationStructure]:
-        """The page TLBs, in probe order."""
+        """The page TLBs, in probe order; the L2 comes last."""
         raise NotImplementedError
 
     def all_structures(self) -> list[TranslationStructure]:
@@ -662,7 +662,7 @@ class FullyAssociativeL1Hierarchy(BaseHierarchy):
     Section 4.4: a single fully-associative L1 holds translations of all
     page sizes (one masked CAM search per access), backed by the usual
     4 KB-only L2.  Lite resizes the structure in powers of two through
-    ``set_active_entries``, clustering LRU distances "as if there were
+    ``set_active_units``, clustering LRU distances "as if there were
     ways".
     """
 

@@ -27,47 +27,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError, SimulationError, UsageError
+from ..errors import ConfigurationError, SimulationError
 from ..stateful import require, rng_state_from_json, rng_state_to_json
 from .counters import LRUDistanceCounters
 from .params import LiteParams
-
-
-class ResizableUnit:
-    """Adapter giving Lite one interface over its two TLB flavours.
-
-    Set-associative TLBs resize by *ways* (``set_active_ways``); fully-
-    associative ones (Section 4.4) resize by *entries*
-    (``set_active_entries``).  Both expose power-of-two capacities and
-    report the current one as ``active_units``.
-    """
-
-    def __init__(self, tlb) -> None:
-        self.tlb = tlb
-        if hasattr(tlb, "set_active_ways"):
-            self.max_units = tlb.ways
-            self._setter = tlb.set_active_ways
-        elif hasattr(tlb, "set_active_entries"):
-            self.max_units = tlb.entries
-            self._setter = tlb.set_active_entries
-        else:
-            raise UsageError(f"{tlb!r} is not resizable")
-        if self.max_units & (self.max_units - 1):
-            raise ConfigurationError(
-                f"{tlb.name}: capacity {self.max_units} not a power of two"
-            )
-
-    @property
-    def name(self) -> str:
-        return self.tlb.name
-
-    @property
-    def active_units(self) -> int:
-        return self.tlb.active_units
-
-    def resize(self, units: int) -> None:
-        if units != self.tlb.active_units:
-            self._setter(units)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,17 +86,23 @@ class LiteController:
 
     The caller (the simulator) invokes :meth:`end_interval` every
     ``params.interval_instructions`` instructions with the aggregate L1
-    miss count of the interval just ended.
+    miss count of the interval just ended.  Each monitored TLB has a
+    power-of-two ``max_units`` (ways, or entries for Section 4.4's
+    fully-associative TLBs) and resizes through ``set_active_units``.
     """
 
     def __init__(self, tlbs: list, params: LiteParams) -> None:
         self.params = params
-        self.units = [ResizableUnit(tlb) for tlb in tlbs]
+        self.tlbs = list(tlbs)
         self.counters: dict[str, LRUDistanceCounters] = {}
-        for unit in self.units:
-            counters = LRUDistanceCounters(unit.max_units)
-            unit.tlb.hit_rank_counters = counters.raw
-            self.counters[unit.name] = counters
+        for tlb in self.tlbs:
+            if tlb.max_units & (tlb.max_units - 1):
+                raise ConfigurationError(
+                    f"{tlb.name}: capacity {tlb.max_units} not a power of two"
+                )
+            counters = LRUDistanceCounters(tlb.max_units)
+            tlb.hit_rank_counters = counters.raw
+            self.counters[tlb.name] = counters
         self._rng = random.Random(params.seed)
         self.previous_mpki: float | None = None
         self.stats = LiteStats()
@@ -159,8 +128,8 @@ class LiteController:
             self._activate_all()
         else:
             action = "decide"
-            for unit in self.units:
-                self._decide(unit, actual_mpki, instructions)
+            for tlb in self.tlbs:
+                self._decide(tlb, actual_mpki, instructions)
         self.stats.record_interval(action)
         self.previous_mpki = actual_mpki
         for counters in self.counters.values():
@@ -177,18 +146,24 @@ class LiteController:
 
     # ------------------------------------------------------------------
     def _activate_all(self) -> None:
-        for unit in self.units:
-            unit.resize(unit.max_units)
+        """Re-enable the full capacity of every monitored TLB.
 
-    def _decide(self, unit: ResizableUnit, actual_mpki: float, instructions: int) -> None:
+        A resize syncs pending counts into the histograms, which
+        snapshots see, so a TLB already at full size is left alone.
+        """
+        for tlb in self.tlbs:
+            if tlb.active_units != tlb.max_units:
+                tlb.set_active_units(tlb.max_units)
+
+    def _decide(self, tlb, actual_mpki: float, instructions: int) -> None:
         """Pick the smallest way count within ε of the actual MPKI.
 
         The predicted extra misses grow monotonically as ways shrink, so
         the scan halves the way count until the threshold is exceeded.
         """
-        counters = self.counters[unit.name]
+        counters = self.counters[tlb.name]
         threshold = self.params.threshold(actual_mpki)
-        chosen = unit.active_units
+        chosen = tlb.active_units
         candidate = chosen // 2
         while candidate >= self.params.min_ways:
             predicted_mpki = (
@@ -198,14 +173,14 @@ class LiteController:
                 break
             chosen = candidate
             candidate //= 2
-        if chosen != unit.active_units:
+        if chosen != tlb.active_units:
             self.stats.record_downsize()
-            unit.resize(chosen)
+            tlb.set_active_units(chosen)
 
     # ------------------------------------------------------------------
     def active_configuration(self) -> dict[str, int]:
         """Current active units per monitored TLB."""
-        return {unit.name: unit.active_units for unit in self.units}
+        return {tlb.name: tlb.active_units for tlb in self.tlbs}
 
     # ------------------------------------------------------------------
     # Checkpoint protocol

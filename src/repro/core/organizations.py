@@ -12,18 +12,18 @@ RMM_Lite    L1-4KB (Lite) ∥ 4-entry L1-range,      eager paging (4 KB layout)
             L2-4KB ∥ L2-range
 ==========  =====================================  ==========================
 
-Each builder wires the hierarchy to a populated :class:`repro.mem.Process`
-and produces the energy bindings that map every structure's per-way access
-histogram onto Table 2 parameters.  :data:`CONFIG_SPECS` maps each of the
-thirteen configuration names (these six plus the extensions) to its
-builder, its paging policy and its paper Lite parameters; every lookup by
-name goes through it.
+Each builder wires the hierarchy to a populated :class:`repro.mem.Process`;
+:func:`energy_bindings` derives from that hierarchy the bindings that map
+every structure's per-way access histogram onto Table 2 parameters.
+:data:`CONFIG_SPECS` maps each of the thirteen configuration names (these
+six plus the extensions) to its builder, its paging policy and its paper
+Lite parameters; every lookup by name goes through it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ..energy.cacti import (
     MMU_CACHE_PDE,
@@ -36,7 +36,6 @@ from ..energy.model import EnergyBinding
 from ..errors import ConfigurationError, UnknownConfigError
 from ..mem.paging import DemandPaging, EagerPaging, PagingPolicy, TransparentHugePaging
 from ..mem.process import Process
-from ..mmu.mmu_cache import MMUCache
 from ..mmu.translation import PageSize
 from ..mmu.walker import PageWalker
 from ..tlb.banked import BankedSetAssociativeTLB
@@ -64,53 +63,68 @@ from .params import (
     scaled_lite_interval,
 )
 
+
 @dataclass(slots=True)
 class Organization:
-    """A fully wired configuration ready to simulate."""
+    """A fully wired configuration ready to simulate.
+
+    ``bindings`` is derived from the hierarchy by :func:`energy_bindings`.
+    """
 
     name: str
     hierarchy: BaseHierarchy
-    bindings: list[EnergyBinding]
     lite: LiteController | None
     summary: ConfigurationSummary
+    bindings: list[EnergyBinding] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.bindings = energy_bindings(self.hierarchy)
 
 
 # ----------------------------------------------------------------------
-# Energy-binding helpers
+# Energy bindings
 # ----------------------------------------------------------------------
-def _sa_binding(tlb: SetAssociativeTLB, component: str) -> EnergyBinding:
-    """Set-associative TLB: way-disabling keeps sets constant (Table 2)."""
-    sets = tlb.num_sets
-    return EnergyBinding(
-        tlb.name, component, tlb.stats, lambda ways: page_tlb_params(sets * ways, ways)
-    )
+def energy_bindings(hierarchy: BaseHierarchy) -> list[EnergyBinding]:
+    """Bind every structure's histograms to its Table 2 prices.
 
+    Bindings follow :meth:`BaseHierarchy.all_structures`: the L1 page
+    structures, the last page structure (the L2), the range TLBs, then
+    the MMU caches.  :meth:`repro.energy.model.EnergyModel.compute` adds
+    energies in this order, so it fixes their last ulp.  A semantic TLB
+    is bound part by part; a banked TLB is one structure whose every
+    probe reads one bank.  The PDE cache keeps its own Table 2 row.
+    """
+    pde = hierarchy.walker.mmu_cache.pde
 
-def _fa_binding(tlb: FullyAssociativeTLB, component: str) -> EnergyBinding:
-    return EnergyBinding(
-        tlb.name, component, tlb.stats, lambda units: fully_assoc_params(units)
-    )
+    def prices(tlb) -> Callable[[int], EnergyParams]:
+        if tlb is pde:
+            return lambda _units: MMU_CACHE_PDE
+        if isinstance(tlb, BankedSetAssociativeTLB):
+            tlb = tlb.parts[0]  # every probe reads one bank
+        if isinstance(tlb, SetAssociativeTLB):
+            sets = tlb.num_sets  # way-disabling keeps the sets (Table 2)
+            return lambda ways: page_tlb_params(sets * ways, ways)
+        if isinstance(tlb, RangeTLB):
+            return lambda units: fully_assoc_params(units, range_tags=True)
+        if isinstance(tlb, MixedFullyAssociativeTLB):
+            return mixed_fa_tlb_params
+        return fully_assoc_params
 
-
-def _range_binding(tlb: RangeTLB, component: str) -> EnergyBinding:
-    return EnergyBinding(
-        tlb.name,
-        component,
-        tlb.stats,
-        lambda units: fully_assoc_params(units, range_tags=True),
-    )
-
-
-def _constant_binding(structure, component: str, params: EnergyParams) -> EnergyBinding:
-    return EnergyBinding(structure.name, component, structure.stats, lambda _units: params)
-
-
-def _mmu_cache_bindings(mmu_cache: MMUCache) -> list[EnergyBinding]:
-    return [
-        _constant_binding(mmu_cache.pde, "mmu_cache", MMU_CACHE_PDE),
-        _fa_binding(mmu_cache.pdpte, "mmu_cache"),
-        _fa_binding(mmu_cache.pml4, "mmu_cache"),
-    ]
+    *l1_pages, l2_page = hierarchy.page_structures()
+    components = dict.fromkeys(l1_pages, "l1_page_tlbs")
+    components[l2_page] = "l2_page_tlb"
+    # An absent range TLB's ``None`` key matches no structure.
+    components[hierarchy.l1_range] = "l1_range_tlb"
+    components[hierarchy.l2_range] = "l2_range_tlb"
+    bindings = []
+    for structure in hierarchy.all_structures():
+        component = components.get(structure, "mmu_cache")
+        semantic = isinstance(structure, SemanticPartitionedTLB)
+        for tlb in structure.parts if semantic else [structure]:
+            bindings.append(
+                EnergyBinding(tlb.name, component, tlb.stats, prices(tlb), tlb.max_units)
+            )
+    return bindings
 
 
 # ----------------------------------------------------------------------
@@ -152,28 +166,13 @@ def _huge_chunks(process: Process, design: str) -> frozenset[int]:
     return frozenset(chunks)
 
 
-def _paged_bindings(hierarchy: TLBHierarchy) -> list[EnergyBinding]:
-    bindings: list[EnergyBinding] = []
-    for slot in hierarchy.l1_slots:
-        if isinstance(slot.tlb, SetAssociativeTLB):
-            bindings.append(_sa_binding(slot.tlb, "l1_page_tlbs"))
-        else:
-            bindings.append(_fa_binding(slot.tlb, "l1_page_tlbs"))
-    bindings.append(_sa_binding(hierarchy.l2_page, "l2_page_tlb"))
-    if hierarchy.l1_range is not None:
-        bindings.append(_range_binding(hierarchy.l1_range, "l1_range_tlb"))
-    if hierarchy.l2_range is not None:
-        bindings.append(_range_binding(hierarchy.l2_range, "l2_range_tlb"))
-    bindings.extend(_mmu_cache_bindings(hierarchy.walker.mmu_cache))
-    return bindings
-
-
 # ----------------------------------------------------------------------
 # Configuration builders
 # ----------------------------------------------------------------------
-def build_4kb(process: Process, params: HierarchyParams | None = None) -> Organization:
+def build_4kb(
+    process: Process, params: HierarchyParams = HierarchyParams()
+) -> Organization:
     """Baseline: 4 KB pages only; huge-page L1 TLBs never enable."""
-    params = params or HierarchyParams()
     hierarchy = TLBHierarchy(
         _paged_l1_slots(params), _l2_page_tlb(params), PageWalker(process.page_table)
     )
@@ -186,12 +185,13 @@ def build_4kb(process: Process, params: HierarchyParams | None = None) -> Organi
         ),
         notes="huge-page L1 TLBs statically disabled",
     )
-    return Organization("4KB", hierarchy, _paged_bindings(hierarchy), None, summary)
+    return Organization("4KB", hierarchy, None, summary)
 
 
-def build_thp(process: Process, params: HierarchyParams | None = None) -> Organization:
+def build_thp(
+    process: Process, params: HierarchyParams = HierarchyParams()
+) -> Organization:
     """Transparent huge pages: the state of the practice (Section 5)."""
-    params = params or HierarchyParams()
     hierarchy = TLBHierarchy(
         _paged_l1_slots(params), _l2_page_tlb(params), PageWalker(process.page_table)
     )
@@ -204,7 +204,7 @@ def build_thp(process: Process, params: HierarchyParams | None = None) -> Organi
             f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
         ),
     )
-    return Organization("THP", hierarchy, _paged_bindings(hierarchy), None, summary)
+    return Organization("THP", hierarchy, None, summary)
 
 
 def _lite_controller(hierarchy: TLBHierarchy, lite_params: LiteParams) -> LiteController:
@@ -222,7 +222,7 @@ def _lite_controller(hierarchy: TLBHierarchy, lite_params: LiteParams) -> LiteCo
 
 def build_tlb_lite(
     process: Process,
-    params: HierarchyParams | None = None,
+    params: HierarchyParams = HierarchyParams(),
     lite_params: LiteParams = TLB_LITE_PARAMS,
 ) -> Organization:
     """TLB_Lite: THP hierarchy + the Lite way-disabling mechanism."""
@@ -237,14 +237,13 @@ def build_tlb_lite(
             f"ε {lite_params.threshold_mode}"
         ),
     )
-    return Organization(
-        "TLB_Lite", organization.hierarchy, organization.bindings, lite, summary
-    )
+    return Organization("TLB_Lite", organization.hierarchy, lite, summary)
 
 
-def build_rmm(process: Process, params: HierarchyParams | None = None) -> Organization:
+def build_rmm(
+    process: Process, params: HierarchyParams = HierarchyParams()
+) -> Organization:
     """RMM: THP hierarchy + 32-entry fully-associative L2-range TLB."""
-    params = params or HierarchyParams()
     if len(process.range_table) == 0:
         raise ConfigurationError("RMM needs an eager-paged process (empty range table)")
     hierarchy = TLBHierarchy(
@@ -265,10 +264,12 @@ def build_rmm(process: Process, params: HierarchyParams | None = None) -> Organi
         ),
         notes="perfect eager paging",
     )
-    return Organization("RMM", hierarchy, _paged_bindings(hierarchy), None, summary)
+    return Organization("RMM", hierarchy, None, summary)
 
 
-def build_tlb_pp(process: Process, params: HierarchyParams | None = None) -> Organization:
+def build_tlb_pp(
+    process: Process, params: HierarchyParams = HierarchyParams()
+) -> Organization:
     """TLB_PP: perfect TLB_Pred — mixed-size L1/L2, free perfect predictor.
 
     The mixed L1 keeps the L1-4KB geometry (64 entries, 4-way) and is
@@ -276,17 +277,11 @@ def build_tlb_pp(process: Process, params: HierarchyParams | None = None) -> Org
     nothing.  As the paper notes, this under-reports TLB_Pred's true cost
     by design ("unrealizable in practice").
     """
-    params = params or HierarchyParams()
     l1_mixed = SetAssociativeTLB("L1-mixed", params.l1_4kb.entries, params.l1_4kb.ways)
     l2_mixed = SetAssociativeTLB("L2-mixed", params.l2_page.entries, params.l2_page.ways)
     hierarchy = MixedTLBHierarchy(
         l1_mixed, l2_mixed, PageWalker(process.page_table), _huge_chunks(process, "TLB_PP")
     )
-    bindings = [
-        _sa_binding(l1_mixed, "l1_page_tlbs"),
-        _sa_binding(l2_mixed, "l2_page_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
     summary = ConfigurationSummary(
         "TLB_PP",
         ("4KB", "2MB"),
@@ -296,12 +291,12 @@ def build_tlb_pp(process: Process, params: HierarchyParams | None = None) -> Org
         ),
         notes="perfect, zero-energy page-size predictor",
     )
-    return Organization("TLB_PP", hierarchy, bindings, None, summary)
+    return Organization("TLB_PP", hierarchy, None, summary)
 
 
 def build_rmm_lite(
     process: Process,
-    params: HierarchyParams | None = None,
+    params: HierarchyParams = HierarchyParams(),
     lite_params: LiteParams = RMM_LITE_PARAMS,
 ) -> Organization:
     """RMM_Lite: 4 KB pages + ranges at both levels, Lite on the L1-4KB.
@@ -309,7 +304,6 @@ def build_rmm_lite(
     The huge-page L1 TLBs are replaced by the L1-range TLB (Section 4.3),
     so the process must be eager-paged with a 4 KB redundant layout.
     """
-    params = params or HierarchyParams()
     if len(process.range_table) == 0:
         raise ConfigurationError("RMM_Lite needs an eager-paged process (empty range table)")
     l1_4kb = SetAssociativeTLB("L1-4KB", params.l1_4kb.entries, params.l1_4kb.ways)
@@ -334,16 +328,13 @@ def build_rmm_lite(
         lite=f"absolute ε {lite_params.epsilon_absolute} MPKI",
         notes="perfect eager paging; L1 huge-page TLBs replaced by L1-range",
     )
-    return Organization(
-        "RMM_Lite", hierarchy, _paged_bindings(hierarchy), lite, summary
-    )
+    return Organization("RMM_Lite", hierarchy, lite, summary)
 
 
 def build_fa_lite(
     process: Process,
-    params: HierarchyParams | None = None,
+    params: HierarchyParams = HierarchyParams(),
     lite_params: LiteParams = TLB_LITE_PARAMS,
-    fa_entries: int = 64,
 ) -> Organization:
     """FA_Lite: single fully-associative mixed L1 TLB + Lite (Section 4.4).
 
@@ -351,34 +342,26 @@ def build_fa_lite(
     2 MB translations together, so each access probes a single structure;
     Lite resizes its capacity in powers of two.
     """
-    params = params or HierarchyParams()
-    l1_fa = MixedFullyAssociativeTLB("L1-FA", fa_entries)
+    l1_fa = MixedFullyAssociativeTLB("L1-FA", 64)
     hierarchy = FullyAssociativeL1Hierarchy(
         l1_fa, _l2_page_tlb(params), PageWalker(process.page_table)
     )
-    bindings = [
-        EnergyBinding(
-            l1_fa.name, "l1_page_tlbs", l1_fa.stats, lambda units: mixed_fa_tlb_params(units)
-        ),
-        _sa_binding(hierarchy.l2_page, "l2_page_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
     lite = LiteController([l1_fa], lite_params)
     summary = ConfigurationSummary(
         "FA_Lite",
         ("4KB", "2MB"),
         (
-            f"L1-FA {fa_entries}e fully assoc (all page sizes)",
+            f"L1-FA {l1_fa.entries}e fully assoc (all page sizes)",
             f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
         ),
         lite="capacity resizing in powers of two (Section 4.4)",
     )
-    return Organization("FA_Lite", hierarchy, bindings, lite, summary)
+    return Organization("FA_Lite", hierarchy, lite, summary)
 
 
 def build_rmm_pp_lite(
     process: Process,
-    params: HierarchyParams | None = None,
+    params: HierarchyParams = HierarchyParams(),
     lite_params: LiteParams = RMM_LITE_PARAMS,
 ) -> Organization:
     """RMM_PP_Lite: the combined design the paper proposes (Section 6.1).
@@ -387,7 +370,6 @@ def build_rmm_pp_lite(
     the L1-range TLB for range translations, the TLB_PP for pages, and
     the Lite mechanism to disable ways opportunistically."
     """
-    params = params or HierarchyParams()
     if len(process.range_table) == 0:
         raise ConfigurationError("RMM_PP_Lite needs an eager-paged process")
     l1_mixed = SetAssociativeTLB("L1-mixed", params.l1_4kb.entries, params.l1_4kb.ways)
@@ -402,13 +384,6 @@ def build_rmm_pp_lite(
         range_table=process.range_table,
     )
     lite = LiteController([l1_mixed], lite_params)
-    bindings = [
-        _sa_binding(l1_mixed, "l1_page_tlbs"),
-        _sa_binding(l2_mixed, "l2_page_tlb"),
-        _range_binding(hierarchy.l1_range, "l1_range_tlb"),
-        _range_binding(hierarchy.l2_range, "l2_range_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
     summary = ConfigurationSummary(
         "RMM_PP_Lite",
         ("4KB", "2MB", "range"),
@@ -421,14 +396,13 @@ def build_rmm_pp_lite(
         lite=f"absolute ε {lite_params.epsilon_absolute} MPKI",
         notes="combined TLB_PP + RMM_Lite (paper Section 6.1 future work)",
     )
-    return Organization("RMM_PP_Lite", hierarchy, bindings, lite, summary)
+    return Organization("RMM_PP_Lite", hierarchy, lite, summary)
 
 
 def build_l0_filter(
     process: Process,
-    params: HierarchyParams | None = None,
+    params: HierarchyParams = HierarchyParams(),
     lite_params: LiteParams | None = None,
-    l0_entries: int = 8,
 ) -> Organization:
     """L0_Filter / L0_Lite: TLB filtering (paper Section 7 related work).
 
@@ -438,20 +412,12 @@ def build_l0_filter(
     TLBs behind the filter — the combination the paper argues is possible
     because the approaches are orthogonal.
     """
-    params = params or HierarchyParams()
-    l0 = MixedFullyAssociativeTLB("L0-filter", l0_entries)
+    l0 = MixedFullyAssociativeTLB("L0-filter", 8)
     hierarchy = L0FilterHierarchy(
         _paged_l1_slots(params),
         _l2_page_tlb(params),
         PageWalker(process.page_table),
         l0=l0,
-    )
-    bindings = _paged_bindings(hierarchy)
-    bindings.insert(
-        0,
-        EnergyBinding(
-            l0.name, "l1_page_tlbs", l0.stats, lambda units: mixed_fa_tlb_params(units)
-        ),
     )
     lite = None
     name = "L0_Filter"
@@ -462,7 +428,7 @@ def build_l0_filter(
         name,
         ("4KB", "2MB"),
         (
-            f"L0-filter {l0_entries}e fully assoc (all page sizes)",
+            f"L0-filter {l0.entries}e fully assoc (all page sizes)",
             f"L1-4KB {params.l1_4kb.entries}e/{params.l1_4kb.ways}w",
             f"L1-2MB {params.l1_2mb.entries}e/{params.l1_2mb.ways}w",
             f"L2-4KB {params.l2_page.entries}e/{params.l2_page.ways}w",
@@ -470,12 +436,12 @@ def build_l0_filter(
         lite=None if lite is None else "on the L1-page TLBs behind the filter",
         notes="TLB filtering baseline (Xue et al. / filtering line of work)",
     )
-    return Organization(name, hierarchy, bindings, lite, summary)
+    return Organization(name, hierarchy, lite, summary)
 
 
 def build_tlb_pred(
     process: Process,
-    params: HierarchyParams | None = None,
+    params: HierarchyParams = HierarchyParams(),
     predictor_entries: int = 512,
 ) -> Organization:
     """TLB_Pred with a realistic predictor (paper Section 6.1 caveat).
@@ -484,7 +450,6 @@ def build_tlb_pred(
     direct-mapped last-size table: mispredictions cost a second L1 probe
     (energy) and a retry (timing, counted as an L1 miss).
     """
-    params = params or HierarchyParams()
     l1_mixed = SetAssociativeTLB("L1-mixed", params.l1_4kb.entries, params.l1_4kb.ways)
     l2_mixed = SetAssociativeTLB("L2-mixed", params.l2_page.entries, params.l2_page.ways)
     hierarchy = PredictedMixedHierarchy(
@@ -494,11 +459,6 @@ def build_tlb_pred(
         _huge_chunks(process, "TLB_Pred"),
         predictor_entries=predictor_entries,
     )
-    bindings = [
-        _sa_binding(l1_mixed, "l1_page_tlbs"),
-        _sa_binding(l2_mixed, "l2_page_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
     summary = ConfigurationSummary(
         "TLB_Pred",
         ("4KB", "2MB"),
@@ -509,12 +469,12 @@ def build_tlb_pred(
         ),
         notes="realistic (fallible) page-size predictor",
     )
-    return Organization("TLB_Pred", hierarchy, bindings, None, summary)
+    return Organization("TLB_Pred", hierarchy, None, summary)
 
 
 def build_banked(
     process: Process,
-    params: HierarchyParams | None = None,
+    params: HierarchyParams = HierarchyParams(),
     banks: int = 4,
 ) -> Organization:
     """Banked baseline (paper Section 7): probe one L1-4KB bank per access.
@@ -524,32 +484,12 @@ def build_banked(
     quarter of the TLB for 4 banks) at the cost of bank-conflict
     pressure.  The other structures match the THP configuration.
     """
-    params = params or HierarchyParams()
     banked = BankedSetAssociativeTLB(
         "L1-4KB", params.l1_4kb.entries, params.l1_4kb.ways, banks
     )
-    slots = [
-        L1Slot(banked, PageSize.SIZE_4KB),
-        L1Slot(
-            SetAssociativeTLB("L1-2MB", params.l1_2mb.entries, params.l1_2mb.ways),
-            PageSize.SIZE_2MB,
-        ),
-        L1Slot(FullyAssociativeTLB("L1-1GB", params.l1_1gb_entries), PageSize.SIZE_1GB),
-    ]
+    slots = _paged_l1_slots(params)
+    slots[0] = L1Slot(banked, PageSize.SIZE_4KB)
     hierarchy = TLBHierarchy(slots, _l2_page_tlb(params), PageWalker(process.page_table))
-    bank_sets = banked.bank_entries // params.l1_4kb.ways
-    bindings = [
-        EnergyBinding(
-            banked.name,
-            "l1_page_tlbs",
-            banked.stats,
-            lambda ways: page_tlb_params(bank_sets * ways, ways),
-        ),
-        _sa_binding(slots[1].tlb, "l1_page_tlbs"),
-        _fa_binding(slots[2].tlb, "l1_page_tlbs"),
-        _sa_binding(hierarchy.l2_page, "l2_page_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
     summary = ConfigurationSummary(
         "Banked",
         ("4KB", "2MB"),
@@ -561,12 +501,12 @@ def build_banked(
         ),
         notes="banked-TLB baseline (Section 7 related work)",
     )
-    return Organization("Banked", hierarchy, bindings, None, summary)
+    return Organization("Banked", hierarchy, None, summary)
 
 
 def build_semantic(
     process: Process,
-    params: HierarchyParams | None = None,
+    params: HierarchyParams = HierarchyParams(),
 ) -> Organization:
     """Semantic baseline (paper Section 7): partitioned L1-4KB TLB.
 
@@ -576,7 +516,6 @@ def build_semantic(
     is known from the region, no prediction needed).  Other structures
     match THP.
     """
-    params = params or HierarchyParams()
     partitions = [
         SetAssociativeTLB("L1-4KB-stack", 16, params.l1_4kb.ways),
         SetAssociativeTLB("L1-4KB-globals", 16, params.l1_4kb.ways),
@@ -585,23 +524,9 @@ def build_semantic(
     partitioned = SemanticPartitionedTLB(
         "L1-4KB", partitions, classify_by_vma(process.address_space)
     )
-    slots = [
-        L1Slot(partitioned, PageSize.SIZE_4KB),
-        L1Slot(
-            SetAssociativeTLB("L1-2MB", params.l1_2mb.entries, params.l1_2mb.ways),
-            PageSize.SIZE_2MB,
-        ),
-        L1Slot(FullyAssociativeTLB("L1-1GB", params.l1_1gb_entries), PageSize.SIZE_1GB),
-    ]
+    slots = _paged_l1_slots(params)
+    slots[0] = L1Slot(partitioned, PageSize.SIZE_4KB)
     hierarchy = TLBHierarchy(slots, _l2_page_tlb(params), PageWalker(process.page_table))
-    bindings = [
-        _sa_binding(partition, "l1_page_tlbs") for partition in partitions
-    ] + [
-        _sa_binding(slots[1].tlb, "l1_page_tlbs"),
-        _fa_binding(slots[2].tlb, "l1_page_tlbs"),
-        _sa_binding(hierarchy.l2_page, "l2_page_tlb"),
-        *_mmu_cache_bindings(hierarchy.walker.mmu_cache),
-    ]
     summary = ConfigurationSummary(
         "Semantic",
         ("4KB", "2MB"),
@@ -613,7 +538,7 @@ def build_semantic(
         ),
         notes="semantic-region partitioning baseline (Section 7 related work)",
     )
-    return Organization("Semantic", hierarchy, bindings, None, summary)
+    return Organization("Semantic", hierarchy, None, summary)
 
 
 # ----------------------------------------------------------------------
@@ -691,7 +616,7 @@ def paging_policy_for(config_name: str, thp_coverage: float = 1.0) -> PagingPoli
 def build_organization(
     config_name: str,
     process: Process,
-    params: HierarchyParams | None = None,
+    params: HierarchyParams = HierarchyParams(),
     lite_params: LiteParams | None = None,
 ) -> Organization:
     """Build any named configuration against a populated process.
@@ -701,6 +626,7 @@ def build_organization(
     :func:`lite_params_for`'s trace-scaled parameters instead.
     """
     spec = _spec(config_name)
+    params = params or HierarchyParams()
     if spec.lite is None:
         return spec.builder(process, params)
     return spec.builder(process, params, lite_params=lite_params or spec.lite)

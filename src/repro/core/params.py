@@ -45,17 +45,6 @@ class HierarchyParams:
     l1_range_entries: int = 4
     l2_range_entries: int = 32
 
-    def with_l1_4kb(self, entries: int, ways: int) -> "HierarchyParams":
-        """Copy with a different L1-4KB TLB (Figure 4's 64/32/16 sweep)."""
-        return HierarchyParams(
-            l1_4kb=SetAssocParams(entries, ways),
-            l1_2mb=self.l1_2mb,
-            l1_1gb_entries=self.l1_1gb_entries,
-            l2_page=self.l2_page,
-            l1_range_entries=self.l1_range_entries,
-            l2_range_entries=self.l2_range_entries,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class LiteParams:

@@ -9,7 +9,6 @@ from .cacti import (
     TABLE2_RANGE_TLB,
     EnergyParams,
     fully_assoc_params,
-    lite_resized_params,
     page_tlb_params,
 )
 from .model import COMPONENTS, EnergyBinding, EnergyBreakdown, EnergyModel
@@ -26,7 +25,6 @@ __all__ = [
     "EnergyParams",
     "page_tlb_params",
     "fully_assoc_params",
-    "lite_resized_params",
     "TABLE2_PAGE_TLB",
     "TABLE2_FULLY_ASSOC",
     "TABLE2_RANGE_TLB",

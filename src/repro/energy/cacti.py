@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError
-
 
 @dataclass(frozen=True, slots=True)
 class EnergyParams:
@@ -147,15 +145,3 @@ def mixed_fa_tlb_params(entries: int) -> EnergyParams:
     """
     return fully_assoc_params(entries).scaled(1.5)
 
-
-def lite_resized_params(full: EnergyParams, fraction: float) -> EnergyParams:
-    """Energy of a fully-associative structure resized by Lite.
-
-    Section 4.4: Lite shrinks fully-associative TLBs in powers of two.
-    CACTI has no "partially enabled CAM" mode; we scale the full
-    structure's energy by the active fraction raised to the CAM exponent,
-    consistent with :func:`fully_assoc_params`.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigurationError("fraction must be in (0, 1]")
-    return full.scaled(fraction**0.7)

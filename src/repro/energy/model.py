@@ -41,13 +41,15 @@ class EnergyBinding:
 
     ``params_for_ways`` maps the number of active ways (or active entries
     for fully-associative structures) to the :class:`EnergyParams` of the
-    equivalent structure, per Table 2's way-disabling convention.
+    equivalent structure, per Table 2's way-disabling convention;
+    ``full_units`` is the structure's capacity with every way enabled.
     """
 
     name: str
     component: str
     stats: TLBStats
     params_for_ways: Callable[[int], EnergyParams]
+    full_units: int
 
 
 @dataclass(slots=True)
@@ -78,23 +80,16 @@ class EnergyBreakdown:
 class EnergyModel:
     """Computes an :class:`EnergyBreakdown` from simulation statistics."""
 
-    def __init__(
-        self,
-        walk_l1_hit_ratio: float = 1.0,
-        l1_cache_read_pj: float = L1_CACHE.read_pj,
-        l2_cache_read_pj: float = L2_CACHE_READ_PJ,
-    ) -> None:
+    def __init__(self, walk_l1_hit_ratio: float = 1.0) -> None:
         if not 0.0 <= walk_l1_hit_ratio <= 1.0:
             raise ConfigurationError("walk_l1_hit_ratio must be in [0, 1]")
         self.walk_l1_hit_ratio = walk_l1_hit_ratio
-        self.l1_cache_read_pj = l1_cache_read_pj
-        self.l2_cache_read_pj = l2_cache_read_pj
 
     @property
     def walk_ref_pj(self) -> float:
         """Energy of one page-table (or range-table) memory reference."""
         ratio = self.walk_l1_hit_ratio
-        return ratio * self.l1_cache_read_pj + (1.0 - ratio) * self.l2_cache_read_pj
+        return ratio * L1_CACHE.read_pj + (1.0 - ratio) * L2_CACHE_READ_PJ
 
     def structure_energy(self, binding: EnergyBinding) -> float:
         """Apply ``E = A*E_read + M*E_write`` over the way histograms.

@@ -58,11 +58,6 @@ class StaticEnergyModel:
         lookup histogram and the execution time.
         """
         seconds = self.execution_seconds(result)
-        full_units = {
-            structure.name: getattr(structure, "ways", None)
-            or getattr(structure, "entries", 1)
-            for structure in organization.hierarchy.all_structures()
-        }
         leakage: dict[str, float] = {}
         for binding in organization.bindings:
             stats = result.structure_stats.get(binding.name)
@@ -77,8 +72,7 @@ class StaticEnergyModel:
                 # The full configuration leaks for the whole run
                 # (structures that were never probed still leak unless
                 # gated off entirely).
-                full = full_units.get(binding.name, 1)
-                milliwatts = binding.params_for_ways(full).leakage_mw
+                milliwatts = binding.params_for_ways(binding.full_units).leakage_mw
             leakage[binding.name] = milliwatts * seconds * _MW_S_TO_PJ
         return leakage
 

@@ -203,10 +203,9 @@ class WorkloadError(ReproError, ValueError):
 class UsageError(ReproError, TypeError):
     """An API was called on an object that does not support it.
 
-    E.g. wrapping a non-resizable TLB in a ``ResizableUnit`` or calling
-    ``trace()`` on a trace-file workload that can only replay saved
-    traces.  Double-derives from :class:`TypeError` (the historical
-    behaviour at those sites).
+    E.g. calling ``trace()`` on a trace-file workload that can only
+    replay saved traces.  Double-derives from :class:`TypeError` (the
+    historical behaviour at that site).
     """
 
 

@@ -89,15 +89,10 @@ class FastPathProbe:
 class Observability:
     """One metrics registry + one span recorder behind an enabled flag."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        record_spans: bool = True,
-        max_span_events: int = 100_000,
-    ) -> None:
+    def __init__(self, enabled: bool = True, record_spans: bool = True) -> None:
         self.enabled = bool(enabled)
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(max_span_events) if record_spans else None
+        self.spans = SpanRecorder() if record_spans else None
 
     @staticmethod
     def resolve(observability: "Observability | None") -> "Observability | None":

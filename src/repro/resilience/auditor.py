@@ -197,24 +197,24 @@ class InvariantAuditor:
         self.checks_run += 1  # the per-set scan counts as one check
 
     def audit_lite(self, lite) -> None:
-        """Lite's resizable units stay inside their legal range."""
-        for unit in lite.units:
+        """Lite's monitored TLBs stay inside their legal range."""
+        for tlb in lite.tlbs:
             context = {
-                "unit": unit.name,
-                "active_units": unit.active_units,
-                "max_units": unit.max_units,
+                "unit": tlb.name,
+                "active_units": tlb.active_units,
+                "max_units": tlb.max_units,
                 "min_ways": lite.params.min_ways,
             }
             self._check(
-                lite.params.min_ways <= unit.active_units <= unit.max_units,
+                lite.params.min_ways <= tlb.active_units <= tlb.max_units,
                 "lite-active-range",
-                f"{unit.name}: Lite active units out of [min_ways, capacity]",
+                f"{tlb.name}: Lite active units out of [min_ways, capacity]",
                 context,
             )
             self._check(
-                unit.active_units & (unit.active_units - 1) == 0,
+                tlb.active_units & (tlb.active_units - 1) == 0,
                 "lite-active-pow2",
-                f"{unit.name}: Lite active units must be a power of two",
+                f"{tlb.name}: Lite active units must be a power of two",
                 context,
             )
 

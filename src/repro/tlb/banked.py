@@ -42,6 +42,11 @@ class BankedSetAssociativeTLB(PartitionedTLB):
         self._bank_mask = banks - 1
 
     @property
+    def max_units(self) -> int:
+        """Full capacity in ways (every bank has them all)."""
+        return self.ways
+
+    @property
     def bank_entries(self) -> int:
         """Capacity of one bank (the energy-relevant structure size)."""
         return self.entries // len(self.parts)

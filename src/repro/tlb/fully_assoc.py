@@ -7,7 +7,7 @@ SPARC/AMD-style ablation — a single mixed-page-size L1 TLB.
 Lite can also resize fully-associative structures: "although there is no
 notion of ways in a fully associative TLB, Lite clusters the distance of
 TLB hits from the LRU position as if there were ways, and reduces the TLB
-size in powers-of-two" (Section 4.4).  ``set_active_entries`` implements
+size in powers-of-two" (Section 4.4).  ``set_active_units`` implements
 that capacity reduction, and ``hit_rank_counters`` provides the same
 Figure 6 grouping as the set-associative TLB (index ``rank.bit_length()``).
 
@@ -50,11 +50,16 @@ class RecencyStackTLB(BatchedTLB):
         self._stack.clear()
 
     @property
+    def max_units(self) -> int:
+        """Full capacity in entries, the most :meth:`set_active_units` allows."""
+        return self.entries
+
+    @property
     def active_units(self) -> int:
         """Active entries: the capacity :meth:`sync_stats` files counts under."""
         return self.active_entries
 
-    def set_active_entries(self, entries: int) -> None:
+    def set_active_units(self, entries: int) -> None:
         """Resize the structure in the Lite fashion (Section 4.4).
 
         Shrinking drops the least-recently-used entries; growing raises

@@ -11,7 +11,7 @@ Entries here are :class:`repro.mmu.translation.Translation` objects; a
 lookup hits when any entry *covers* the probed 4 KB page (the CAM's
 masked compare).  Replacement is true LRU over the recency stack of
 :class:`repro.tlb.fully_assoc.RecencyStackTLB`, which also provides the
-statistics, the snapshot and ``set_active_entries``, through which Lite
+statistics, the snapshot and ``set_active_units``, through which Lite
 resizes the structure.
 """
 

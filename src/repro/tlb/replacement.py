@@ -162,11 +162,16 @@ class PLRUSetAssociativeTLB(BatchedTLB):
                 slots[way] = None
 
     @property
+    def max_units(self) -> int:
+        """Full capacity in ways, the most :meth:`set_active_units` allows."""
+        return self.ways
+
+    @property
     def active_units(self) -> int:
         """Active ways: the capacity :meth:`sync_stats` files counts under."""
         return self.active_ways
 
-    def set_active_ways(self, ways: int) -> None:
+    def set_active_units(self, ways: int) -> None:
         """Way-disabling: restrict lookups/fills to the first ``ways`` slots."""
         if not _is_power_of_two(ways) or ways > self.ways:
             raise ConfigurationError(f"active ways {ways} must be a power of two <= {self.ways}")

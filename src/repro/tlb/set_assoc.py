@@ -154,11 +154,16 @@ class SetAssociativeTLB(BatchedTLB):
     # Way-disabling (the Lite reconfiguration mechanism)
     # ------------------------------------------------------------------
     @property
+    def max_units(self) -> int:
+        """Full capacity in ways, the most :meth:`set_active_units` allows."""
+        return self.ways
+
+    @property
     def active_units(self) -> int:
         """Active ways: the capacity :meth:`sync_stats` files counts under."""
         return self.active_ways
 
-    def set_active_ways(self, ways: int) -> None:
+    def set_active_units(self, ways: int) -> None:
         """Reconfigure the number of active ways.
 
         Downsizing truncates each set to the new capacity, which models

@@ -13,7 +13,6 @@ from repro.energy.cacti import (
     TABLE2_RANGE_TLB,
     EnergyParams,
     fully_assoc_params,
-    lite_resized_params,
     page_tlb_params,
 )
 from repro.energy.model import COMPONENTS, EnergyBinding, EnergyModel
@@ -81,14 +80,6 @@ class TestAnalyticExtensions:
         assert fully_assoc_params(2).read_pj < fully_assoc_params(3).read_pj
         assert fully_assoc_params(3).read_pj < fully_assoc_params(8).read_pj
 
-    def test_lite_resized_params(self):
-        full = EnergyParams(10.0, 5.0, 1.0)
-        half = lite_resized_params(full, 0.5)
-        assert half.read_pj == pytest.approx(10.0 * 0.5**0.7)
-        assert lite_resized_params(full, 1.0) == full
-        with pytest.raises(ValueError):
-            lite_resized_params(full, 0.0)
-
     def test_scaled(self):
         params = EnergyParams(2.0, 4.0, 1.0)
         assert params.scaled(0.5) == EnergyParams(1.0, 2.0, 0.5)
@@ -99,7 +90,9 @@ def binding_with(lookups_by_ways, fills_by_ways, params_by_ways):
     stats.lookups_by_ways.update(lookups_by_ways)
     stats.fills_by_ways.update(fills_by_ways)
     stats.hits = sum(lookups_by_ways.values())
-    return EnergyBinding("X", "l1_page_tlbs", stats, lambda w: params_by_ways[w])
+    return EnergyBinding(
+        "X", "l1_page_tlbs", stats, lambda w: params_by_ways[w], max(params_by_ways)
+    )
 
 
 class TestEnergyModel:

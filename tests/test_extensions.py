@@ -58,7 +58,7 @@ class TestFALite:
         names = {s.name for s in org.hierarchy.all_structures()}
         assert "L1-FA" in names and "L2-4KB" in names
         assert org.lite is not None
-        assert org.lite.units[0].max_units == 64
+        assert org.lite.tlbs[0].max_units == 64
 
     def test_single_l1_probe_per_access(self):
         result = run_workload_config(tiny_workload(), "FA_Lite", SETTINGS)

@@ -102,8 +102,8 @@ class TestBasicFlow:
         h.access(PAGES_PER_2MB)  # unrelated
         # Push vpn 0 out of L1: one more set-0 fill needed; reuse eviction
         # by downsizing instead (invalidate).
-        h.l1_slots[0].tlb.set_active_ways(1)
-        h.l1_slots[0].tlb.set_active_ways(4)
+        h.l1_slots[0].tlb.set_active_units(1)
+        h.l1_slots[0].tlb.set_active_units(4)
         walks_before = h.walker.stats.walks
         h.access(16)  # L1 miss (invalidated), L2 hit -> no walk
         assert h.walker.stats.walks == walks_before

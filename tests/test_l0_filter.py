@@ -93,9 +93,3 @@ class TestL0Configs:
         org = build_organization("L0_Lite", make_process(), lite_params=TLB_LITE_PARAMS)
         assert org.name == "L0_Lite"
         assert org.lite is not None
-
-    def test_every_structure_bound(self):
-        org = build_l0_filter(make_process())
-        bound = {binding.name for binding in org.bindings}
-        structures = {s.name for s in org.hierarchy.all_structures()}
-        assert bound == structures

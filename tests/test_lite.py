@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.lite import LiteController, ResizableUnit
+from repro.core.lite import LiteController
 from repro.core.params import LiteParams
 from repro.tlb.fully_assoc import FullyAssociativeTLB
 from repro.tlb.set_assoc import SetAssociativeTLB
@@ -121,7 +121,7 @@ class TestReactivation:
 
     def test_random_reactivation_fires_with_probability_one(self):
         controller, tlb = make_controller(reactivate_probability=1.0)
-        tlb.set_active_ways(1)
+        tlb.set_active_units(1)
         action = controller.end_interval(l1_misses=0, instructions=1000)
         assert action == "random-reactivate"
         assert tlb.active_ways == 4
@@ -157,7 +157,7 @@ class TestBookkeeping:
     def test_active_configuration(self):
         controller, tlb = make_controller()
         assert controller.active_configuration() == {"L1-4KB": 4}
-        tlb.set_active_ways(2)
+        tlb.set_active_units(2)
         assert controller.active_configuration() == {"L1-4KB": 2}
 
     def test_invalid_interval_rejected(self):
@@ -185,19 +185,19 @@ class TestBookkeeping:
         assert controller.stats.downsizes == 1
 
 
-class TestResizableUnit:
-    def test_set_assoc_adapter(self):
+class TestResizing:
+    """Lite resizes each TLB through ``set_active_units``, up to ``max_units``."""
+
+    def test_set_assoc_resizes_by_ways(self):
         tlb = SetAssociativeTLB("t", 64, 4)
-        unit = ResizableUnit(tlb)
-        assert unit.max_units == 4
-        unit.resize(2)
+        assert tlb.max_units == 4
+        tlb.set_active_units(2)
         assert tlb.active_ways == 2
 
-    def test_fully_assoc_adapter(self):
+    def test_fully_assoc_resizes_by_entries(self):
         tlb = FullyAssociativeTLB("t", 8)
-        unit = ResizableUnit(tlb)
-        assert unit.max_units == 8
-        unit.resize(2)
+        assert tlb.max_units == 8
+        tlb.set_active_units(2)
         assert tlb.active_entries == 2
 
     def test_fully_assoc_lite_integration(self):
@@ -211,8 +211,13 @@ class TestResizableUnit:
 
     def test_non_power_of_two_capacity_rejected(self):
         with pytest.raises(ValueError):
-            ResizableUnit(FullyAssociativeTLB("t", 6))
+            LiteController([FullyAssociativeTLB("t", 6)], LiteParams())
 
-    def test_unresizable_rejected(self):
-        with pytest.raises(TypeError):
-            ResizableUnit(object())
+    def test_full_size_tlb_keeps_its_pending_counts(self):
+        """Reactivating a TLB already at full size must not resize it:
+        a resize syncs the pending counts, which snapshots see."""
+        controller, tlb = make_controller(reactivate_probability=1.0)
+        tlb.lookup(1)
+        controller.end_interval(l1_misses=1, instructions=1000)
+        assert tlb.state_dict()["pending"] == [0, 1, 0]
+        assert tlb.stats.lookups == 0

@@ -71,10 +71,10 @@ class TestMaskedLookup:
         tlb = MixedFullyAssociativeTLB("fa", 4)
         for vpn in range(4):
             tlb.fill(t4k(vpn))
-        tlb.set_active_entries(2)
+        tlb.set_active_units(2)
         assert tlb.occupancy() == 2
         with pytest.raises(ValueError):
-            tlb.set_active_entries(0)
+            tlb.set_active_units(0)
 
     def test_stats(self):
         tlb = MixedFullyAssociativeTLB("fa", 4)

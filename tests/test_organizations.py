@@ -16,13 +16,14 @@ from repro.core.organizations import (
     lite_params_for,
     paging_policy_for,
 )
-from repro.core.params import HierarchyParams, LiteParams
+from repro.core.params import HierarchyParams, LiteParams, SetAssocParams
 from repro.energy.cacti import TABLE2_PAGE_TLB
 from repro.errors import UnknownConfigError
 from repro.mem.paging import DemandPaging, EagerPaging, TransparentHugePaging
 from repro.mem.physical import PhysicalMemory
 from repro.mem.process import Process
 from repro.mmu.translation import PAGES_PER_2MB
+from repro.tlb.semantic import SemanticPartitionedTLB
 
 
 #: Every configuration's paging policy class, eager-paging layout, and
@@ -68,7 +69,7 @@ class TestBuilders:
     def test_tlb_lite_monitors_all_l1_page_tlbs(self):
         """Paper Section 4.2.2: Lite resizes the 4KB, 2MB, *and* 1GB TLBs."""
         org = build_tlb_lite(make_process(TransparentHugePaging()))
-        monitored = {unit.name for unit in org.lite.units}
+        monitored = {tlb.name for tlb in org.lite.tlbs}
         assert monitored == {"L1-4KB", "L1-2MB", "L1-1GB"}
 
     def test_rmm_has_l2_range_only(self):
@@ -98,7 +99,7 @@ class TestBuilders:
         assert org.hierarchy.l1_mixed.entries == 64
 
     def test_custom_hierarchy_params(self):
-        params = HierarchyParams().with_l1_4kb(16, 1)
+        params = replace(HierarchyParams(), l1_4kb=SetAssocParams(16, 1))
         org = build_thp(make_process(TransparentHugePaging()), params)
         l1 = org.hierarchy.l1_slots[0].tlb
         assert l1.entries == 16
@@ -154,11 +155,21 @@ class TestPolicies:
 
 
 class TestEnergyBindings:
-    def test_every_structure_has_a_binding(self):
-        org = build_rmm_lite(make_process(EagerPaging("4kb")))
-        bound = {binding.name for binding in org.bindings}
-        structures = {s.name for s in org.hierarchy.all_structures()}
-        assert bound == structures
+    @pytest.mark.parametrize("name", EXTENDED_CONFIG_NAMES)
+    def test_bindings_follow_all_structures(self, name):
+        """One binding per structure, in ``all_structures()`` order, with
+        the semantic TLB's partitions bound in its place."""
+        org = build_organization(name, make_process(paging_policy_for(name)))
+        structures = []
+        for structure in org.hierarchy.all_structures():
+            if isinstance(structure, SemanticPartitionedTLB):
+                structures.extend(structure.parts)
+            else:
+                structures.append(structure)
+        assert [b.name for b in org.bindings] == [s.name for s in structures]
+        for binding, structure in zip(org.bindings, structures):
+            assert binding.stats is structure.stats
+            assert binding.full_units == structure.max_units
 
     def test_l1_4kb_binding_follows_table2(self):
         org = build_thp(make_process(TransparentHugePaging()))

@@ -29,12 +29,6 @@ class TestHierarchyParams:
         assert params.l1_range_entries == 4
         assert params.l2_range_entries == 32
 
-    def test_with_l1_4kb_copies_everything_else(self):
-        params = HierarchyParams().with_l1_4kb(16, 1)
-        assert params.l1_4kb == SetAssocParams(16, 1)
-        assert params.l1_2mb == HierarchyParams().l1_2mb
-        assert params.l2_range_entries == 32
-
 
 class TestLiteParams:
     def test_paper_defaults(self):

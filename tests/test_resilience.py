@@ -243,7 +243,7 @@ class TestAuditor:
         prepared = prepare_run(workload, "TLB_Lite", SETTINGS)
         prepared.run()
         lite = prepared.organization.lite
-        lite.units[0].tlb.active_ways = 3  # not a power of two
+        lite.tlbs[0].active_ways = 3  # not a power of two
         with pytest.raises(InvariantViolation):
             InvariantAuditor().audit_lite(lite)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings, run_workload_config_with_org
-from repro.energy.cacti import TABLE2_PAGE_TLB
+from repro.energy.cacti import TABLE2_PAGE_TLB, page_tlb_params
 from repro.energy.static import StaticEnergyModel
 from repro.workloads.base import VMASpec, Workload
 from repro.workloads.patterns import Zipf
@@ -31,6 +31,11 @@ def lite_run():
     return run_workload_config_with_org(tiny_workload(), "TLB_Lite", SETTINGS)
 
 
+@pytest.fixture(scope="module")
+def semantic_run():
+    return run_workload_config_with_org(tiny_workload(), "Semantic", SETTINGS)
+
+
 class TestExecutionTime:
     def test_seconds_formula(self, thp_run):
         result, _ = thp_run
@@ -55,6 +60,22 @@ class TestLeakage:
         seconds = model.execution_seconds(result)
         expected = TABLE2_PAGE_TLB[(64, 4)].leakage_mw * seconds * 1e9
         assert leakage["L1-4KB"] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("power_gating", [False, True])
+    def test_semantic_partitions_leak_at_full_capacity(self, semantic_run, power_gating):
+        """Each partition is bound on its own and leaks at all 4 ways.
+
+        Without Lite every lookup sees 4 active ways, so gating leaves
+        the full-capacity price too.
+        """
+        result, organization = semantic_run
+        model = StaticEnergyModel()
+        seconds = model.execution_seconds(result)
+        leakage = model.leakage_pj(organization, result, power_gating=power_gating)
+        partitions = {"L1-4KB-stack": 16, "L1-4KB-globals": 16, "L1-4KB-heap": 32}
+        for name, entries in partitions.items():
+            expected = page_tlb_params(entries, 4).leakage_mw * seconds * 1e9
+            assert leakage[name] == pytest.approx(expected), name
 
     def test_never_probed_structure_still_leaks_ungated(self, thp_run):
         result, organization = thp_run

@@ -3,15 +3,14 @@
 The set-associative, tree-PLRU, fully-associative, range and mixed
 fully-associative TLBs all bump pending counters on the hot path and
 flush them in ``BatchedTLB.sync_stats`` under the capacity active when
-they were made.  These tests drive each through one key stream, through
-Lite's resize adapter.
+they were made.  These tests drive each through one key stream and
+resize it through ``set_active_units``, as Lite does.
 """
 
 import json
 
 import pytest
 
-from repro.core.lite import ResizableUnit
 from repro.mmu.translation import PageSize, RangeTranslation, Translation
 from repro.tlb import (
     FullyAssociativeTLB,
@@ -83,11 +82,10 @@ def play(kind, tlb, keys):
 def test_counts_land_under_the_capacity_they_were_made_at(name):
     kind = STRUCTURES[name]
     tlb = kind.make()
-    unit = ResizableUnit(tlb)
-    full, half = unit.max_units, unit.max_units // 2
+    full, half = tlb.max_units, tlb.max_units // 2
     assert tlb.active_units == full
     play(kind, tlb, [1, 1, 2])  # miss+fill, hit, miss+fill
-    unit.resize(half)
+    tlb.set_active_units(half)
     assert tlb.active_units == half
     play(kind, tlb, [1, 1, 3, 3, 4])  # hit, hit, miss+fill, hit, miss+fill
     tlb.sync_stats()
@@ -100,9 +98,8 @@ def test_counts_land_under_the_capacity_they_were_made_at(name):
 def test_snapshot_with_pending_counts_restores_an_equal_state(name):
     kind = STRUCTURES[name]
     tlb = kind.make()
-    unit = ResizableUnit(tlb)
     play(kind, tlb, [1, 2, 3, 1, 5, 2])
-    unit.resize(unit.max_units // 2)  # syncs the counts made so far
+    tlb.set_active_units(tlb.max_units // 2)  # syncs the counts made so far
     play(kind, tlb, [6, 1, 7, 6, 9])
     state = tlb.state_dict()
     assert state["pending"] != [0, 0, 0]

@@ -69,15 +69,15 @@ class TestResizing:
         tlb = FullyAssociativeTLB("t", 4)
         for key in "abcd":
             tlb.fill(key, key)
-        tlb.set_active_entries(2)
+        tlb.set_active_units(2)
         assert tlb.resident_keys() == ["d", "c"]
 
     def test_grow_restores_capacity_without_stale(self):
         tlb = FullyAssociativeTLB("t", 4)
         for key in "abcd":
             tlb.fill(key, key)
-        tlb.set_active_entries(1)
-        tlb.set_active_entries(4)
+        tlb.set_active_units(1)
+        tlb.set_active_units(4)
         assert tlb.resident_keys() == ["d"]
         for key in "wxyz":
             tlb.fill(key, key)
@@ -86,14 +86,14 @@ class TestResizing:
     def test_out_of_range_rejected(self):
         tlb = FullyAssociativeTLB("t", 4)
         with pytest.raises(ValueError):
-            tlb.set_active_entries(0)
+            tlb.set_active_units(0)
         with pytest.raises(ValueError):
-            tlb.set_active_entries(5)
+            tlb.set_active_units(5)
 
     def test_lookups_histogrammed_by_capacity(self):
         tlb = FullyAssociativeTLB("t", 4)
         tlb.lookup("a")
-        tlb.set_active_entries(2)
+        tlb.set_active_units(2)
         tlb.lookup("a")
         tlb.sync_stats()
         assert tlb.stats.lookups_by_ways == {4: 1, 2: 1}

@@ -57,7 +57,7 @@ class TestPLRU:
         tlb = PLRUSetAssociativeTLB("p", 16, 4)
         for key in range(0, 16, 4):
             tlb.fill(key, key)
-        tlb.set_active_ways(2)
+        tlb.set_active_units(2)
         assert tlb.occupancy() <= 2 * 4
         # After downsize, fills stay within 2 ways per set.
         for key in range(0, 64, 4):
@@ -68,16 +68,16 @@ class TestPLRU:
         tlb = PLRUSetAssociativeTLB("p", 16, 4)
         for key in (0, 4, 8, 12):
             tlb.fill(key, key)
-        tlb.set_active_ways(1)
-        tlb.set_active_ways(4)
+        tlb.set_active_units(1)
+        tlb.set_active_units(4)
         assert tlb.occupancy() <= 4
 
     def test_invalid_ways_rejected(self):
         tlb = PLRUSetAssociativeTLB("p", 16, 4)
         with pytest.raises(ValueError):
-            tlb.set_active_ways(3)
+            tlb.set_active_units(3)
         with pytest.raises(ValueError):
-            tlb.set_active_ways(8)
+            tlb.set_active_units(8)
 
     def test_stats(self):
         tlb = PLRUSetAssociativeTLB("p", 16, 4)

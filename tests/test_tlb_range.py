@@ -79,10 +79,10 @@ class TestReplacement:
         tlb = RangeTLB("r", 4)
         for i in range(4):
             tlb.fill(rng(i * 100, i * 100 + 10))
-        tlb.set_active_entries(2)
+        tlb.set_active_units(2)
         assert tlb.occupancy() == 2
         with pytest.raises(ValueError):
-            tlb.set_active_entries(5)
+            tlb.set_active_units(5)
 
     def test_rank_counters(self):
         tlb = RangeTLB("r", 4)

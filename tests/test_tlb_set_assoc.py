@@ -123,7 +123,7 @@ class TestWayDisabling:
         tlb = make_tlb(16, 4)
         for key in (0, 4, 8, 12):
             tlb.fill(key, key)
-        tlb.set_active_ways(2)
+        tlb.set_active_units(2)
         # Only the two most recent survive.
         assert tlb.set_contents(0) == [12, 8]
 
@@ -131,14 +131,14 @@ class TestWayDisabling:
         tlb = make_tlb(16, 4)
         for key in (0, 4, 8, 12):
             tlb.fill(key, key)
-        tlb.set_active_ways(1)
-        tlb.set_active_ways(4)
+        tlb.set_active_units(1)
+        tlb.set_active_units(4)
         assert tlb.peek(8) is None
         assert tlb.peek(12) == 12
 
     def test_capacity_respected_after_downsize(self):
         tlb = make_tlb(16, 4)
-        tlb.set_active_ways(2)
+        tlb.set_active_units(2)
         for key in range(0, 40, 4):
             tlb.fill(key, key)
         assert len(tlb.set_contents(0)) == 2
@@ -146,18 +146,18 @@ class TestWayDisabling:
     def test_upsizing_above_max_rejected(self):
         tlb = make_tlb(16, 4)
         with pytest.raises(ValueError):
-            tlb.set_active_ways(8)
+            tlb.set_active_units(8)
 
     def test_non_power_of_two_rejected(self):
         tlb = make_tlb(16, 4)
         with pytest.raises(ValueError):
-            tlb.set_active_ways(3)
+            tlb.set_active_units(3)
 
     def test_lookups_histogrammed_by_ways_at_access_time(self):
         tlb = make_tlb(16, 4)
         tlb.lookup(1)
         tlb.lookup(2)
-        tlb.set_active_ways(2)
+        tlb.set_active_units(2)
         tlb.lookup(3)
         tlb.sync_stats()
         assert tlb.stats.lookups_by_ways == {4: 2, 2: 1}
@@ -165,7 +165,7 @@ class TestWayDisabling:
     def test_fills_histogrammed_by_ways(self):
         tlb = make_tlb(16, 4)
         tlb.fill(1, 1)
-        tlb.set_active_ways(1)
+        tlb.set_active_units(1)
         tlb.fill(2, 2)
         tlb.fill(3, 3)
         tlb.sync_stats()
@@ -241,7 +241,7 @@ def test_stats_conserved_across_resizes(keys, schedule):
     step = 0
     for index, key in enumerate(keys):
         if index and index % resize_every == 0 and step < len(schedule):
-            tlb.set_active_ways(schedule[step])
+            tlb.set_active_units(schedule[step])
             step += 1
         if tlb.lookup(key) is None:
             tlb.fill(key, key)
