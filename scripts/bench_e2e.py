@@ -2,11 +2,12 @@
 """Measure the repo benchmark end to end and record it in ``BENCH_e2e.json``.
 
 Runs ``e2ebench/harness.py`` once for each workload that ``BENCHMARK.json``
-declares, with seed 42 and ``--seconds 20``, and reads each run's final
-JSON line.  The output file holds one entry per commit: the
-commit hash, the seed, and each workload's end-to-end metrics.  A rerun
-at the same commit replaces that commit's entry; other entries keep
-their place.
+declares, with seed 42 and ``--seconds 20``, then once more per workload
+with ``--trace 1``, and reads each run's final JSON line.  The output
+file holds one entry per commit: the commit hash, the seed, each
+workload's end-to-end metrics under ``workloads``, and the per-layer
+metrics of its traced pass under ``layers``.  A rerun at the same commit
+replaces that commit's entry; other entries keep their place.
 
 ``--checkout`` measures another checkout of the repository (a clone or
 worktree of an earlier commit) with its own harness and sources, while
@@ -45,11 +46,13 @@ def workload_names(checkout: Path) -> list[str]:
     return [workload["name"] for workload in spec["workloads"]]
 
 
-def run_harness(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One harness run; returns its final JSON line."""
+def run_harness(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False
+) -> dict:
+    """One harness run, per-layer when ``trace``; returns its final JSON line."""
     command = [
         sys.executable, "e2ebench/harness.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds),
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace)),
     ]
     completed = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = completed.stdout.splitlines()
@@ -61,11 +64,14 @@ def run_harness(checkout: Path, workload: str, seed: int, seconds: float) -> dic
     return json.loads(lines[-1])
 
 
-def measure(checkout: Path, seed: int, seconds: float) -> dict[str, dict[str, float]]:
-    """Each workload's end-to-end metrics, as ``{metric: value}``."""
+def measure(
+    checkout: Path, seed: int, seconds: float, trace: bool = False
+) -> dict[str, dict[str, float]]:
+    """Each workload's metrics, as ``{metric: value}``: end to end, or
+    per layer from one traced pass when ``trace``."""
     results = {}
     for workload in workload_names(checkout):
-        outcome = run_harness(checkout, workload, seed, seconds)
+        outcome = run_harness(checkout, workload, seed, seconds, trace)
         if not outcome["correct"]:
             raise RuntimeError(f"{workload}: {outcome['failed']} cells failed")
         results[workload] = {
@@ -94,6 +100,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "seconds": SECONDS,
         "workloads": measure(checkout, SEED, SECONDS),
+        "layers": measure(checkout, SEED, SECONDS, trace=True),
     }
     payload = {
         "generated_by": "scripts/bench_e2e.py",

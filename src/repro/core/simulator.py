@@ -45,6 +45,11 @@ def _ignore(*_args) -> None:
     """Stand-in for a telemetry hook when the run has no hub."""
 
 
+def ordered_events(events) -> list[tuple[int, object]]:
+    """An OS-event schedule in firing order: a stable sort by position."""
+    return sorted(events or [], key=lambda event: event[0])
+
+
 class Simulator:
     """Runs reference traces through one configuration.
 
@@ -144,8 +149,10 @@ class Simulator:
         bookkeeping to the recorded position and continues from there.
         The *component* state (hierarchy, Lite, process) must already
         have been restored by the caller — the loop state only carries
-        what the loop itself owns.  Events already fired before the
-        snapshot are not re-fired.
+        what the loop itself owns.  The loop does not fire the events
+        fired before the snapshot: the restore
+        (:func:`repro.resilience.checkpoint.restore_simulation`) has
+        re-fired them against the rebuilt organization.
         """
         # Numpy traces stay arrays: the reference loop materializes only
         # one boundary-to-boundary segment at a time, and the fast engine
@@ -170,7 +177,7 @@ class Simulator:
             round(interval_accesses * ipa) if interval_accesses else 0
         )
 
-        pending_events = sorted(events or [], key=lambda event: event[0])
+        pending_events = ordered_events(events)
         event_index = 0
 
         def fire_events(position: int) -> None:

@@ -153,9 +153,10 @@ class QuarantinedCellError(ReproError):
 class CheckpointError(ReproError):
     """A checkpoint snapshot is unreadable, corrupt, or incompatible.
 
-    Raised on version/checksum mismatches when loading snapshot files and
+    Raised on version/checksum mismatches when loading snapshot files,
     on geometry mismatches when a ``load_state_dict`` target does not
-    match the state it is asked to restore.
+    match the state it is asked to restore, and when a rebuilt process
+    does not match the digest a snapshot recorded.
     """
 
 

@@ -29,7 +29,6 @@ import heapq
 import numpy as np
 
 from ..errors import AddressSpaceError
-from ..stateful import require
 
 #: Frames handed to the scatter pool per refill (order-12 block = 16 MB).
 _SCATTER_REFILL_ORDER = 12
@@ -55,9 +54,6 @@ class PhysicalMemory:
         Seed for the numpy generator that permutes each scatter-pool
         refill (single-frame allocations).
     """
-
-    # Free-frame count is rebuilt from the serialized free lists on load.
-    _CHECKPOINT_DERIVED = ("_frames_free",)
 
     def __init__(self, total_bytes: int = 32 << 30, seed: int = 0) -> None:
         if total_bytes <= 0 or total_bytes % 4096 != 0:
@@ -279,25 +275,3 @@ class PhysicalMemory:
             "scatter_pool": list(self._scatter_pool),
             "rng": self._rng.bit_generator.state,
         }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the allocator onto a same-sized arena."""
-        require(
-            state["total_frames"] == self.total_frames,
-            f"allocator snapshot covers {state['total_frames']} frames, "
-            f"expected {self.total_frames}",
-        )
-        require(
-            len(state["free"]) == len(self._free),
-            f"allocator snapshot has {len(state['free'])} orders, "
-            f"expected {len(self._free)}",
-        )
-        self._frames_free = 0
-        for order, starts in enumerate(state["free"]):
-            self._free[order] = set(starts)
-            heap = sorted(starts)
-            heapq.heapify(heap)
-            self._heaps[order] = heap
-            self._frames_free += len(starts) << order
-        self._scatter_pool = list(state["scatter_pool"])
-        self._rng.bit_generator.state = state["rng"]

@@ -14,7 +14,7 @@ import random
 from ..errors import AddressSpaceError
 from ..mmu.page_table import PageTable
 from ..mmu.translation import PageSize, Translation
-from ..stateful import rng_state_from_json, rng_state_to_json
+from ..stateful import rng_state_to_json
 from .paging import DemandPaging, PagingPolicy
 from .physical import PhysicalMemory
 from .range_table import RangeTable
@@ -185,6 +185,10 @@ class Process:
         deterministically from the workload seed, and nothing in the
         simulation loop mutates VMAs.  What does change mid-run (huge-page
         demotions, allocator churn, RNG draws) is captured here.
+
+        Snapshots record only this state's digest: a restore rebuilds
+        the process and re-fires the run's OS events instead of loading
+        it (:func:`repro.resilience.checkpoint.restore_simulation`).
         """
         return {
             "seed": self.seed,
@@ -193,11 +197,3 @@ class Process:
             "range_table": self.range_table.state_dict(),
             "rng": rng_state_to_json(self._rng.getstate()),
         }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore onto a canonically rebuilt (same-workload) process."""
-        self.seed = state["seed"]
-        self.physical.load_state_dict(state["physical"])
-        self.page_table.load_state_dict(state["page_table"])
-        self.range_table.load_state_dict(state["range_table"])
-        self._rng.setstate(rng_state_from_json(state["rng"]))

@@ -30,9 +30,6 @@ class RangeTableError(Exception):
 class RangeTable:
     """Sorted, non-overlapping collection of range translations."""
 
-    # Bisect index is rebuilt from the serialized ranges on load.
-    _CHECKPOINT_DERIVED = ("_starts",)
-
     def __init__(self) -> None:
         self._ranges: list[RangeTranslation] = []
         self._starts: list[int] = []
@@ -92,10 +89,3 @@ class RangeTable:
                 [rng.base_vpn, rng.limit_vpn, rng.base_pfn] for rng in self._ranges
             ]
         }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Rebuild the sorted arrays from :meth:`state_dict` output."""
-        self._ranges = [
-            RangeTranslation(base, limit, pfn) for base, limit, pfn in state["ranges"]
-        ]
-        self._starts = [rng.base_vpn for rng in self._ranges]

@@ -90,9 +90,6 @@ def _outside(vpn4k: int) -> AddressSpaceError:
 class PageTable:
     """A per-process four-level page table."""
 
-    # Mapped-page total is rebuilt by re-mapping the serialized leaves.
-    _CHECKPOINT_DERIVED = ("_mapped_pages_4k",)
-
     def __init__(self) -> None:
         self.root = PageTableNode(level=4)
         self._mapped_pages_4k = 0  # total 4 KB-page equivalents mapped
@@ -353,7 +350,7 @@ class PageTable:
         installed in.  ``huge`` holds each 2 MB or 1 GB leaf as ``[vpn,
         pfn, size]``.  Intermediate radix nodes, including empty ones
         left behind by ``unmap``, are not serialized: they are invisible
-        to lookups and walks, and re-mapping rebuilds the rest.
+        to lookups and walks.
         """
         runs: list[list] = []
         huge: list[list] = []
@@ -384,17 +381,3 @@ class PageTable:
 
         visit(self.root, 0)
         return {"runs": runs, "huge": huge}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Rebuild the radix tree from a :meth:`state_dict`.
-
-        Each huge leaf is installed with :meth:`map` and each run with
-        one :meth:`map_run`, so overlapping leaves raise
-        :class:`repro.errors.AddressSpaceError`.
-        """
-        self.root = PageTableNode(level=4)
-        self._mapped_pages_4k = 0
-        for vpn, pfn, size in state["huge"]:
-            self.map(Translation(vpn, pfn, PageSize(size)))
-        for vpn, pfns in state["runs"]:
-            self.map_run(vpn, pfns)

@@ -1,10 +1,12 @@
 """Crash-consistent simulation snapshots and golden state hashing.
 
 Built on the ``state_dict()`` / ``load_state_dict()`` protocol
-(:mod:`repro.stateful`): every stateful component of a running simulation
-serializes to pure JSON, so a *snapshot* — the combined component states
-plus the simulator's own loop state — is a single JSON document.  This
-module provides:
+(:mod:`repro.stateful`): the hierarchy and Lite serialize to pure JSON,
+so a *snapshot* — their states, the process's digest, and the
+simulator's own loop state — is a single JSON document.  The process is
+never serialized into a snapshot: a restore rebuilds it, re-fires the
+OS events the run had fired, and checks its digest.  This module
+provides:
 
 * **snapshot files** — versioned, sha256-checksummed, written atomically
   (temp file + rename, :mod:`repro.ioutils`), so a crash mid-write can
@@ -30,6 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..core.simulator import ordered_events
 from ..errors import CheckpointError
 from ..ioutils import atomic_write_text
 from ..observability import Observability
@@ -38,7 +41,7 @@ from ..stateful import require
 #: Bump when the snapshot layout changes incompatibly.  Policy: loading
 #: rejects any other version outright (snapshots are short-lived restart
 #: aids, not archival artifacts — see docs/robustness.md).
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +62,9 @@ def component_digests(state: dict) -> dict[str, str]:
 
     The hierarchy's structures get one digest each (``hierarchy.structures.
     L1-4KB`` …) so a divergence points at a single TLB, not just "the
-    hierarchy"; every other top-level component digests whole.
+    hierarchy"; the process is already a digest (``process_digest``) and
+    is filed verbatim under ``process``; every other top-level component
+    digests whole.
     """
     digests: dict[str, str] = {}
     for name, value in state.items():
@@ -72,6 +77,8 @@ def component_digests(state: dict) -> dict[str, str]:
                         )
                 else:
                     digests[f"hierarchy.{sub}"] = state_digest(sub_value)
+        elif name == "process_digest":
+            digests["process"] = value
         else:
             digests[name] = state_digest(value)
     return digests
@@ -80,12 +87,17 @@ def component_digests(state: dict) -> dict[str, str]:
 # ----------------------------------------------------------------------
 # Whole-simulation state
 # ----------------------------------------------------------------------
-def simulation_state(simulator, process, loop_state: dict) -> dict:
-    """Combined pure-JSON state of one running simulation cell."""
+def simulation_state(simulator, process_digest: str, loop_state: dict) -> dict:
+    """Combined pure-JSON state of one running simulation cell.
+
+    ``process_digest`` is ``state_digest(process.state_dict())``: the
+    snapshot records the process by its digest, and a restore rebuilds
+    the process and checks it (:func:`restore_simulation`).
+    """
     organization = simulator.organization
     state = {
         "hierarchy": organization.hierarchy.state_dict(),
-        "process": process.state_dict(),
+        "process_digest": process_digest,
         "loop": loop_state,
     }
     if organization.lite is not None:
@@ -93,23 +105,43 @@ def simulation_state(simulator, process, loop_state: dict) -> dict:
     return state
 
 
-def restore_simulation(simulator, process, state: dict) -> dict:
-    """Restore component state in place; returns the loop state.
+def restore_simulation(prepared, state: dict) -> dict:
+    """Bring a freshly prepared run to a snapshot's state; returns the loop state.
+
+    ``prepared`` is a :class:`repro.analysis.experiments.PreparedRun`
+    rebuilt through the canonical pipeline for the cell that wrote the
+    snapshot, with the same ``events``.  Only OS events change a built
+    process, so the restore
+
+    1. re-fires the schedule's first ``loop["event_index"]`` events, in
+       :meth:`repro.core.simulator.Simulator.run`'s order, against the
+       rebuilt organization;
+    2. checks the rebuilt process's digest against ``process_digest``,
+       raising :class:`repro.errors.CheckpointError` on a mismatch (a
+       pipeline built with another seed, workload or memory size);
+    3. loads the hierarchy and Lite state, which overwrites whatever the
+       re-fired events did to them.
 
     The caller passes the returned loop state as ``resume_state`` to
-    :meth:`repro.core.simulator.Simulator.run` on the same (canonically
-    rebuilt) simulator.
+    ``prepared.run``.
     """
-    organization = simulator.organization
+    organization = prepared.organization
     require(
         ("lite" in state) == (organization.lite is not None),
         "snapshot and organization disagree about a Lite controller",
     )
+    loop_state = state["loop"]
+    for _position, event in ordered_events(prepared.events)[: loop_state["event_index"]]:
+        event(organization)
+    if state_digest(prepared.process.state_dict()) != state["process_digest"]:
+        raise CheckpointError(
+            "the rebuilt process differs from the snapshot's "
+            "(built with another seed, workload or memory size?)"
+        )
     organization.hierarchy.load_state_dict(state["hierarchy"])
-    process.load_state_dict(state["process"])
     if organization.lite is not None:
         organization.lite.load_state_dict(state["lite"])
-    return state["loop"]
+    return loop_state
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +289,10 @@ class SimulationCheckpointer:
     Parameters
     ----------
     simulator / process:
-        The running cell's simulator and process (state sources).
+        The running cell's simulator and process (state sources).  Only
+        OS events change a built process, so its digest is computed at
+        the first snapshot or digest record and again only after the
+        run's fired-event count (``event_index``) changes.
     path:
         Snapshot file destination; ``None`` disables persistence (digest
         recording still works).
@@ -313,6 +348,7 @@ class SimulationCheckpointer:
         self.trail = DigestTrail()
         self.boundaries_seen = 0
         self.snapshots_written = 0
+        self._process_digest: tuple[int, str] | None = None  # (event_index, sha256)
         self.observability = Observability.resolve(observability)
         if self.observability is not None:
             scope = self.observability.registry.scope("checkpoint")
@@ -334,25 +370,7 @@ class SimulationCheckpointer:
         )
         want_digest = self.digest_every and boundary % self.digest_every == 0
         if want_snapshot or want_digest:
-            obs = self.observability
-            span = (
-                obs.begin("checkpoint", boundary=boundary)
-                if obs is not None
-                else None
-            )
-            state = simulation_state(self.simulator, self.process, loop_state)
-            if want_digest:
-                self.trail.record(boundary, component_digests(state))
-            if want_snapshot:
-                write_snapshot(self.path, state, meta={**self.meta, "boundary": boundary})
-                self.snapshots_written += 1
-            if span is not None:
-                obs.end(span)
-                self._checkpoint_seconds.observe(span.duration or 0.0)
-                if want_digest:
-                    self._digest_counter.inc()
-                if want_snapshot:
-                    self._snapshot_counter.inc()
+            self._record(loop_state, want_snapshot, want_digest)
         if self.on_boundary is not None:
             self.on_boundary(loop_state)
         if self.abort_after is not None and self.boundaries_seen >= self.abort_after:
@@ -370,14 +388,30 @@ class SimulationCheckpointer:
         """
         if self.path is None:
             return False
-        state = simulation_state(self.simulator, self.process, loop_state)
-        write_snapshot(
-            self.path, state, meta={**self.meta, "boundary": loop_state["boundary"]}
-        )
-        self.snapshots_written += 1
-        if self.observability is not None:
-            self._snapshot_counter.inc()
+        self._record(loop_state, snapshot=True, digest=False)
         return True
+
+    def _record(self, loop_state: dict, snapshot: bool, digest: bool) -> None:
+        """Build this boundary's state once; digest it and/or persist it."""
+        boundary = loop_state["boundary"]
+        obs = self.observability
+        span = obs.begin("checkpoint", boundary=boundary) if obs is not None else None
+        event_index = loop_state["event_index"]
+        if self._process_digest is None or self._process_digest[0] != event_index:
+            self._process_digest = (event_index, state_digest(self.process.state_dict()))
+        state = simulation_state(self.simulator, self._process_digest[1], loop_state)
+        if digest:
+            self.trail.record(boundary, component_digests(state))
+        if snapshot:
+            write_snapshot(self.path, state, meta={**self.meta, "boundary": boundary})
+            self.snapshots_written += 1
+        if span is not None:
+            obs.end(span)
+            self._checkpoint_seconds.observe(span.duration or 0.0)
+            if digest:
+                self._digest_counter.inc()
+            if snapshot:
+                self._snapshot_counter.inc()
 
 
 def claim_snapshot(path) -> dict | None:
@@ -418,9 +452,10 @@ def resume_from_snapshot(prepared, path) -> dict:
 
     ``prepared`` is a :class:`repro.analysis.experiments.PreparedRun`
     rebuilt through the canonical pipeline for the *same* workload,
-    configuration, and settings that produced the snapshot — the traces
-    and initial layout are seed-deterministic, so restoring the mutable
-    state onto it reproduces the interrupted run exactly.
+    configuration, settings and event schedule that produced the
+    snapshot — the traces and initial layout are seed-deterministic, so
+    :func:`restore_simulation` reproduces the interrupted run exactly,
+    and rejects a pipeline whose process differs.
     """
     state, _meta = read_snapshot(path)
-    return restore_simulation(prepared.simulator, prepared.process, state)
+    return restore_simulation(prepared, state)

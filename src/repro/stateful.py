@@ -1,9 +1,8 @@
 """The checkpoint protocol: ``state_dict()`` / ``load_state_dict()``.
 
-Every stateful class in the simulator — TLBs of all organizations,
-replacement state, Lite interval counters, page/range tables, the
-physical-frame allocator, walker statistics, seeded RNG streams — obeys
-one contract:
+Every stateful class that a snapshot restores — TLBs of all
+organizations, replacement state, Lite interval counters, walker
+statistics, seeded RNG streams — obeys one contract:
 
 * ``state_dict()`` returns a **pure-JSON** representation of the mutable
   state: only ``dict`` / ``list`` / ``str`` / ``int`` / ``float`` /
@@ -15,6 +14,10 @@ one contract:
 * ``load_state_dict(state)`` restores that state **in place**, raising
   :class:`repro.errors.CheckpointError` when the target object's
   geometry does not match the snapshot.
+
+The process and its page table, range table and frame allocator have
+only the first half: a snapshot records the digest of their state, and
+a restore rebuilds them instead of loading them.
 
 Pure-JSON states make the rest of the resilience machinery trivial:
 snapshot files are plain JSON (versioned + checksummed by

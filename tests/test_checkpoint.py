@@ -5,8 +5,12 @@ The acceptance bar of the checkpoint work:
 * every TLB organization round-trips through ``state_dict`` /
   ``load_state_dict`` mid-run — a snapshot taken at a boundary restores
   onto a freshly built pipeline to the exact same state;
+* a snapshot records the process by its digest: a restore re-fires the
+  run's OS events, checks the rebuilt process against the digest, and
+  rejects a pipeline built with another seed;
 * a run killed mid-cell and resumed from its snapshot finishes with a
-  byte-identical result (and identical per-boundary state digests);
+  byte-identical result (and identical per-boundary state digests),
+  OS events on both sides of the kill point included;
 * a sweep killed mid-cell resumes mid-trace and produces byte-identical
   rows to an uninterrupted sweep;
 * on both executors, a sweep restores only snapshots its own experiment
@@ -30,6 +34,9 @@ from repro.analysis.experiments import ExperimentSettings, prepare_run
 from repro.core.organizations import EXTENDED_CONFIG_NAMES
 from repro.errors import CheckpointError
 from repro.ioutils import atomic_write_json, atomic_write_text
+from repro.mem.physical import PhysicalMemory
+from repro.mem.process import Process
+from repro.mmu.translation import PageSize
 from repro.resilience.bisect import describe_divergence, record_resumed, record_trail
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
@@ -46,7 +53,11 @@ from repro.resilience.checkpoint import (
     state_digest,
     write_snapshot,
 )
-from repro.resilience.faults import inject_duplicate_bursts, inject_out_of_range
+from repro.resilience.faults import (
+    adversarial_events,
+    inject_duplicate_bursts,
+    inject_out_of_range,
+)
 from repro.resilience.sweep import SweepJournal, run_resilient_sweep
 from repro.stateful import rng_state_to_json
 from repro.workloads.base import VMASpec, Workload
@@ -64,6 +75,27 @@ def small_workload(name: str = "ckpt") -> Workload:
         lambda regions: Zipf(regions["heap"].subregion(0, 24), alpha=1.1, burst=3),
         instructions_per_access=3.0,
     )
+
+
+def storm_workload() -> Workload:
+    """Six 2 MB-eligible pages, so each demotion storm under THP breaks some."""
+    return Workload(
+        "storms",
+        "TEST",
+        [VMASpec("heap", 12), VMASpec("stack", 1, thp_eligible=False)],
+        lambda regions: Zipf(regions["heap"].subregion(0, 3072), alpha=1.1, burst=3),
+        instructions_per_access=3.0,
+    )
+
+
+def prepare_with_events(config_name, engine):
+    """A ``storm_workload`` cell whose schedule fires a storm at access 514,
+    a shootdown at 1570, a storm at 4869 and a shootdown at 5025."""
+    prepared = prepare_run(storm_workload(), config_name, SETTINGS, engine=engine)
+    prepared.events = adversarial_events(
+        prepared.process, len(prepared.trace), shootdowns=2, demotion_storms=2, seed=2
+    )
+    return prepared
 
 
 #: Worker processes rebuild cells from the registry, so the sweep tests
@@ -88,9 +120,9 @@ def kill_every_cell(journal, configs, seed: int) -> None:
     assert all(cell.status == "failed" for cell in report.cells)
 
 
-def killed_snapshot(workload, config_name, path, abort_after=3):
+def killed_snapshot(workload, config_name, path, abort_after=3, settings=SETTINGS):
     """Run a cell until ``abort_after`` boundaries, leaving a snapshot."""
-    prepared = prepare_run(workload, config_name, SETTINGS)
+    prepared = prepare_run(workload, config_name, settings)
     checkpointer = SimulationCheckpointer(
         prepared.simulator,
         prepared.process,
@@ -101,6 +133,11 @@ def killed_snapshot(workload, config_name, path, abort_after=3):
     with pytest.raises(AbortSimulation):
         prepared.run(checkpoint_hook=checkpointer)
     return checkpointer
+
+
+def process_digest(prepared) -> str:
+    """What a snapshot records for the cell's process."""
+    return state_digest(prepared.process.state_dict())
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +155,7 @@ class TestStateRoundTrip:
         rebuilt = prepare_run(workload, config_name, SETTINGS)
         loop_state = resume_from_snapshot(rebuilt, path)
         restored_state = simulation_state(
-            rebuilt.simulator, rebuilt.process, loop_state
+            rebuilt.simulator, process_digest(rebuilt), loop_state
         )
         assert restored_state == saved_state
         assert component_digests(restored_state) == component_digests(saved_state)
@@ -147,6 +184,69 @@ class TestStateRoundTrip:
         with pytest.raises(CheckpointError):
             resume_from_snapshot(rebuilt, path)
 
+    @pytest.mark.parametrize("config_name", ("4KB", "THP", "TLB_Lite"))
+    def test_pipeline_built_with_another_seed_rejected(self, config_name, tmp_path):
+        """The rebuilt process must match the digest the snapshot recorded."""
+        path = tmp_path / "cell.ckpt"
+        killed_snapshot(
+            POVRAY, config_name, path, abort_after=5,
+            settings=ExperimentSettings(trace_accesses=20_000, seed=5),
+        )
+        rebuilt = prepare_run(
+            POVRAY, config_name, ExperimentSettings(trace_accesses=20_000, seed=6)
+        )
+        with pytest.raises(CheckpointError, match="rebuilt process differs"):
+            resume_from_snapshot(rebuilt, path)
+
+    def test_snapshot_holds_no_page_table(self, tmp_path):
+        """mcf maps 444,416 4 KB pages under 4KB; the snapshot holds their digest."""
+        path = tmp_path / "cell.ckpt"
+        killed_snapshot(
+            get_workload("mcf"), "4KB", path, abort_after=40,
+            settings=ExperimentSettings(trace_accesses=20_000, seed=42),
+        )
+        state, _meta = read_snapshot(path)
+        assert sorted(state) == ["hierarchy", "loop", "process_digest"]
+        assert path.stat().st_size < 64 << 10
+
+
+# ----------------------------------------------------------------------
+# The process digest: what a snapshot records instead of the process
+# ----------------------------------------------------------------------
+class TestProcessDigest:
+    @pytest.mark.parametrize("engine", ("reference", "fast"))
+    @pytest.mark.parametrize("config_name", EXTENDED_CONFIG_NAMES)
+    def test_event_free_run_leaves_the_process_unchanged(self, config_name, engine):
+        """The invariant the checkpointer's digest cache relies on."""
+        prepared = prepare_run(
+            get_workload("omnetpp"), config_name,
+            ExperimentSettings(trace_accesses=20_000, seed=42), engine=engine,
+        )
+        before = process_digest(prepared)
+        prepared.run()
+        assert process_digest(prepared) == before
+
+    def test_digest_computed_once_per_fired_event_count(self, monkeypatch):
+        encodes = []
+        original = Process.state_dict
+        monkeypatch.setattr(
+            Process, "state_dict", lambda self: encodes.append(1) or original(self)
+        )
+        # A hook that neither snapshots nor digests never encodes the process.
+        quiet = prepare_with_events("THP", "reference")
+        quiet.run(checkpoint_hook=SimulationCheckpointer(quiet.simulator, quiet.process))
+        assert encodes == []
+
+        fired = set()
+        run = record_trail(
+            prepare_with_events("THP", "reference"),
+            on_boundary=lambda loop: fired.add(loop["event_index"]),
+        )
+        assert len(encodes) == len(fired) == 4
+        # The first boundary is the first storm; the second storm changes
+        # the process again, the shootdowns do not.
+        assert len({digests["process"] for digests in run.trail.digests}) == 2
+
 
 # ----------------------------------------------------------------------
 # Kill-and-resume determinism
@@ -165,6 +265,28 @@ class TestResumeDeterminism:
         )
         assert first_divergence(fresh.trail, resumed.trail) is None
         assert resumed.result == fresh.result
+
+    @pytest.mark.parametrize("engine", ("reference", "fast"))
+    @pytest.mark.parametrize("config_name", ("THP", "TLB_PP", "RMM_Lite"))
+    def test_resume_across_os_events(self, config_name, engine, tmp_path):
+        """The restore re-fires the events fired before the kill point."""
+        prepare = partial(prepare_with_events, config_name, engine)
+        fresh = record_trail(prepare())
+        path = tmp_path / "cell.ckpt"
+        resumed = record_resumed(prepare, 25, path)
+        assert first_divergence(fresh.trail, resumed.trail) is None
+        assert resumed.result == fresh.result
+
+        # A shootdown and a demotion storm fire on each side of the kill.
+        state, _meta = read_snapshot(path)
+        built = prepare()
+        kinds = [event.__name__ for _position, event in built.events]
+        fired = state["loop"]["event_index"]
+        assert sorted(kinds[:fired]) == sorted(kinds[fired:]) == ["flush", "storm"]
+        # Where the process has 2 MB pages, the storm changed it, so only
+        # a re-fired schedule matches the recorded digest.
+        huge_pages = built.process.page_size_histogram()[PageSize.SIZE_2MB]
+        assert (state["process_digest"] != process_digest(built)) == (huge_pages > 0)
 
     def test_sweep_killed_mid_cell_resumes_byte_identical(self, tmp_path):
         """The tentpole scenario: kill every cell mid-trace, resume, compare."""
@@ -223,9 +345,9 @@ class TestResumeDeterminism:
         kill_every_cell(journal, ("THP",), seed=5)
         snapshot = tmp_path / "sweep.journal.povray--THP.ckpt"
         state, meta = read_snapshot(snapshot)
-        # Still checksum-valid; the restore fails only after the hierarchy
-        # has been loaded, leaving the first build half-restored.
-        state["process"]["physical"]["total_frames"] += 1
+        # Still checksum-valid; the restore fails only after the L1 TLBs
+        # have been loaded, leaving the first build half-restored.
+        state["hierarchy"]["structures"]["L2-4KB"]["ways"] += 1
         write_snapshot(snapshot, state, meta)
         warns = (
             pytest.warns(UserWarning, match="failed to restore")
@@ -354,6 +476,8 @@ class TestSnapshotFiles:
             "page_table": {"runs": [[0, [7, 9]]], "huge": []},
             "physical": {"rng": rng_state_to_json(random.Random(0).getstate())},
         },
+        # Version 5 held the whole process; version 6 holds its digest.
+        5: Process(PhysicalMemory(1 << 20)).state_dict(),
     }
 
     @pytest.mark.parametrize("version", sorted(OLD_PROCESS_LAYOUTS))

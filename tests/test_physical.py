@@ -1,7 +1,5 @@
 """Unit and property tests for the buddy frame allocator."""
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,16 +156,6 @@ class TestScatterPoolRefill:
         b.alloc_frames(10_000)
         assert a.state_dict() == b.state_dict()
         assert a.state_dict()["scatter_pool"]
-
-    def test_restored_allocator_hands_out_the_same_frames(self):
-        original = PhysicalMemory(1 << 30, seed=4)
-        original.alloc_frames(1000)  # partway through the first pool
-        state = json.loads(json.dumps(original.state_dict()))  # pure JSON
-        restored = PhysicalMemory(1 << 30, seed=99)
-        restored.load_state_dict(state)
-        # 3,096 frames remain in the pool; the rest come from two refills.
-        assert restored.alloc_frames(10_000) == original.alloc_frames(10_000)
-        assert restored.state_dict() == original.state_dict()
 
     def test_fragment_reseeds_the_generator(self):
         a = PhysicalMemory(1 << 28, seed=1)

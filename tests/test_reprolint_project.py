@@ -199,9 +199,11 @@ class TestRepoResolution:
         owner, _ = hierarchy.resolve_method("state_dict")
         assert owner.name == "BaseHierarchy"
 
-    def test_derived_attr_declarations_are_indexed(self, project):
-        physical = project.resolve("repro.mem.physical.PhysicalMemory")
-        assert "_frames_free" in physical.derived_attrs
+    def test_derived_attr_declarations_are_indexed(self):
+        fixtures = TESTS_DIR / "lint_fixtures"
+        project = build_project(fixtures, fixtures / "rl007_checkpoint.py")
+        derived = project.resolve("rl007_checkpoint.DerivedCache")
+        assert derived.derived_attrs == {"_total"}
 
 
 # ---------------------------------------------------------------------------

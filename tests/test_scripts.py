@@ -38,17 +38,17 @@ class TestBenchE2E:
         """Stub the git lookup and the harness; record the harness calls."""
         calls = []
 
-        def run_harness(checkout, workload, seed, seconds):
-            calls.append((workload, seed, seconds))
-            return {
-                "correct": True,
-                "attempted": 6,
-                "failed": 0,
-                "metrics": {
+        def run_harness(checkout, workload, seed, seconds, trace=False):
+            calls.append((workload, seed, seconds, trace))
+            metrics = (
+                {"mmu.walks": {"value": 7, "unit": "count"}}
+                if trace
+                else {
                     "wall_s": {"value": wall_s, "unit": "s"},
                     "setup_s": {"value": 0.5, "unit": "s"},
-                },
-            }
+                }
+            )
+            return {"correct": True, "attempted": 6, "failed": 0, "metrics": metrics}
 
         monkeypatch.setattr(bench_e2e, "commit_of", lambda checkout: commit)
         monkeypatch.setattr(bench_e2e, "run_harness", run_harness)
@@ -59,7 +59,8 @@ class TestBenchE2E:
         names = bench_e2e.workload_names(REPO_ROOT)
         calls = self.stub_runs(monkeypatch, "aaa", 10.0)
         assert bench_e2e.main(["--output", str(out)]) == 0
-        assert calls == [(name, 42, 20) for name in names]
+        # End to end for every workload, then one traced pass each.
+        assert calls == [(name, 42, 20, trace) for trace in (False, True) for name in names]
         self.stub_runs(monkeypatch, "bbb", 6.0)
         assert bench_e2e.main(["--output", str(out)]) == 0
         # A rerun at the first commit replaces its entry in place.
@@ -73,6 +74,8 @@ class TestBenchE2E:
         assert list(entries[0]["workloads"]) == names
         assert entries[0]["workloads"][names[0]] == {"wall_s": 9.0, "setup_s": 0.5}
         assert entries[1]["workloads"][names[-1]] == {"wall_s": 6.0, "setup_s": 0.5}
+        assert list(entries[1]["layers"]) == names
+        assert entries[1]["layers"][names[0]] == {"mmu.walks": 7}
 
     def test_failed_run_is_not_recorded(self, tmp_path, monkeypatch):
         out = tmp_path / "BENCH_e2e.json"
