@@ -8,7 +8,7 @@ from .hierarchy import (
     MixedTLBHierarchy,
     TLBHierarchy,
 )
-from .lite import LiteController, LiteIntervalRecord, LiteStats
+from .lite import LiteController, LiteIntervalRecord
 from .organizations import (
     CONFIG_NAMES,
     EXTENDED_CONFIG_NAMES,
@@ -45,7 +45,6 @@ __all__ = [
     "LRUDistanceCounters",
     "LiteController",
     "LiteIntervalRecord",
-    "LiteStats",
     "TLBHierarchy",
     "MixedTLBHierarchy",
     "BaseHierarchy",

@@ -20,6 +20,9 @@ the decision algorithm (Figure 7) runs:
 Disabling ways invalidates their entries (Section 4.2.3); re-enabled ways
 come up empty.  A TLB is resized down to ``min_ways`` (1 in the paper) but
 never fully disabled.
+
+Each interval leaves one :class:`LiteIntervalRecord` in ``history``: interval
+counts, Lite's configuration over time and resize telemetry all derive from it.
 """
 
 from __future__ import annotations
@@ -35,50 +38,29 @@ from .params import LiteParams
 
 @dataclass(frozen=True, slots=True)
 class LiteIntervalRecord:
-    """One interval's outcome, for timelines and the sensitivity benches."""
+    """One interval's decision: what Lite measured, predicted and chose.
+
+    ``predicted_mpki`` maps each monitored TLB to the ``[units, predicted
+    MPKI]`` pair of every candidate the Figure 7 scan evaluated, largest
+    first; it is empty on a reactivation.  The scan's bound is
+    ``params.threshold(actual_mpki)``.
+    """
 
     instructions_seen: int
     actual_mpki: float
     action: str  # 'decide', 'random-reactivate', 'degradation-reactivate'
     active_units: dict[str, int]
+    predicted_mpki: dict[str, list[list]]
 
-
-@dataclass(slots=True)
-class LiteStats:
-    """Aggregate counts of the controller's actions."""
-
-    intervals: int = 0
-    downsizes: int = 0
-    random_reactivations: int = 0
-    degradation_reactivations: int = 0
-
-    def record_interval(self, action: str) -> None:
-        """Count one finished interval by the action the controller took."""
-        self.intervals += 1
-        if action == "random-reactivate":
-            self.random_reactivations += 1
-        elif action == "degradation-reactivate":
-            self.degradation_reactivations += 1
-
-    def record_downsize(self) -> None:
-        """Count one unit shrunk by the decision algorithm."""
-        self.downsizes += 1
-
-    def state_dict(self) -> dict:
-        """Pure-JSON counters (checkpoint protocol)."""
+    def to_json(self) -> dict:
+        """Pure-JSON record; ``LiteIntervalRecord(**data)`` rebuilds it."""
         return {
-            "intervals": self.intervals,
-            "downsizes": self.downsizes,
-            "random_reactivations": self.random_reactivations,
-            "degradation_reactivations": self.degradation_reactivations,
+            "instructions_seen": self.instructions_seen,
+            "actual_mpki": self.actual_mpki,
+            "action": self.action,
+            "active_units": self.active_units,
+            "predicted_mpki": self.predicted_mpki,
         }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore counters from :meth:`state_dict` output."""
-        self.intervals = state["intervals"]
-        self.downsizes = state["downsizes"]
-        self.random_reactivations = state["random_reactivations"]
-        self.degradation_reactivations = state["degradation_reactivations"]
 
 
 class LiteController:
@@ -104,45 +86,42 @@ class LiteController:
             tlb.hit_rank_counters = counters.raw
             self.counters[tlb.name] = counters
         self._rng = random.Random(params.seed)
-        self.previous_mpki: float | None = None
-        self.stats = LiteStats()
         self.history: list[LiteIntervalRecord] = []
-        self._instructions_seen = 0
 
     # ------------------------------------------------------------------
-    def end_interval(self, l1_misses: int, instructions: int) -> str:
-        """Run the decision algorithm; returns the action taken."""
+    def end_interval(self, l1_misses: int, instructions: int) -> LiteIntervalRecord:
+        """Run the decision algorithm; returns the interval's record."""
         if instructions <= 0:
             raise SimulationError("interval must cover at least one instruction")
-        self._instructions_seen += instructions
         actual_mpki = l1_misses * 1000.0 / instructions
         params = self.params
+        previous = self.history[-1] if self.history else None
+        predicted_mpki: dict[str, list[list]] = {}
         if self._rng.random() < params.reactivate_probability:
             action = "random-reactivate"
             self._activate_all()
         elif (
-            self.previous_mpki is not None
-            and actual_mpki > params.threshold(self.previous_mpki)
+            previous is not None
+            and actual_mpki > params.threshold(previous.actual_mpki)
         ):
             action = "degradation-reactivate"
             self._activate_all()
         else:
             action = "decide"
             for tlb in self.tlbs:
-                self._decide(tlb, actual_mpki, instructions)
-        self.stats.record_interval(action)
-        self.previous_mpki = actual_mpki
+                predicted_mpki[tlb.name] = self._decide(tlb, actual_mpki, instructions)
         for counters in self.counters.values():
             counters.reset()
-        self.history.append(
-            LiteIntervalRecord(
-                instructions_seen=self._instructions_seen,
-                actual_mpki=actual_mpki,
-                action=action,
-                active_units=self.active_configuration(),
-            )
+        seen_before = previous.instructions_seen if previous is not None else 0
+        record = LiteIntervalRecord(
+            instructions_seen=seen_before + instructions,
+            actual_mpki=actual_mpki,
+            action=action,
+            active_units=self.active_configuration(),
+            predicted_mpki=predicted_mpki,
         )
-        return action
+        self.history.append(record)
+        return record
 
     # ------------------------------------------------------------------
     def _activate_all(self) -> None:
@@ -155,27 +134,30 @@ class LiteController:
             if tlb.active_units != tlb.max_units:
                 tlb.set_active_units(tlb.max_units)
 
-    def _decide(self, tlb, actual_mpki: float, instructions: int) -> None:
+    def _decide(self, tlb, actual_mpki: float, instructions: int) -> list[list]:
         """Pick the smallest way count within ε of the actual MPKI.
 
         The predicted extra misses grow monotonically as ways shrink, so
-        the scan halves the way count until the threshold is exceeded.
+        the scan halves the way count until the threshold is exceeded; it
+        returns the ``[units, predicted MPKI]`` pair of each candidate.
         """
         counters = self.counters[tlb.name]
         threshold = self.params.threshold(actual_mpki)
+        scanned: list[list] = []
         chosen = tlb.active_units
         candidate = chosen // 2
         while candidate >= self.params.min_ways:
-            predicted_mpki = (
+            predicted = (
                 actual_mpki + counters.extra_misses(candidate) * 1000.0 / instructions
             )
-            if predicted_mpki > threshold:
+            scanned.append([candidate, predicted])
+            if predicted > threshold:
                 break
             chosen = candidate
             candidate //= 2
         if chosen != tlb.active_units:
-            self.stats.record_downsize()
             tlb.set_active_units(chosen)
+        return scanned
 
     # ------------------------------------------------------------------
     def active_configuration(self) -> dict[str, int]:
@@ -191,27 +173,16 @@ class LiteController:
         Active unit counts are *not* serialized here: they live in the
         monitored TLBs' own state dicts (restoring a TLB restores its
         ``active_ways``/``active_entries``), so the controller only owns
-        the decision-side state — RNG stream, MPKI memory, distance
-        counters, aggregate stats, and the interval history.
+        the decision-side state — RNG stream, distance counters, and the
+        interval history, whose last record is the MPKI memory.
         """
         return {
             "rng": rng_state_to_json(self._rng.getstate()),
-            "previous_mpki": self.previous_mpki,
-            "instructions_seen": self._instructions_seen,
-            "stats": self.stats.state_dict(),
             "counters": {
                 name: counters.state_dict()
                 for name, counters in sorted(self.counters.items())
             },
-            "history": [
-                {
-                    "instructions_seen": record.instructions_seen,
-                    "actual_mpki": record.actual_mpki,
-                    "action": record.action,
-                    "active_units": dict(sorted(record.active_units.items())),
-                }
-                for record in self.history
-            ],
+            "history": [record.to_json() for record in self.history],
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -222,17 +193,6 @@ class LiteController:
             f"{sorted(state['counters'])} vs {sorted(self.counters)}",
         )
         self._rng.setstate(rng_state_from_json(state["rng"]))
-        self.previous_mpki = state["previous_mpki"]
-        self._instructions_seen = state["instructions_seen"]
-        self.stats.load_state_dict(state["stats"])
         for name, values in state["counters"].items():
             self.counters[name].load_state_dict(values)
-        self.history = [
-            LiteIntervalRecord(
-                instructions_seen=record["instructions_seen"],
-                actual_mpki=record["actual_mpki"],
-                action=record["action"],
-                active_units=dict(record["active_units"]),
-            )
-            for record in state["history"]
-        ]
+        self.history = [LiteIntervalRecord(**data) for data in state["history"]]

@@ -34,7 +34,7 @@ from ..mem.physical import PhysicalMemory
 from ..mem.process import Process
 from ..workloads.base import Workload
 from .organizations import build_organization, lite_params_for, paging_policy_for
-from .params import HierarchyParams, LiteParams
+from .params import LiteParams
 from .simulator import Simulator
 from .stats import SimulationResult
 
@@ -67,7 +67,6 @@ def build_system(
     workloads: list[Workload],
     config_name: str,
     sharing: TimeSharingConfig,
-    hierarchy_params: HierarchyParams | None = None,
     lite_params: LiteParams | None = None,
 ):
     """Build the shared organization, merged trace, and switch events.
@@ -110,9 +109,7 @@ def build_system(
             (position, lambda org: org.hierarchy.flush_tlbs())
             for position in switch_positions
         ]
-    organization = build_organization(
-        config_name, union, params=hierarchy_params, lite_params=lite_params
-    )
+    organization = build_organization(config_name, union, lite_params=lite_params)
     ipa = sum(w.instructions_per_access for w in workloads) / len(workloads)
     return organization, merged, events, ipa
 
@@ -138,23 +135,18 @@ def run_time_shared(
     workloads: list[Workload],
     config_name: str,
     sharing: TimeSharingConfig | None = None,
-    hierarchy_params: HierarchyParams | None = None,
-    lite_params: LiteParams | None = None,
-    fast_forward_fraction: float = 0.1,
 ) -> SimulationResult:
     """Simulate the time-shared system under one configuration."""
     sharing = sharing or TimeSharingConfig()
     # Scale the Lite interval to the merged run's length, as
     # repro.analysis.experiments.prepare_run does for single-process runs.
     accesses = len(workloads) * sharing.accesses_per_process
-    lite_params = lite_params or lite_params_for(config_name, accesses)
     organization, trace, events, ipa = build_system(
-        workloads, config_name, sharing, hierarchy_params, lite_params
+        workloads, config_name, sharing, lite_params_for(config_name, accesses)
     )
     simulator = Simulator(
         organization,
         workload_name="+".join(w.name for w in workloads),
         instructions_per_access=ipa,
     )
-    fast_forward = int(len(trace) * fast_forward_fraction)
-    return simulator.run(trace, fast_forward_accesses=fast_forward, events=events)
+    return simulator.run(trace, events=events)

@@ -10,7 +10,7 @@ Feeds a virtual-page reference stream through an
   ``interval_instructions`` (converted to accesses via the workload's
   instructions-per-memory-operation ratio);
 * **timeline sampling** — windowed aggregate L1 MPKI for Figure 4-style
-  plots, annotated with Lite's active configuration.
+  plots; Lite's configuration over time is its own ``history``.
 
 Instruction counts derive from the access count times the workload's
 ``instructions_per_access`` ratio — the reference streams carry no
@@ -132,6 +132,12 @@ class Simulator:
         integer array or a list).  ``fast_forward_accesses`` overrides the
         default warm-up fraction.
 
+        At the fast-forward edge the loop resets the hierarchy's measurements
+        and the interval miss baseline and restarts Lite's interval grid, but
+        keeps Lite's distance counters and history: the first measured
+        decision weighs misses since the edge against hits since the last
+        fast-forward interval end (or since access 0, if none ended).
+
         ``events`` schedules OS-level actions mid-run: a list of
         ``(access_index, callable)`` pairs, fired once the simulation
         reaches that trace position (e.g. huge-page breakdown under
@@ -206,7 +212,7 @@ class Simulator:
         last_interval_misses = 0
         next_sample = -1
         last_sample_misses = 0
-        lite_intervals_before = lite.stats.intervals if lite else 0
+        lite_intervals_before = len(lite.history) if lite else 0
         faults: list[FaultRecord] = []
         faulted = 0
         timeline: list[TimelineSample] = []
@@ -237,8 +243,8 @@ class Simulator:
                 for index, vpn, error, message in resume_state["faults"]
             ]
             timeline = [
-                TimelineSample(instructions, l1_mpki, active_ways)
-                for instructions, l1_mpki, active_ways in resume_state["timeline"]
+                TimelineSample(instructions, l1_mpki)
+                for instructions, l1_mpki in resume_state["timeline"]
             ]
 
         def loop_state() -> dict:
@@ -260,8 +266,7 @@ class Simulator:
                     for record in faults
                 ],
                 "timeline": [
-                    [sample.instructions, sample.l1_mpki, sample.active_ways]
-                    for sample in timeline
+                    [sample.instructions, sample.l1_mpki] for sample in timeline
                 ],
             }
 
@@ -336,7 +341,7 @@ class Simulator:
             if phase == "fast-forward" and pos == fast_forward_accesses:
                 hierarchy.reset_measurement()
                 last_interval_misses = 0
-                lite_intervals_before = lite.stats.intervals if lite else 0
+                lite_intervals_before = len(lite.history) if lite else 0
                 if lite is not None:
                     next_interval = pos + interval_accesses
                 next_sample = pos + window
@@ -364,7 +369,6 @@ class Simulator:
                     TimelineSample(
                         instructions=round((pos - fast_forward_accesses) * ipa),
                         l1_mpki=delta * 1000.0 / window_instructions,
-                        active_ways=lite.active_configuration() if lite else None,
                     )
                 )
                 last_sample_misses = misses
@@ -402,7 +406,7 @@ class Simulator:
             },
             hit_attribution=hierarchy.hit_attribution(),
             timeline=timeline,
-            lite_intervals=(lite.stats.intervals - lite_intervals_before) if lite else 0,
+            lite_intervals=(len(lite.history) - lite_intervals_before) if lite else 0,
             faulted_accesses=faulted,
             fault_records=faults,
         )

@@ -25,7 +25,6 @@ class TimelineSample:
 
     instructions: int  # cumulative instructions at the window end
     l1_mpki: float
-    active_ways: dict[str, int] | None = None  # Lite configuration, if any
 
 
 @dataclass(slots=True)

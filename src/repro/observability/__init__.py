@@ -4,7 +4,7 @@ Three pieces, one hub:
 
 * :mod:`repro.observability.registry` — a typed
   :class:`MetricsRegistry` of counters/gauges/histograms with named
-  scopes, snapshot/delta semantics, and JSON + Prometheus-text export;
+  scopes, snapshots, and JSON + Prometheus-text export;
 * :mod:`repro.observability.spans` — a :class:`SpanRecorder` of named
   wall-time intervals (run phases, drain segments, checkpoint writes,
   Lite resizes) exportable as Chrome-trace JSON;

@@ -89,10 +89,10 @@ class FastPathProbe:
 class Observability:
     """One metrics registry + one span recorder behind an enabled flag."""
 
-    def __init__(self, enabled: bool = True, record_spans: bool = True) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder() if record_spans else None
+        self.spans = SpanRecorder()
 
     @staticmethod
     def resolve(observability: "Observability | None") -> "Observability | None":
@@ -106,24 +106,18 @@ class Observability:
             return None
         return observability
 
-    # -- span pass-throughs (no-ops when spans are off) ------------------
-    def begin(self, name: str, **attrs) -> Span | None:
-        if self.spans is None:
-            return None
+    # -- span pass-throughs ----------------------------------------------
+    def begin(self, name: str, **attrs) -> Span:
         return self.spans.begin(name, **attrs)
 
-    def end(self, span: Span | None) -> None:
-        if span is not None and self.spans is not None:
-            self.spans.end(span)
+    def end(self, span: Span) -> None:
+        self.spans.end(span)
 
     def span(self, name: str, **attrs):
-        if self.spans is None:
-            return _NULL_SPAN_CONTEXT
         return self.spans.span(name, **attrs)
 
     def instant(self, name: str, **attrs) -> None:
-        if self.spans is not None:
-            self.spans.instant(name, **attrs)
+        self.spans.instant(name, **attrs)
 
     # -- exports ---------------------------------------------------------
     def snapshot(self) -> dict:
@@ -133,34 +127,15 @@ class Observability:
         return {
             "metrics_version": METRICS_SIDECAR_VERSION,
             "metrics": self.registry.snapshot(),
-            "spans": None if self.spans is None else self.spans.to_json(),
-            "spans_dropped": 0 if self.spans is None else self.spans.dropped,
+            "spans": self.spans.to_json(),
+            "spans_dropped": self.spans.dropped,
         }
 
     def render_prometheus(self, namespace: str = "repro") -> str:
         return self.registry.render_prometheus(namespace=namespace)
 
     def write_chrome_trace(self, path) -> Path:
-        if self.spans is None:
-            raise ObservabilityError(
-                "cannot export a Chrome trace: span recording is off"
-            )
         return atomic_write_json(path, self.spans.chrome_trace())
-
-
-class _NullSpanContext:
-    """``with obs.span(...)`` target when span recording is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
 
 
 class SimulatorInstrumentation:
@@ -247,12 +222,11 @@ class SimulatorInstrumentation:
         """The instrumented twin of the bare ``lite.end_interval`` call."""
         before = lite.active_configuration()
         with self.obs.span("lite.end_interval"):
-            lite.end_interval(miss_delta, interval_instructions)
+            record = lite.end_interval(miss_delta, interval_instructions)
         self.lite_intervals.inc()
-        after = lite.active_configuration()
-        if after != before:
+        if record.active_units != before:
             self.lite_resizes.inc()
-            self.obs.instant("lite.resize", before=before, after=after)
+            self.obs.instant("lite.resize", interval=len(lite.history) - 1)
 
     def sample(self) -> None:
         self.samples.inc()
@@ -268,14 +242,10 @@ class SimulatorInstrumentation:
             fastpath = self.obs.registry.scope("fastpath")
             for name, value in self.probe.as_dict().items():
                 fastpath.counter(name).inc(value)
-        if self.phase_span is not None:
-            self.obs.end(self.phase_span)
-            self.phase_span = None
-        if self.run_span is not None:
-            self.run_span.attrs["l1_misses"] = result.l1_misses
-            self.run_span.attrs["page_walks"] = result.page_walks
-            self.obs.end(self.run_span)
-            self.run_span = None
+        self.obs.end(self.phase_span)
+        self.run_span.attrs["l1_misses"] = result.l1_misses
+        self.run_span.attrs["page_walks"] = result.page_walks
+        self.obs.end(self.run_span)
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,8 @@ a view that prefixes every registration, so subsystems can label their
 metrics without knowing where they sit in the tree.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-compatible
-dicts — the unit that crosses the supervisor's heartbeat pipe, lands in
-the sweep metrics sidecar, and diffs via :meth:`MetricsRegistry.delta`.
+dicts — the unit that crosses the supervisor's heartbeat pipe and lands
+in the sweep metrics sidecar.
 :func:`merge_snapshots` aggregates snapshots across sweep cells
 (counters and histograms sum; gauges are per-run readings and drop out
 of totals), and :func:`render_prometheus` turns any snapshot into the
@@ -256,34 +256,6 @@ class MetricsRegistry:
                     "sum": metric.sum,
                 }
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-    def delta(self, before: dict) -> dict:
-        """The change since an earlier :meth:`snapshot` of this registry.
-
-        Counters and histograms subtract; gauges report their current
-        value (a gauge has no meaningful difference).
-        """
-        now = self.snapshot()
-        counters = {
-            name: value - before.get("counters", {}).get(name, 0)
-            for name, value in now["counters"].items()
-        }
-        histograms = {}
-        for name, hist in now["histograms"].items():
-            prior = before.get("histograms", {}).get(name)
-            if prior is None or prior.get("bounds") != hist["bounds"]:
-                histograms[name] = hist
-                continue
-            histograms[name] = {
-                "bounds": hist["bounds"],
-                "buckets": [
-                    bucket - old
-                    for bucket, old in zip(hist["buckets"], prior["buckets"])
-                ],
-                "count": hist["count"] - prior["count"],
-                "sum": hist["sum"] - prior["sum"],
-            }
-        return {"counters": counters, "gauges": now["gauges"], "histograms": histograms}
 
     def render_prometheus(self, namespace: str = "repro") -> str:
         return render_prometheus(self.snapshot(), namespace=namespace)

@@ -99,12 +99,6 @@ class SpanRecorder:
             self.dropped += 1
         return span
 
-    def total_seconds(self, name: str) -> float:
-        """Summed duration of every completed span with this name."""
-        return sum(
-            span.duration or 0.0 for span in self.events if span.name == name
-        )
-
     def to_json(self) -> list[dict]:
         return [span.to_json() for span in self.events]
 

@@ -41,7 +41,7 @@ from ..stateful import require
 #: Bump when the snapshot layout changes incompatibly.  Policy: loading
 #: rejects any other version outright (snapshots are short-lived restart
 #: aids, not archival artifacts — see docs/robustness.md).
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 # ----------------------------------------------------------------------

@@ -467,24 +467,52 @@ class TestSnapshotFiles:
         assert json.loads(payload_text) == state
         assert envelope["sha256"] == hashlib.sha256(payload_text.encode()).hexdigest()
 
-    #: The process state of each retired snapshot version.
-    OLD_PROCESS_LAYOUTS = {
+    #: A payload in the layout of each retired snapshot version.
+    OLD_PAYLOADS = {
         # Version 1 listed every leaf as a [vpn, pfn, size] triple.
-        1: {"page_table": {"translations": [[0, 7, 1], [1, 9, 1]]}},
+        1: {"process": {"page_table": {"translations": [[0, 7, 1], [1, 9, 1]]}}},
         # Version 2 held the allocator's Mersenne Twister state.
         2: {
-            "page_table": {"runs": [[0, [7, 9]]], "huge": []},
-            "physical": {"rng": rng_state_to_json(random.Random(0).getstate())},
+            "process": {
+                "page_table": {"runs": [[0, [7, 9]]], "huge": []},
+                "physical": {"rng": rng_state_to_json(random.Random(0).getstate())},
+            }
         },
         # Version 5 held the whole process; version 6 holds its digest.
-        5: Process(PhysicalMemory(1 << 20)).state_dict(),
+        5: {"process": Process(PhysicalMemory(1 << 20)).state_dict()},
+        # Version 6's Lite state restated its last record and kept
+        # aggregate counts; its timeline samples carried Lite's ways.
+        6: {
+            "process_digest": "0" * 64,
+            "lite": {
+                "rng": rng_state_to_json(random.Random(0).getstate()),
+                "previous_mpki": 12.5,
+                "instructions_seen": 10_000,
+                "stats": {
+                    "intervals": 1,
+                    "downsizes": 0,
+                    "random_reactivations": 0,
+                    "degradation_reactivations": 0,
+                },
+                "counters": {"L1-4KB": [0, 0, 0]},
+                "history": [
+                    {
+                        "instructions_seen": 10_000,
+                        "actual_mpki": 12.5,
+                        "action": "decide",
+                        "active_units": {"L1-4KB": 4},
+                    }
+                ],
+            },
+            "loop": {"boundary": 3, "timeline": [[3_000, 12.5, {"L1-4KB": 4}]]},
+        },
     }
 
-    @pytest.mark.parametrize("version", sorted(OLD_PROCESS_LAYOUTS))
+    @pytest.mark.parametrize("version", sorted(OLD_PAYLOADS))
     def test_version_1_snapshot_is_discarded(self, tmp_path, version):
         """A snapshot in an older layout reruns its cell from access 0."""
         path = tmp_path / "old.ckpt"
-        payload = {"loop": {"boundary": 3}, "process": self.OLD_PROCESS_LAYOUTS[version]}
+        payload = {"loop": {"boundary": 3}, **self.OLD_PAYLOADS[version]}
         envelope = {
             "checkpoint_version": version,
             "meta": {"boundary": 3},

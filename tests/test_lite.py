@@ -1,7 +1,11 @@
 """Tests for the Lite controller: decision algorithm, reactivation, knobs."""
 
+import json
+
 import pytest
 
+from repro import get_workload
+from repro.analysis.experiments import ExperimentSettings, run_workload_config_with_org
 from repro.core.lite import LiteController
 from repro.core.params import LiteParams
 from repro.tlb.fully_assoc import FullyAssociativeTLB
@@ -35,8 +39,8 @@ class TestDecision:
         controller, tlb = make_controller()
         # 1000 hits all at MRU; zero utility beyond way 0.
         feed_counters(controller, "L1-4KB", [1000, 0, 0])
-        action = controller.end_interval(l1_misses=100, instructions=1000)
-        assert action == "decide"
+        record = controller.end_interval(l1_misses=100, instructions=1000)
+        assert record.action == "decide"
         assert tlb.active_ways == 1
 
     def test_keeps_ways_with_deep_utility(self):
@@ -106,8 +110,9 @@ class TestReactivation:
         controller.end_interval(l1_misses=10, instructions=1000)
         assert tlb.active_ways == 1
         # MPKI jumps 10 -> 100: beyond 12.5% over previous.
-        action = controller.end_interval(l1_misses=100, instructions=1000)
-        assert action == "degradation-reactivate"
+        record = controller.end_interval(l1_misses=100, instructions=1000)
+        assert record.action == "degradation-reactivate"
+        assert record.predicted_mpki == {}
         assert tlb.active_ways == 4
 
     def test_small_degradation_tolerated(self):
@@ -115,23 +120,25 @@ class TestReactivation:
         feed_counters(controller, "L1-4KB", [1000, 0, 0])
         controller.end_interval(l1_misses=100, instructions=1000)
         assert tlb.active_ways == 1
-        action = controller.end_interval(l1_misses=105, instructions=1000)
-        assert action == "decide"
+        record = controller.end_interval(l1_misses=105, instructions=1000)
+        assert record.action == "decide"
         assert tlb.active_ways == 1
 
     def test_random_reactivation_fires_with_probability_one(self):
         controller, tlb = make_controller(reactivate_probability=1.0)
         tlb.set_active_units(1)
-        action = controller.end_interval(l1_misses=0, instructions=1000)
-        assert action == "random-reactivate"
+        record = controller.end_interval(l1_misses=0, instructions=1000)
+        assert record.action == "random-reactivate"
+        assert record.predicted_mpki == {}
         assert tlb.active_ways == 4
-        assert controller.stats.random_reactivations == 1
+        assert controller.history == [record]
 
     def test_random_reactivation_rate_statistical(self):
         controller, _tlb = make_controller(reactivate_probability=0.25, seed=9)
         for _ in range(400):
             controller.end_interval(l1_misses=0, instructions=1000)
-        rate = controller.stats.random_reactivations / 400
+        actions = [record.action for record in controller.history]
+        rate = actions.count("random-reactivate") / 400
         assert 0.15 < rate < 0.35
 
     def test_counters_reset_each_interval(self):
@@ -178,11 +185,20 @@ class TestBookkeeping:
         assert a.active_ways == 1
         assert b.active_ways == 4
 
-    def test_downsize_counter(self):
-        controller, _tlb = make_controller()
-        feed_counters(controller, "L1-4KB", [1000, 0, 0])
-        controller.end_interval(l1_misses=100, instructions=1000)
-        assert controller.stats.downsizes == 1
+    def test_record_holds_scanned_predictions(self):
+        controller, tlb = make_controller()
+        # 100 MPKI, threshold 112.5: 2 ways adds the 5 rank-2-3 hits
+        # (105 MPKI), 1 way also the 300 rank-1 hits (405 MPKI), and the
+        # scan stops at the first candidate over the threshold.
+        feed_counters(controller, "L1-4KB", [500, 300, 5])
+        record = controller.end_interval(l1_misses=100, instructions=1000)
+        assert record.predicted_mpki == {"L1-4KB": [[2, 105.0], [1, 405.0]]}
+        assert record.active_units == {"L1-4KB": 2}
+        assert tlb.active_ways == 2
+        # Pairs, not int-keyed dicts, so a record survives a JSON snapshot.
+        restored, _tlb = make_controller()
+        restored.load_state_dict(json.loads(json.dumps(controller.state_dict())))
+        assert restored.history == [record]
 
 
 class TestResizing:
@@ -221,3 +237,44 @@ class TestResizing:
         controller.end_interval(l1_misses=1, instructions=1000)
         assert tlb.state_dict()["pending"] == [0, 1, 0]
         assert tlb.stats.lookups == 0
+
+
+class TestDecisionRecords:
+    """Every record of a whole run explains its own decision."""
+
+    @pytest.mark.parametrize("workload", ["omnetpp", "mcf", "astar", "GemsFDTD"])
+    @pytest.mark.parametrize(
+        "config", ["TLB_Lite", "RMM_Lite", "FA_Lite", "RMM_PP_Lite", "L0_Lite"]
+    )
+    def test_records_replay_the_halving_scan(self, config, workload):
+        _result, org = run_workload_config_with_org(
+            get_workload(workload), config, ExperimentSettings(trace_accesses=60_000)
+        )
+        lite = org.lite
+        full = {tlb.name: tlb.max_units for tlb in lite.tlbs}
+        previous = full
+        decisions = 0
+        for record in lite.history:
+            if record.action != "decide":
+                assert record.predicted_mpki == {}
+                assert record.active_units == full
+                previous = record.active_units
+                continue
+            threshold = lite.params.threshold(record.actual_mpki)
+            assert set(record.predicted_mpki) == set(full)
+            for name, scanned in record.predicted_mpki.items():
+                candidate, chosen = previous[name] // 2, previous[name]
+                for index, (units, predicted) in enumerate(scanned):
+                    assert units == candidate
+                    assert predicted >= record.actual_mpki
+                    if predicted > threshold:
+                        assert index == len(scanned) - 1  # the scan stops here
+                    else:
+                        chosen = units
+                    candidate //= 2
+                if not scanned or scanned[-1][1] <= threshold:
+                    assert candidate < lite.params.min_ways
+                assert record.active_units[name] == chosen
+                decisions += 1
+            previous = record.active_units
+        assert decisions > 0

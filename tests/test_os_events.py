@@ -141,4 +141,5 @@ class TestSimulatorEvents:
         )
         assert after > 2 * before + 0.5
         # Lite reacted: a degradation reactivation occurred.
-        assert org.lite.stats.degradation_reactivations >= 1
+        actions = [record.action for record in org.lite.history]
+        assert "degradation-reactivate" in actions

@@ -8,7 +8,11 @@ the stationary workloads don't.
 
 import pytest
 
-from repro.analysis.experiments import ExperimentSettings, run_workload_config
+from repro.analysis.experiments import (
+    ExperimentSettings,
+    run_workload_config,
+    run_workload_config_with_org,
+)
 from repro.core.params import SimulationParams
 from repro.workloads.registry import get_workload
 
@@ -70,9 +74,11 @@ class TestStationaryWorkloads:
 
     def test_phases_drive_lite_reconfigurations(self):
         """On phased workloads Lite keeps making decisions over time."""
-        result = run_workload_config(get_workload("astar"), "TLB_Lite", SETTINGS)
+        result, org = run_workload_config_with_org(
+            get_workload("astar"), "TLB_Lite", SETTINGS
+        )
         ways_over_time = [
-            sample.active_ways["L1-4KB"] for sample in result.timeline
+            record.active_units["L1-4KB"] for record in org.lite.history
         ]
-        assert len(set(ways_over_time)) >= 1  # recorded at every window
+        assert len(set(ways_over_time)) > 1  # L1-4KB resized over time
         assert result.lite_intervals > 20

@@ -221,9 +221,9 @@ SEEDING_CASES = [
     ),
     pytest.param(
         "repro/core/lite.py",
-        ('"instructions_seen": self._instructions_seen,', ""),
+        ('"history": [record.to_json() for record in self.history],', ""),
         "LiteController",
-        "_instructions_seen",
+        "history",
         id="lite-controller",
     ),
     pytest.param(
