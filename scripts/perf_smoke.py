@@ -156,10 +156,10 @@ def profiled_drain(prepared) -> tuple[int, list[str]]:
         elif event == "call":
             calls += 1
             # Generated drains are exec'd into their own namespace, which
-            # binds the function as ``drain`` with its source attached.
+            # binds their source as ``__repro_source__``.
             code = frame.f_code
             if code.co_filename == "<string>" and code.co_name == "drain":
-                source = frame.f_globals["drain"].__repro_source__
+                source = frame.f_globals["__repro_source__"]
                 if source not in sources:
                     sources.append(source)
 

@@ -384,8 +384,10 @@ class _DrainSource:
         lines += ["    " + text for text in flush]
         lines.append("    return i")
         source = "\n".join(lines)
+        self.namespace["__repro_source__"] = source
         exec(source, self.namespace)
         drain = self.namespace["drain"]
+        del self.namespace["drain"]  # no self-cycle: frees the hierarchy with the run
         drain.__repro_source__ = source
         return drain
 
