@@ -26,13 +26,15 @@ facts about such streams:
    mask baked in as constants; for
    :class:`~repro.core.hierarchy.MixedTLBHierarchy` one mixed L1 probe
    and one mixed L2 probe share the size-disambiguated key.  In both,
-   set lists and Lite counter lists are hoisted into locals, the L2
-   probe and the L2-hit L1 fill are inlined, and pending counters
-   accumulate in local integers that are flushed into the structures'
-   ``_pending_*`` fields when the drain returns.  The generated loop
-   breaks whenever an access changes the drain shape (a walk enabling a
-   new L1 slot, a fill latching a range TLB) and the engine
-   re-specializes.
+   each set-associative TLB's per-set key lists and value dict and the
+   Lite counter lists are hoisted into locals; a probe tests rank 0,
+   then finds a deeper key with ``in`` and ``list.index``, which scan
+   the set in C.  The L2 probe and the L2-hit L1 fill are inlined, and
+   pending counters accumulate in local integers that are flushed into
+   the structures' ``_pending_*`` fields when the drain returns.  The
+   generated loop breaks whenever an access changes the drain shape (a
+   walk enabling a new L1 slot, a fill latching a range TLB) and the
+   engine re-specializes.
 
 Legality rules (what makes the transformation exact):
 
@@ -124,7 +126,8 @@ def encode_trace(trace) -> tuple[list[int], np.ndarray]:
 # Shape-specialized code generation
 # ----------------------------------------------------------------------
 def _inline_fill(index: int, key: str, value: str) -> list[str]:
-    """Insert ``[key, value]`` at the MRU of L1 TLB ``index``'s set.
+    """Insert ``key`` at the MRU of L1 TLB ``index``'s set, store its
+    value, and drop the evicted key's value.
 
     Legal only for a key that has just missed in that TLB: a resident
     key would need :meth:`SetAssociativeTLB.fill`'s duplicate removal.
@@ -132,8 +135,8 @@ def _inline_fill(index: int, key: str, value: str) -> list[str]:
     return [
         f"pf{index} += 1",
         f"ef = sets{index}[{key} & mask{index}]",
-        f"ef.insert(0, [{key}, {value}])",
-        f"if len(ef) > aw{index}: ef.pop()",
+        f"ef.insert(0, {key}); vals{index}[{key}] = {value}",
+        f"if len(ef) > aw{index}: del vals{index}[ef.pop()]",
     ]
 
 
@@ -145,8 +148,9 @@ class _DrainSource:
     more accesses to ``pv``), ``body`` (the per-access pipeline) and
     ``flush`` (its attribution counts), partly through the emitters
     here, which both templates share.  L1 page TLB ``i`` owns the locals
-    ``t{i}``, ``sets{i}``, ``mask{i}``, ``c{i}`` and the counters
-    ``ph{i}``/``pm{i}``/``at{i}``/``pf{i}``.
+    ``t{i}``, ``sets{i}`` (its per-set key lists, MRU first),
+    ``vals{i}`` (its key -> value dict), ``mask{i}``, ``c{i}`` and the
+    counters ``ph{i}``/``pm{i}``/``at{i}``/``pf{i}``.
     """
 
     def __init__(self, h, namespace: dict, l1_tlbs: list, l2) -> None:
@@ -167,12 +171,13 @@ class _DrainSource:
         self.flush: list[str] = []
         for index, tlb in enumerate(l1_tlbs):
             namespace[f"t{index}"] = tlb
-            self.header.append(f"sets{index} = t{index}._sets; mask{index} = t{index}._set_mask")
+            self.header.append(f"sets{index} = t{index}._sets; vals{index} = t{index}._values")
+            self.header.append(f"mask{index} = t{index}._set_mask")
             if tlb.hit_rank_counters is not None:
                 self.header.append(f"c{index} = t{index}.hit_rank_counters")
         # The L2 takes its own names: an L1 index never collides with them.
         namespace["tl2"] = l2
-        self.header.append("setsl2 = tl2._sets; maskl2 = tl2._set_mask")
+        self.header.append("setsl2 = tl2._sets; valsl2 = tl2._values; maskl2 = tl2._set_mask")
         self.range_counters = False
         if self.has_range:
             namespace["r"] = h._l1_range_active
@@ -189,12 +194,14 @@ class _DrainSource:
 
         A hit runs ``mark``, which notes it for the attribution step after
         the range probe, or, given ``finish``, ends the access with that.
-        A repeat checks rank 0 only, on ``repeat_key``, and marks its hit.
+        Rank 0 is tested first; a deeper hit is found by ``in`` and
+        ``list.index``, one C-level scan of the set each.  A repeat checks
+        rank 0 only, on ``repeat_key``, and marks its hit.
         """
         counters = self.namespace[f"t{index}"].hit_rank_counters is not None
         rbody, body = self.rbody, self.body
         rbody.append(f"e = sets{index}[{repeat_key} & mask{index}]")
-        rbody.append(f"if e and e[0][0] == {repeat_key}:")
+        rbody.append(f"if e and e[0] == {repeat_key}:")
         rbody.append(f"    ph{index} += n")
         if counters:
             rbody.append(f"    c{index}[0] += n")
@@ -202,29 +209,17 @@ class _DrainSource:
         rbody.append("else:")
         rbody.append(f"    pm{index} += n")
         body.append(f"e = sets{index}[{key} & mask{index}]")
-        body.append(f"if e and e[0][0] == {key}:")
+        body.append(f"if e and e[0] == {key}:")
         body.append(f"    ph{index} += 1")
         if counters:
             body.append(f"    c{index}[0] += 1")
         body.append(f"    {finish or mark}")
-        body.append("elif e:")
-        body.append("    rank = 1; ln = len(e)")
-        body.append("    while rank < ln:")
-        body.append("        p = e[rank]")
-        body.append(f"        if p[0] == {key}:")
-        body.append(f"            ph{index} += 1")
+        body.append(f"elif {key} in e:")
+        body.append(f"    ph{index} += 1; rank = e.index({key})")
         if counters:
-            body.append(f"            c{index}[rank.bit_length()] += 1")
-        body.append("            del e[rank]; e.insert(0, p)")
-        if finish is None:
-            body.append(f"            {mark}")
-        body.append("            break")
-        body.append("        rank += 1")
-        body.append("    else:")
-        body.append(f"        pm{index} += 1")
-        if finish is not None:
-            body.append("    if rank < ln:")
-            body.append(f"        {finish}")
+            body.append(f"    c{index}[rank.bit_length()] += 1")
+        body.append(f"    del e[rank]; e.insert(0, {key})")
+        body.append(f"    {finish or mark}")
         body.append("else:")
         body.append(f"    pm{index} += 1")
 
@@ -284,7 +279,7 @@ class _DrainSource:
         rbody.append("else:")
         for index, key in probes:
             rbody.append(f"    e = sets{index}[{key} & mask{index}]")
-            rbody.append(f"    if e and e[0][0] == {key}: ph{index} -= n")
+            rbody.append(f"    if e and e[0] == {key}: ph{index} -= n")
             rbody.append(f"    else: pm{index} -= n")
         if self.has_range:
             rbody.append("    rpm -= n")
@@ -294,27 +289,22 @@ class _DrainSource:
         rbody.append("continue")
 
     def l2_probe(self, key: str, hit_fill: list[str], range_fill: list[str]) -> None:
-        """L1 miss: the inlined L2 probe on ``key``, the L2-range lookup,
-        the L1 fill (``hit_fill`` installs the L2 entry ``pe``,
-        ``range_fill`` synthesises one from the range ``re_``), and on a
-        full miss the reference walk-and-fill.
+        """L1 miss: the inlined L2 probe on ``key`` (``in``, then
+        ``list.index`` for its rank), the L2-range lookup, the L1 fill
+        (``hit_fill`` installs the L2 entry ``pe``, ``range_fill``
+        synthesises one from the range ``re_``), and on a full miss the
+        reference walk-and-fill.
         """
         body = self.body
         body.append("l1m += 1")
         body.append(f"e = setsl2[{key} & maskl2]")
-        body.append("pe = None")
-        body.append("rank = 0; ln = len(e)")
-        body.append("while rank < ln:")
-        body.append("    p = e[rank]")
-        body.append(f"    if p[0] == {key}:")
-        body.append("        p2h += 1")
-        body.append("        if rank:")
-        body.append("            del e[rank]; e.insert(0, p)")
-        body.append("        pe = p[1]")
-        body.append("        break")
-        body.append("    rank += 1")
+        body.append(f"if {key} in e:")
+        body.append(f"    p2h += 1; rank = e.index({key})")
+        body.append("    if rank:")
+        body.append(f"        del e[rank]; e.insert(0, {key})")
+        body.append(f"    pe = valsl2[{key}]")
         body.append("else:")
-        body.append("    p2m += 1")
+        body.append("    p2m += 1; pe = None")
         if self.has_l2r:
             body.append("re_ = l2r.lookup(vpn)")
             if self.h.l1_range is not None and self.has_range:

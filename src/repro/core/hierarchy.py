@@ -255,9 +255,9 @@ class TLBHierarchy(BaseHierarchy):
         re-specialize whenever an access changes it (a walk enabling a
         new L1 slot, a fill latching a range TLB).  Everything else the
         specialized loop touches is mutated strictly in place — per-set
-        recency lists, range recency stacks, and Lite's raw counter
-        lists keep their identity across fills, resizes, and flushes —
-        so the shape triple is the only regeneration trigger.
+        key lists, value dicts, range recency stacks, and Lite's raw
+        counter lists keep their identity across fills, resizes, and
+        flushes — so the shape triple is the only regeneration trigger.
         """
         return (
             len(self._active_slots),

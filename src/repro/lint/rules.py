@@ -312,7 +312,7 @@ _HOT_ALLOC_CALLS = frozenset({"sorted", "list", "dict", "set", "tuple", "deepcop
 _TELEMETRY_LEAVES = frozenset({"trace_span", "perf_counter", "monotonic"})
 
 #: dotted-name segments that mark a call as telemetry plumbing
-#: (``self.obs.begin(...)``, ``observability.span(...)``, ...).
+#: (``self.obs.spans.begin(...)``, ``observability.registry.counter(...)``, ...).
 _TELEMETRY_SEGMENTS = frozenset({"obs", "observability", "telemetry"})
 
 

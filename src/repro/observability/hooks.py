@@ -106,19 +106,6 @@ class Observability:
             return None
         return observability
 
-    # -- span pass-throughs ----------------------------------------------
-    def begin(self, name: str, **attrs) -> Span:
-        return self.spans.begin(name, **attrs)
-
-    def end(self, span: Span) -> None:
-        self.spans.end(span)
-
-    def span(self, name: str, **attrs):
-        return self.spans.span(name, **attrs)
-
-    def instant(self, name: str, **attrs) -> None:
-        self.spans.instant(name, **attrs)
-
     # -- exports ---------------------------------------------------------
     def snapshot(self) -> dict:
         return self.registry.snapshot()
@@ -191,7 +178,7 @@ class SimulatorInstrumentation:
         self.samples = sim.counter("timeline_samples", "timeline samples recorded")
         self.probe = FastPathProbe() if fast_engine else None
         self._run_scope = obs.registry.scope("run")
-        self.run_span = obs.begin(
+        self.run_span = obs.spans.begin(
             "run",
             workload=workload,
             configuration=configuration,
@@ -202,8 +189,8 @@ class SimulatorInstrumentation:
 
     def begin_phase(self, name: str) -> None:
         if self.phase_span is not None:
-            self.obs.end(self.phase_span)
-        self.phase_span = self.obs.begin(name)
+            self.obs.spans.end(self.phase_span)
+        self.phase_span = self.obs.spans.begin(name)
 
     def timed_drain(self, drain):
         """``drain`` wrapped to count and time every segment it drains."""
@@ -221,12 +208,12 @@ class SimulatorInstrumentation:
     def lite_interval(self, lite, miss_delta: int, interval_instructions: float) -> None:
         """The instrumented twin of the bare ``lite.end_interval`` call."""
         before = lite.active_configuration()
-        with self.obs.span("lite.end_interval"):
+        with self.obs.spans.span("lite.end_interval"):
             record = lite.end_interval(miss_delta, interval_instructions)
         self.lite_intervals.inc()
         if record.active_units != before:
             self.lite_resizes.inc()
-            self.obs.instant("lite.resize", interval=len(lite.history) - 1)
+            self.obs.spans.instant("lite.resize", interval=len(lite.history) - 1)
 
     def sample(self) -> None:
         self.samples.inc()
@@ -242,10 +229,10 @@ class SimulatorInstrumentation:
             fastpath = self.obs.registry.scope("fastpath")
             for name, value in self.probe.as_dict().items():
                 fastpath.counter(name).inc(value)
-        self.obs.end(self.phase_span)
+        self.obs.spans.end(self.phase_span)
         self.run_span.attrs["l1_misses"] = result.l1_misses
         self.run_span.attrs["page_walks"] = result.page_walks
-        self.obs.end(self.run_span)
+        self.obs.spans.end(self.run_span)
 
 
 # ----------------------------------------------------------------------

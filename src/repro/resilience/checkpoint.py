@@ -395,7 +395,7 @@ class SimulationCheckpointer:
         """Build this boundary's state once; digest it and/or persist it."""
         boundary = loop_state["boundary"]
         obs = self.observability
-        span = obs.begin("checkpoint", boundary=boundary) if obs is not None else None
+        span = obs.spans.begin("checkpoint", boundary=boundary) if obs is not None else None
         event_index = loop_state["event_index"]
         if self._process_digest is None or self._process_digest[0] != event_index:
             self._process_digest = (event_index, state_digest(self.process.state_dict()))
@@ -406,7 +406,7 @@ class SimulationCheckpointer:
             write_snapshot(self.path, state, meta={**self.meta, "boundary": boundary})
             self.snapshots_written += 1
         if span is not None:
-            obs.end(span)
+            obs.spans.end(span)
             self._checkpoint_seconds.observe(span.duration or 0.0)
             if digest:
                 self._digest_counter.inc()

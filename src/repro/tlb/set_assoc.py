@@ -7,9 +7,12 @@ by *disabling ways in powers of two* while the number of sets stays
 constant; disabled ways are invalidated (Section 4.2.3) so re-enabling
 never exposes stale translations.
 
-Each set is kept as a recency-ordered list (most-recently-used first), so
-a hit's index in the list is exactly its LRU stack position — the quantity
-the Lite monitoring hardware derives from the LRU state bits.  True LRU
+Each set is kept as a recency-ordered list of keys (most-recently-used
+first), so a hit's index in the list is exactly its LRU stack position —
+the quantity the Lite monitoring hardware derives from the LRU state bits.
+The cached values live in one dict keyed by key: a key can only reside in
+set ``key & _set_mask``, so one dict serves every set, and a probe finds
+its key with ``in`` and ``list.index``, which scan the set in C.  True LRU
 gives the *stack inclusion* property Lite's counters rely on: the content
 of a w-way set is always a prefix of the 2w-way set's recency stack, which
 makes the counter-based miss prediction exact.
@@ -66,6 +69,7 @@ class SetAssociativeTLB(BatchedTLB):
         "_set_mask",
         "active_ways",
         "_sets",
+        "_values",
         "hit_rank_counters",
     )
 
@@ -84,8 +88,9 @@ class SetAssociativeTLB(BatchedTLB):
             )
         self._set_mask = self.num_sets - 1
         self.active_ways = ways
-        # Each set: list of [key, value] pairs ordered MRU -> LRU.
-        self._sets: list[list[list]] = [[] for _ in range(self.num_sets)]
+        # Each set: its keys, MRU -> LRU; _values maps every resident key.
+        self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
+        self._values: dict = {}
         self.hit_rank_counters: list[int] | None = None
 
     # ------------------------------------------------------------------
@@ -98,27 +103,24 @@ class SetAssociativeTLB(BatchedTLB):
         divides the 4 KB VPN by the structure's page size).  Counts one
         read access at the current active-way configuration.
         """
-        entries = self._sets[key & self._set_mask]
-        for rank, pair in enumerate(entries):
-            if pair[0] == key:
-                self._pending_hits += 1
-                counters = self.hit_rank_counters
-                if counters is not None:
-                    counters[rank.bit_length()] += 1
-                if rank:
-                    # Move to MRU position.
-                    entries.pop(rank)
-                    entries.insert(0, pair)
-                return pair[1]
+        keys = self._sets[key & self._set_mask]
+        if key in keys:
+            self._pending_hits += 1
+            rank = keys.index(key)
+            counters = self.hit_rank_counters
+            if counters is not None:
+                counters[rank.bit_length()] += 1
+            if rank:
+                # Move to MRU position.
+                del keys[rank]
+                keys.insert(0, key)
+            return self._values[key]
         self._pending_misses += 1
         return None
 
     def peek(self, key: int):
         """Check containment without updating LRU state or statistics."""
-        for pair in self._sets[key & self._set_mask]:
-            if pair[0] == key:
-                return pair[1]
-        return None
+        return self._values.get(key)
 
     def fill(self, key: int, value) -> None:
         """Insert a translation, evicting the set's LRU entry if full.
@@ -127,28 +129,28 @@ class SetAssociativeTLB(BatchedTLB):
         A fill of an already-present key refreshes its value and recency.
         """
         self._pending_fills += 1
-        entries = self._sets[key & self._set_mask]
-        for rank, pair in enumerate(entries):
-            if pair[0] == key:
-                entries.pop(rank)
-                break
-        entries.insert(0, [key, value])
-        if len(entries) > self.active_ways:
-            entries.pop()
+        keys = self._sets[key & self._set_mask]
+        if key in keys:
+            keys.remove(key)
+        keys.insert(0, key)
+        self._values[key] = value
+        if len(keys) > self.active_ways:
+            del self._values[keys.pop()]
 
     def invalidate(self, key: int) -> bool:
         """Remove one translation; returns True if it was present."""
-        entries = self._sets[key & self._set_mask]
-        for rank, pair in enumerate(entries):
-            if pair[0] == key:
-                entries.pop(rank)
-                return True
-        return False
+        keys = self._sets[key & self._set_mask]
+        if key not in keys:
+            return False
+        keys.remove(key)
+        del self._values[key]
+        return True
 
     def flush(self) -> None:
         """Invalidate every entry (e.g. on context switch)."""
-        for entries in self._sets:
-            entries.clear()
+        for keys in self._sets:
+            keys.clear()
+        self._values.clear()
 
     # ------------------------------------------------------------------
     # Way-disabling (the Lite reconfiguration mechanism)
@@ -179,8 +181,10 @@ class SetAssociativeTLB(BatchedTLB):
             )
         self.sync_stats()
         if ways < self.active_ways:
-            for entries in self._sets:
-                del entries[ways:]
+            for keys in self._sets:
+                for key in keys[ways:]:
+                    del self._values[key]
+                del keys[ways:]
         self.active_ways = ways
 
     # ------------------------------------------------------------------
@@ -188,15 +192,15 @@ class SetAssociativeTLB(BatchedTLB):
     # ------------------------------------------------------------------
     def occupancy(self) -> int:
         """Number of valid entries currently held."""
-        return sum(len(entries) for entries in self._sets)
+        return len(self._values)
 
     def resident_keys(self) -> set[int]:
         """Set of all keys currently cached."""
-        return {pair[0] for entries in self._sets for pair in entries}
+        return set(self._values)
 
     def set_contents(self, set_index: int) -> list[int]:
         """Keys of one set in recency order (MRU first); for tests."""
-        return [pair[0] for pair in self._sets[set_index]]
+        return list(self._sets[set_index])
 
     # ------------------------------------------------------------------
     # Checkpoint protocol
@@ -204,6 +208,7 @@ class SetAssociativeTLB(BatchedTLB):
     def state_dict(self) -> dict:
         """Pure-JSON mutable state: sets (MRU order), pending counts, stats.
 
+        Each set is written as ``[key, encoded value]`` pairs, MRU first.
         ``hit_rank_counters`` is deliberately absent: the list is owned by
         Lite's :class:`repro.core.counters.LRUDistanceCounters` and is
         checkpointed by the Lite controller to preserve object identity.
@@ -213,15 +218,19 @@ class SetAssociativeTLB(BatchedTLB):
             "ways": self.ways,
             "active_ways": self.active_ways,
             "sets": [
-                [[pair[0], encode_entry(pair[1])] for pair in entries]
-                for entries in self._sets
+                [[key, encode_entry(self._values[key])] for key in keys]
+                for keys in self._sets
             ],
             "pending": [self._pending_hits, self._pending_misses, self._pending_fills],
             "stats": self.stats.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot onto a canonically constructed structure."""
+        """Restore a snapshot onto a canonically constructed structure.
+
+        Each set must list at most ``active_ways`` distinct keys of that
+        set: a duplicate would leave the sets and ``_values`` out of step.
+        """
         require(
             state["num_sets"] == self.num_sets and state["ways"] == self.ways,
             f"{self.name}: snapshot geometry {state['num_sets']}x{state['ways']} "
@@ -232,10 +241,19 @@ class SetAssociativeTLB(BatchedTLB):
             f"{self.name}: snapshot holds {len(state['sets'])} sets, "
             f"expected {self.num_sets}",
         )
-        self.active_ways = state["active_ways"]
-        self._sets = [
-            [[key, decode_entry(value)] for key, value in entries]
-            for entries in state["sets"]
-        ]
+        active_ways = state["active_ways"]
+        sets = [[key for key, _ in entries] for entries in state["sets"]]
+        for index, keys in enumerate(sets):
+            require(
+                len(set(keys)) == len(keys) <= active_ways
+                and all(key & self._set_mask == index for key in keys),
+                f"{self.name}: snapshot set {index} must hold at most "
+                f"{active_ways} distinct keys of that set, not {keys}",
+            )
+        self.active_ways = active_ways
+        self._sets = sets
+        self._values = {
+            key: decode_entry(value) for entries in state["sets"] for key, value in entries
+        }
         self._pending_hits, self._pending_misses, self._pending_fills = state["pending"]
         self.stats.load_state_dict(state["stats"])

@@ -212,7 +212,7 @@ class TestObservabilityHub:
     def test_to_json_carries_version_metrics_and_spans(self):
         hub = Observability()
         hub.registry.counter("a.b").inc()
-        with hub.span("run"):
+        with hub.spans.span("run"):
             pass
         document = hub.to_json()
         assert document["metrics_version"] == METRICS_SIDECAR_VERSION
