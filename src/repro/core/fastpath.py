@@ -15,8 +15,11 @@ facts about such streams:
    repeats is therefore a rank-0 hit whose only effect is counter
    arithmetic: per-structure pending hits, attribution, Lite's rank-0
    distance counter, and the aggregate access count.  The engine
-   run-length-encodes the trace up front (numpy, vectorised) and replays
-   a whole run as one MRU probe plus O(1) counter bumps.
+   run-length-encodes the trace up front (numpy, vectorised) into two
+   read-only int64 arrays, once per trace the cells of a matrix share
+   (:func:`repro.workloads.base.shared_encoding`), and replays a whole
+   run as one MRU probe plus O(1) counter bumps.  A generated drain turns
+   only its own segment of tokens into Python ints.
 
 2. **Shape-specialized code generation.**  The per-access pipeline is
    compiled (``exec``) into a drain function specialized to the
@@ -76,6 +79,7 @@ import numpy as np
 
 from ..mmu.translation import PageSize, Translation
 from ..tlb.set_assoc import SetAssociativeTLB
+from ..workloads.base import shared_encoding
 from ..workloads.tracefile import as_vpn_array
 from .hierarchy import MixedTLBHierarchy, TLBHierarchy
 
@@ -88,8 +92,8 @@ ENGINES = ("reference", "fast")
 # ----------------------------------------------------------------------
 # Trace preprocessing
 # ----------------------------------------------------------------------
-def encode_trace(trace) -> tuple[list[int], np.ndarray]:
-    """Run-length encode a trace into ``(tokens, cum)``.
+def encode_trace(trace) -> tuple[np.ndarray, np.ndarray]:
+    """Run-length encode a trace into ``(tokens, cum)``, two int64 arrays.
 
     ``tokens`` interleaves page numbers with repeat sentinels: a run of
     ``n >= 2`` equal pages becomes the page number followed by
@@ -97,19 +101,19 @@ def encode_trace(trace) -> tuple[list[int], np.ndarray]:
     two).  ``cum`` has ``len(tokens) + 1`` entries; ``cum[j]`` is the
     number of *accesses* covered by ``tokens[:j]``, which maps access
     positions (the simulator's boundary arithmetic) onto token positions
-    via ``searchsorted``.
+    via ``searchsorted``.  Both are read-only: the cells of a matrix share
+    them, so a stray write raises rather than corrupt the next cell.
     """
     pages = as_vpn_array(trace)
     count = len(pages)
-    if count == 0:
-        return [], np.zeros(1, dtype=np.int64)
+    # Slices, not indices, at the ends: an empty trace needs no branch.
     run_start = np.empty(count, dtype=bool)
-    run_start[0] = True
+    run_start[:1] = True
     np.not_equal(pages[1:], pages[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
     ends = np.empty(len(starts), dtype=np.int64)
     ends[:-1] = starts[1:]
-    ends[-1] = count
+    ends[-1:] = count
     interleaved = np.empty(len(starts) * 2, dtype=np.int64)
     interleaved[0::2] = pages[starts]
     interleaved[1::2] = 1 - (ends - starts)  # -(run length - 1); 0 for singletons
@@ -119,7 +123,8 @@ def encode_trace(trace) -> tuple[list[int], np.ndarray]:
     cum = np.empty(len(tokens) + 1, dtype=np.int64)
     cum[0] = 0
     np.cumsum(np.maximum(-tokens, 1), out=cum[1:])
-    return tokens.tolist(), cum
+    tokens.flags.writeable = cum.flags.writeable = False
+    return tokens, cum
 
 
 # ----------------------------------------------------------------------
@@ -359,11 +364,11 @@ class _DrainSource:
         lines = ["def drain(tokens, cum, start, stop):"]
         lines += ["    " + text for text in self.header]
         lines.append("    " + " = ".join(self.counters) + " = 0; hit = -1; shape_dirty = 0")
-        lines.append("    pv = tokens[start - 1] if start else -1")
+        lines.append("    pv = int(tokens[start - 1]) if start else -1")
         lines += ["    " + text for text in self.entry]
-        # Recover the stop position from the iterator's length hint instead
-        # of carrying an index through the hot loop.
-        lines.append("    it = iter(tokens[start:stop])")
+        # Only this segment becomes Python ints, and its iterator's length
+        # hint gives the stop position: no index is carried through the loop.
+        lines.append("    it = iter(tokens[start:stop].tolist())")
         lines.append("    hint = it.__length_hint__")
         lines.append("    for vpn in it:")
         lines.append("        if vpn < 0:")
@@ -560,7 +565,7 @@ def _generate_drain(h, probe=None):
 # The engine
 # ----------------------------------------------------------------------
 class FastEngine:
-    """Per-run drain engine: owns the encoded trace and its position.
+    """Per-run drain engine: holds the encoded trace and its position.
 
     ``drain(start, stop)`` consumes access positions ``[start, stop)``
     exactly like the reference drain loop; the simulator calls it
@@ -579,7 +584,7 @@ class FastEngine:
         self._probe = probe
         self._vpns = as_vpn_array(trace)
         if type(hierarchy) in _TEMPLATES:
-            self._tokens, self._cum = encode_trace(self._vpns)
+            self._tokens, self._cum = shared_encoding(self._vpns, encode_trace)
         else:
             # Only the exact types in _TEMPLATES have a template, and the
             # type never changes mid-run, so skip encoding and make every
@@ -631,15 +636,16 @@ class FastEngine:
         self._pos = int(cum[tok])
         if self._pos < stop:
             # The boundary lands inside the run of tokens[stop_tok]:
-            # replay the head of the run slow, bank the tail.
-            vpn = tokens[tok - 1]
+            # replay the head of the run slow, bank the tail.  int(): a
+            # leaked np.int64 would poison the pure-JSON state digests.
+            vpn = int(tokens[tok - 1])
             take = stop - self._pos
             if self._probe is not None:
                 self._probe.replayed_accesses += take
                 self._probe.boundary_splits += 1
             for _ in range(take):
                 slow(vpn)
-            self._rep = -tokens[tok] - take
+            self._rep = -int(tokens[tok]) - take
             self._rep_vpn = vpn
             self._tok = tok + 1
             self._pos = stop
@@ -656,7 +662,7 @@ class FastEngine:
             # pos is inside the run of tokens[tok] (a repeat sentinel).
             self._tok = tok + 1
             self._rep = int(cum[tok + 1]) - pos
-            self._rep_vpn = self._tokens[tok - 1]
+            self._rep_vpn = int(self._tokens[tok - 1])
         self._pos = pos
 
     def _drain_for_shape(self):

@@ -53,12 +53,11 @@ def ordered_events(events) -> list[tuple[int, object]]:
 class Simulator:
     """Runs reference traces through one configuration.
 
-    ``on_fault`` selects the hot-loop flavour: ``"raise"`` (default) keeps
-    the zero-overhead loop and propagates any per-access exception;
-    ``"record"`` survives :data:`FAULT_EXCEPTIONS` raised by an access
-    (out-of-range or negative VPNs, adversarial events that desync the
-    hierarchy), skipping the access and flagging the result via
-    ``faulted_accesses``/``fault_records`` (the first
+    ``on_fault`` selects what a per-access exception does: ``"raise"``
+    (default) propagates it; ``"record"`` survives :data:`FAULT_EXCEPTIONS`
+    raised by an access (out-of-range or negative VPNs, adversarial events
+    that desync the hierarchy), skipping the access and flagging the
+    result via ``faulted_accesses``/``fault_records`` (the first
     :data:`MAX_FAULT_RECORDS` faults).
 
     ``auditor`` optionally enables sanitizer-style invariant checking (see
@@ -270,7 +269,7 @@ class Simulator:
                 ],
             }
 
-        # ----- hot loop: fast engine, plain, or per-access tolerant -----
+        # ----- hot loop: fast engine, or the reference loop -------------
         tolerant = self.on_fault == "record"
 
         # A disabled hub resolved to None at construction, so ``inst is
@@ -294,31 +293,22 @@ class Simulator:
             def drain(start: int, stop: int) -> None:
                 nonlocal faulted
                 segment = vpns[start:stop]
-                if hasattr(segment, "tolist"):
-                    segment = segment.tolist()
-                if not tolerant:
-                    for vpn in segment:
-                        access(vpn)
-                    return
-                i = 0
-                count = stop - start
-                while i < count:
+                it = iter(segment.tolist() if hasattr(segment, "tolist") else segment)
+                while True:
                     try:
-                        while i < count:
-                            access(segment[i])
-                            i += 1
+                        for vpn in it:
+                            access(vpn)
+                        return
                     except FAULT_EXCEPTIONS as exc:
+                        if not tolerant:
+                            raise
+                        # Skip the faulted access; the loop resumes the iterator.
                         if len(faults) < MAX_FAULT_RECORDS:
+                            index = stop - it.__length_hint__() - 1
                             faults.append(
-                                FaultRecord(
-                                    start + i,
-                                    int(segment[i]),
-                                    type(exc).__name__,
-                                    str(exc),
-                                )
+                                FaultRecord(index, int(vpn), type(exc).__name__, str(exc))
                             )
                         faulted += 1
-                        i += 1
 
         # Telemetry is applied once, here, by wrapping: the loop below is
         # the same code with or without a hub.

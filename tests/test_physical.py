@@ -184,7 +184,7 @@ class TestExhaustion:
 @given(
     ops=st.lists(
         st.tuples(st.sampled_from(["block", "contig", "frame"]), st.integers(0, 8)),
-        min_size=1,
+        min_size=2,  # an overlap takes two allocations
         max_size=60,
     )
 )

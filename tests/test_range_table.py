@@ -81,10 +81,11 @@ class TestWalkCost:
 
 @settings(max_examples=50, deadline=None)
 @given(
+    # An overlap takes two spans; an empty query list would check nothing.
     spans=st.lists(
-        st.tuples(st.integers(0, 50), st.integers(1, 8)), min_size=1, max_size=25
+        st.tuples(st.integers(0, 50), st.integers(1, 8)), min_size=2, max_size=25
     ),
-    queries=st.lists(st.integers(0, 600), max_size=50),
+    queries=st.lists(st.integers(0, 600), min_size=1, max_size=50),
 )
 def test_lookup_matches_bruteforce(spans, queries):
     """Binary-search lookup agrees with a linear scan, overlaps rejected."""

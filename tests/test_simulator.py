@@ -6,10 +6,11 @@ import pytest
 from repro.analysis.experiments import ExperimentSettings, prepare_run
 from repro.core.organizations import build_thp, build_tlb_lite
 from repro.core.params import LiteParams, SimulationParams
-from repro.core.simulator import Simulator
+from repro.core.simulator import MAX_FAULT_RECORDS, Simulator
 from repro.mem.paging import TransparentHugePaging
 from repro.mem.physical import PhysicalMemory
 from repro.mem.process import Process
+from repro.mmu.page_table import PageFault
 from repro.mmu.translation import PAGES_PER_2MB
 from repro.workloads.registry import get_workload
 
@@ -192,6 +193,38 @@ class TestLiteIntegration:
         )
         shares = result.way_lookup_shares("L1-4KB")
         assert shares.get(1, 0) > 0.9
+
+
+#: Faulting positions in a 20k-access povray run (fast-forward 2,000,
+#: timeline window 360): the first access, both sides of the fast-forward
+#: edge, both sides of the first measured sample (2,360), the last access,
+#: and a block of 400 that overflows the record limit.
+FAULT_POSITIONS = (0, 1999, 2000, 2001, 2359, 2360, 19_999, *range(6000, 6400))
+
+
+class TestFaultRecording:
+    """The reference loop serves both fault modes."""
+
+    @staticmethod
+    def faulty_run(config, on_fault):
+        settings = ExperimentSettings(trace_accesses=20_000)
+        prepared = prepare_run(get_workload("povray"), config, settings, on_fault=on_fault)
+        trace = prepared.trace.copy()
+        positions = np.array(FAULT_POSITIONS)
+        trace[positions] = -(positions + 1)  # unmappable, and names its position
+        prepared.trace = trace
+        return prepared
+
+    @pytest.mark.parametrize("config", ["4KB", "TLB_Lite", "RMM_Lite"])
+    def test_one_loop_records_or_raises(self, config):
+        result = self.faulty_run(config, "record").run()
+        assert result.faulted_accesses == len(FAULT_POSITIONS)
+        recorded = sorted(FAULT_POSITIONS)[:MAX_FAULT_RECORDS]
+        assert [(r.index, r.vpn, r.error) for r in result.fault_records] == [
+            (index, -(index + 1), "PageFault") for index in recorded
+        ]
+        with pytest.raises(PageFault):
+            self.faulty_run(config, "raise").run()
 
 
 def boundary_schedule(total, ff, window, interval, events):

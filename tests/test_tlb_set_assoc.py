@@ -1,6 +1,7 @@
 """Unit tests for the set-associative, true-LRU, way-disabling TLB."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -324,23 +325,28 @@ def test_matches_reference_lru_model(ops, ways, counted, reload_at):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    keys=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200),
+    keys=st.lists(st.integers(min_value=0, max_value=63), min_size=128, max_size=400),
     schedule=st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=8),
 )
 def test_stats_conserved_across_resizes(keys, schedule):
-    """hits + misses == lookups and histograms sum correctly under resizing."""
+    """Each lookup and fill is histogrammed under the ways active at it.
+
+    The ways change every 64 accesses, cycling through ``schedule``; the
+    first 64 keys fill the 4 sets in most draws, so a downsize truncates
+    full sets.
+    """
     tlb = SetAssociativeTLB("t", 16, 4)
-    resize_every = max(1, len(keys) // (len(schedule) + 1))
-    step = 0
+    lookups, fills = Counter(), Counter()
     for index, key in enumerate(keys):
-        if index and index % resize_every == 0 and step < len(schedule):
-            tlb.set_active_units(schedule[step])
-            step += 1
+        if index and index % 64 == 0:
+            tlb.set_active_units(schedule[(index // 64 - 1) % len(schedule)])
+        lookups[tlb.active_ways] += 1
         if tlb.lookup(key) is None:
             tlb.fill(key, key)
+            fills[tlb.active_ways] += 1
     tlb.sync_stats()
     stats = tlb.stats
     assert stats.hits + stats.misses == stats.lookups
-    assert sum(stats.lookups_by_ways.values()) == stats.lookups
-    assert sum(stats.fills_by_ways.values()) == stats.fills
+    assert stats.lookups_by_ways == lookups
+    assert stats.fills_by_ways == fills
     assert stats.fills == stats.misses  # we fill exactly on each miss
