@@ -23,12 +23,13 @@ facts about such streams:
 
 2. **Shape-specialized code generation.**  The per-access pipeline is
    compiled (``exec``) into a drain function specialized to the
-   hierarchy's current ``drain_shape()``.  Two templates exist, one per
-   hierarchy type: for :class:`~repro.core.hierarchy.TLBHierarchy` the
-   probe loop over L1 slots is unrolled with each slot's ``shift``/set
-   mask baked in as constants; for
-   :class:`~repro.core.hierarchy.MixedTLBHierarchy` one mixed L1 probe
-   and one mixed L2 probe share the size-disambiguated key.  In both,
+   hierarchy's current shape, its key in ``_TEMPLATES``.  Two templates
+   exist, one per hierarchy type: for
+   :class:`~repro.core.hierarchy.TLBHierarchy` the probe loop over L1
+   slots is unrolled with each slot's ``shift``/set mask baked in as
+   constants; for :class:`~repro.core.hierarchy.MixedTLBHierarchy` one
+   mixed L1 probe and one mixed L2 probe share the size-disambiguated
+   key.  In both,
    each set-associative TLB's per-set key lists and value dict and the
    Lite counter lists are hoisted into locals; a probe tests rank 0,
    then finds a deeper key with ``in`` and ``list.index``, which scan
@@ -43,21 +44,22 @@ Legality rules (what makes the transformation exact):
 
 * nothing inside a drain segment reads the pending counters, so local
   accumulation + flush commutes with the reference interleaving;
-* streaks never cross a segment boundary — the simulator's drain loop
-  splits at every Lite interval end, timeline sample, scheduled event,
-  and checkpoint boundary, and this engine additionally splits runs that
-  straddle a boundary, replaying the partial run through the reference
-  ``access`` path — so ``checkpoint_hook`` observes byte-identical
+* a drain covers the accesses between two boundaries (Lite interval
+  ends, timeline samples, scheduled events, checkpoints) and flushes
+  before it returns, so ``checkpoint_hook`` observes byte-identical
   pending counts and digests at every boundary;
-* a repeat access can only be a rank-0 hit (see above); the generated
-  repeat handler still carries a fallback that reverts its local deltas
-  and replays the run through the reference path, so a structure
-  violating the MRU argument degrades to slow-but-exact;
+* a segment begins on a page: a run that a boundary splits resumes with
+  one full access of its page, whatever the boundary did (a flush, or a
+  demotion that re-keys the run), so a repeat can only be a rank-0 hit
+  (see above); the generated repeat handler still carries a fallback
+  that reverts its local deltas and replays the run through the
+  reference path, so a structure violating the MRU argument degrades to
+  slow-but-exact;
 * in the mixed hierarchy the huge-chunk set, which picks each key, is
   read on entry to every drain: it changes only at OS events (demotion)
-  and snapshot restores, both at boundaries, so a repeat of ``pv``
-  derives the key its run's first access left at rank 0 of L1-mixed —
-  or, when the L1-range TLB served the run, finds that range at rank 0;
+  and snapshot restores, both at boundaries, so a repeat reuses the key
+  its run's access derived and left at rank 0 of L1-mixed — or, when
+  the L1-range TLB served the run, finds that range at rank 0;
 * dispatch is on the exact hierarchy type, from one table
   (``_TEMPLATES``): other types — the L0-filter and predicted-size
   subclasses, banked, semantic and fully-associative L1s — and shapes a
@@ -148,21 +150,23 @@ def _inline_fill(index: int, key: str, value: str) -> list[str]:
 class _DrainSource:
     """The source lines of one generated drain, and the shared emitters.
 
-    A template fills ``header`` (run on entry), ``entry`` (after ``pv``
-    is bound), ``rbody`` (the repeat-sentinel handler, ``vpn < 0``: ``n``
-    more accesses to ``pv``), ``body`` (the per-access pipeline) and
-    ``flush`` (its attribution counts), partly through the emitters
-    here, which both templates share.  L1 page TLB ``i`` owns the locals
-    ``t{i}``, ``sets{i}`` (its per-set key lists, MRU first),
+    ``drain(segment)`` walks one segment, a token list that begins on a
+    page, and returns the tokens left (nonzero only after a shape break)
+    and the accesses its repeat fallback replayed.  A template fills
+    ``header`` (run on entry), ``rbody`` (the repeat-sentinel handler,
+    ``vpn < 0``: ``n`` more accesses to ``pv``), ``body`` (the per-access
+    pipeline) and ``flush`` (its attribution counts), partly through the
+    emitters here, which both templates share.  L1 page TLB ``i`` owns
+    the locals ``t{i}``, ``sets{i}`` (its per-set key lists, MRU first),
     ``vals{i}`` (its key -> value dict), ``mask{i}``, ``c{i}`` and the
-    counters ``ph{i}``/``pm{i}``/``at{i}``/``pf{i}``.
+    counters ``ph{i}``/``pm{i}``/``at{i}``/``pf{i}``.  It holds no
+    telemetry: the engine bumps its probe per drain call.
     """
 
     def __init__(self, h, namespace: dict, l1_tlbs: list, l2) -> None:
         self.h = h
         self.namespace = namespace
         self.l1_count = len(l1_tlbs)
-        self.shape = h.drain_shape()
         self.has_range = h._l1_range_active is not None
         self.has_l2r = h._l2_range_active is not None
         self.counters = [
@@ -170,7 +174,6 @@ class _DrainSource:
         ]
         self.counters += ["rph", "rpm", "rattr", "p2h", "p2m", "l1m", "undone"]
         self.header: list[str] = []
-        self.entry: list[str] = []
         self.rbody = ["n = -vpn", "hit = -1"]
         self.body: list[str] = []
         self.flush: list[str] = []
@@ -290,7 +293,7 @@ class _DrainSource:
             rbody.append("    rpm -= n")
         rbody.append("    undone += n")
         rbody.append("    for _ in range(n): slow(pv)")
-        rbody.append(f"    if h.drain_shape() != {self.shape!r}: break")
+        rbody.append("    if shape_key(h) != shape: break")
         rbody.append("continue")
 
     def l2_probe(self, key: str, hit_fill: list[str], range_fill: list[str]) -> None:
@@ -332,11 +335,11 @@ class _DrainSource:
         else:
             body.append("    continue")
         body.append("walk_fill(vpn)")
-        body.append(f"if h.drain_shape() != {self.shape!r}:")
+        body.append("if shape_key(h) != shape:")
         body.append("    break")
 
     # ---- assembly -------------------------------------------------------
-    def compile(self, probe=None):
+    def compile(self):
         """Append the common flush, ``exec`` the source, return ``drain``."""
         flush = list(self.flush)
         for index in range(self.l1_count):
@@ -349,35 +352,22 @@ class _DrainSource:
         if self.has_range:
             flush.append("r._pending_hits += rph; r._pending_misses += rpm")
             flush.append("h.range_attributed_hits += rattr")
-        # int(): cum is an int64 array; a leaked np.int64 would poison the
-        # pure-JSON state digests.
-        flush.append("h.accesses += int(cum[i] - cum[start]) - undone")
         flush.append("h.l1_misses += l1m")
-        if probe is not None:
-            # Telemetry, compiled in only on request: one segment-granular
-            # bump per generated-drain return, never per access.
-            self.namespace["probe"] = probe
-            flush.append("probe.coalesced_accesses += int(cum[i] - cum[start]) - undone")
-            flush.append("probe.replayed_accesses += undone")
-            flush.append("probe.drained_segments += 1")
 
-        lines = ["def drain(tokens, cum, start, stop):"]
+        lines = ["def drain(segment):"]
         lines += ["    " + text for text in self.header]
         lines.append("    " + " = ".join(self.counters) + " = 0; hit = -1; shape_dirty = 0")
-        lines.append("    pv = int(tokens[start - 1]) if start else -1")
-        lines += ["    " + text for text in self.entry]
-        # Only this segment becomes Python ints, and its iterator's length
-        # hint gives the stop position: no index is carried through the loop.
-        lines.append("    it = iter(tokens[start:stop].tolist())")
+        # The iterator's length hint gives the tokens left after a shape
+        # break: no index is carried through the loop.
+        lines.append("    it = iter(segment)")
         lines.append("    hint = it.__length_hint__")
         lines.append("    for vpn in it:")
         lines.append("        if vpn < 0:")
         lines += ["            " + text for text in self.rbody]
         lines.append("        pv = vpn")
         lines += ["        " + text for text in self.body]
-        lines.append("    i = stop - hint()")
         lines += ["    " + text for text in flush]
-        lines.append("    return i")
+        lines.append("    return hint(), undone")
         source = "\n".join(lines)
         self.namespace["__repro_source__"] = source
         exec(source, self.namespace)
@@ -471,10 +461,8 @@ def _mixed_source(h, namespace):
     # rebinds the set and demotions shrink it, both only at boundaries.
     src.header.append("huge = h._huge_chunks")
     src.header.append("aw0 = t0.active_ways")
-    # The huge set is fixed within a drain, so a repeat of pv derives the
-    # key its run's first access used: derive it for a drain that starts
-    # on a repeat sentinel.
-    src.entry.append("ch = pv >> 9; k = ((ch << 1) | 1) if ch in huge else pv << 1")
+    # A repeat reuses k, the key its run's access just before it derived:
+    # the huge set is fixed within a drain, and a segment starts on a page.
     body.append("ch = vpn >> 9")
     body.append("if ch in huge: k = (ch << 1) | 1")
     body.append("else: k = vpn << 1")
@@ -508,76 +496,66 @@ def _mixed_source(h, namespace):
 
 
 def _paged_shape_key(h):
-    # Slot identity and order, not just drain_shape()'s count: the probe
-    # order decides attribution.
+    # Slot identity and order, not just their count: the probe order
+    # decides attribution.
     return (tuple(h._active_slots), h._l1_range_active, h._l2_range_active)
+
+
+def _mixed_shape_key(h):
+    # Not the huge-chunk set: each drain reads it on entry.
+    return (h._l1_range_active, h._l2_range_active)
 
 
 #: Exact hierarchy type -> (key of its current shape, drain template).
 #: Dispatch is on the exact type: the subclasses (``L0FilterHierarchy``,
 #: ``PredictedMixedHierarchy``) override ``access`` and keep the
-#: reference pass-through.
+#: reference pass-through.  The key is the only regeneration trigger: a
+#: generated drain breaks when an access changes it (a walk enabling a
+#: new L1 slot, a fill latching a range TLB), and everything else it
+#: touches is mutated strictly in place (per-set key lists, value dicts,
+#: range recency stacks and Lite's raw counter lists keep their identity
+#: across fills, resizes and flushes).
 _TEMPLATES = {
     TLBHierarchy: (_paged_shape_key, _paged_source),
-    MixedTLBHierarchy: (MixedTLBHierarchy.drain_shape, _mixed_source),
+    MixedTLBHierarchy: (_mixed_shape_key, _mixed_source),
 }
 
 
-def _generate_drain(h, probe=None):
-    """Compile a drain function specialized to ``h``'s current shape.
+def _segment(tokens, cum, start: int, stop: int, end: int) -> list:
+    """The tokens covering accesses ``[start, stop)``, as Python ints.
 
-    Returns ``None`` when ``h``'s exact type has no template in
-    ``_TEMPLATES``, or its template rejects the current structures — the
-    engine then falls back to the reference ``access`` path for that
-    shape.
-
-    The generated function has signature ``drain(tokens, cum, start,
-    stop)`` over *token* positions, returns the token position where it
-    stopped (``stop``, or earlier after a shape change), and flushes its
-    locally accumulated counts into the live structures before
-    returning.
-
-    ``probe`` (a :class:`repro.observability.FastPathProbe`) is the
-    telemetry hook: when present, per-*segment* probe-bump statements
-    are appended to the flush section.  When absent — the default, and
-    always the case with telemetry disabled — those statements are never
-    emitted, so the generated source is byte-identical to an
-    uninstrumented build (assert ``"probe" not in
-    drain.__repro_source__``).
+    ``end`` is the first token at or after ``stop``; a sentinel ``stop``
+    cuts is shortened, and a run ``start`` splits resumes with one full
+    access of its page.  int(): a leaked np.int64 would poison the
+    pure-JSON state digests.
     """
-    template = _TEMPLATES.get(type(h))
-    if template is None:
-        return None
-    namespace = {
-        "h": h,
-        "walk_fill": h.walk_fill,
-        "slow": h.access,
-        "Translation": Translation,
-        "S4K": PageSize.SIZE_4KB,
-    }
-    source = template[1](h, namespace)
-    if source is None:
-        return None
-    return source.compile(probe)
+    first = int(cum.searchsorted(start, "right")) - 1
+    segment = tokens[first:end].tolist()
+    segment[-1] += int(cum[end]) - stop
+    if segment[0] < 0:
+        page = int(tokens[first - 1])
+        rest = segment[0] + start - int(cum[first]) + 1
+        segment[0:1] = [page, rest] if rest else [page]
+    return segment
 
 
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 class FastEngine:
-    """Per-run drain engine: holds the encoded trace and its position.
+    """Per-run drain engine over the encoded trace.
 
     ``drain(start, stop)`` consumes access positions ``[start, stop)``
     exactly like the reference drain loop; the simulator calls it
-    between consecutive boundaries.  Generated drains are cached by their
+    between consecutive boundaries.  The engine keeps no position, so a
+    resumed run may start anywhere.  Generated drains are cached by their
     template's shape key (for the paged template the identity and order
     of the active slots; for both, the latched range TLBs), so
     boundary-heavy runs (Lite intervals, dense checkpointing) regenerate
     nothing.
     """
 
-    __slots__ = ("_hierarchy", "_vpns", "_tokens", "_cum", "_tok", "_pos",
-                 "_rep", "_rep_vpn", "_drains", "_probe")
+    __slots__ = ("_hierarchy", "_vpns", "_tokens", "_cum", "_drains", "_probe")
 
     def __init__(self, hierarchy, trace, probe=None) -> None:
         self._hierarchy = hierarchy
@@ -589,12 +567,7 @@ class FastEngine:
             # Only the exact types in _TEMPLATES have a template, and the
             # type never changes mid-run, so skip encoding and make every
             # drain a pass-through at pure reference cost.
-            self._tokens = None
-            self._cum = None
-        self._tok = 0
-        self._pos = 0
-        self._rep = 0  # repeats left of a run split by a boundary
-        self._rep_vpn = -1
+            self._tokens = self._cum = None
         self._drains: dict = {}
 
     # ------------------------------------------------------------------
@@ -604,82 +577,53 @@ class FastEngine:
             # Permanently unsupported hierarchy type: reference loop.
             self._replay_raw(start, stop)
             return
-        if start != self._pos:
-            self._seek(start)
-        if stop <= self._pos:
-            return
-        hierarchy = self._hierarchy
-        slow = hierarchy.access
-        if self._rep:
-            # Finish a run the previous boundary split, reference-exact.
-            take = min(self._rep, stop - self._pos)
-            vpn = self._rep_vpn
-            if self._probe is not None:
-                self._probe.replayed_accesses += take
-            for _ in range(take):
-                slow(vpn)
-            self._rep -= take
-            self._pos += take
-            if self._pos == stop:
-                return
-        tokens, cum = self._tokens, self._cum
-        stop_tok = int(np.searchsorted(cum, stop, side="right")) - 1
-        tok = self._tok
-        while tok < stop_tok:
+        hierarchy, probe, cum = self._hierarchy, self._probe, self._cum
+        end = int(cum.searchsorted(stop))
+        while start < stop:
             drain = self._drain_for_shape()
             if drain is None:
-                self._replay_raw(int(cum[tok]), int(cum[stop_tok]))
-                tok = stop_tok
-            else:
-                tok = drain(tokens, cum, tok, stop_tok)
-        self._tok = tok
-        self._pos = int(cum[tok])
-        if self._pos < stop:
-            # The boundary lands inside the run of tokens[stop_tok]:
-            # replay the head of the run slow, bank the tail.  int(): a
-            # leaked np.int64 would poison the pure-JSON state digests.
-            vpn = int(tokens[tok - 1])
-            take = stop - self._pos
-            if self._probe is not None:
-                self._probe.replayed_accesses += take
-                self._probe.boundary_splits += 1
-            for _ in range(take):
-                slow(vpn)
-            self._rep = -int(tokens[tok]) - take
-            self._rep_vpn = vpn
-            self._tok = tok + 1
-            self._pos = stop
-
-    # ------------------------------------------------------------------
-    def _seek(self, pos: int) -> None:
-        """Position the token cursor at access ``pos`` (checkpoint resume)."""
-        cum = self._cum
-        tok = int(np.searchsorted(cum, pos, side="right")) - 1
-        if int(cum[tok]) == pos:
-            self._tok = tok
-            self._rep = 0
-        else:
-            # pos is inside the run of tokens[tok] (a repeat sentinel).
-            self._tok = tok + 1
-            self._rep = int(cum[tok + 1]) - pos
-            self._rep_vpn = int(self._tokens[tok - 1])
-        self._pos = pos
+                self._replay_raw(start, stop)
+                return
+            # The segment is an argument only: the drain holds the one list.
+            left, replayed = drain(_segment(self._tokens, cum, start, stop, end))
+            reached = stop
+            if left:
+                # A shape break: the tokens left are tokens[end - left:end],
+                # unless the break came on a split run's resumed access.
+                reached = max(int(cum[end - left]), start + 1)
+            # The replayed accesses went through access(), which counted them.
+            drained = reached - start - replayed
+            hierarchy.accesses += drained
+            if probe is not None:
+                probe.coalesced_accesses += drained
+                probe.replayed_accesses += replayed
+                probe.drained_segments += 1
+            start = reached
 
     def _drain_for_shape(self):
         """Cached specialized drain for the current shape (None = fallback)."""
         hierarchy = self._hierarchy
-        template = _TEMPLATES.get(type(hierarchy))
-        if template is None:
-            return None
-        key = template[0](hierarchy)
+        shape_key, template = _TEMPLATES[type(hierarchy)]
+        shape = shape_key(hierarchy)
         try:
-            return self._drains[key]
+            return self._drains[shape]
         except KeyError:
-            drain = _generate_drain(hierarchy, self._probe)
-            if drain is not None and self._probe is not None:
-                self._probe.generated_drains += 1
-            self._drains[key] = drain
-            return drain
+            pass
+        namespace = {
+            "h": hierarchy,
+            "walk_fill": hierarchy.walk_fill,
+            "slow": hierarchy.access,
+            "shape_key": shape_key,
+            "shape": shape,
+            "Translation": Translation,
+            "S4K": PageSize.SIZE_4KB,
+        }
+        source = template(hierarchy, namespace)
+        drain = None if source is None else source.compile()
+        if drain is not None and self._probe is not None:
+            self._probe.generated_drains += 1
+        self._drains[shape] = drain
+        return drain
 
     def _replay_raw(self, lo: int, hi: int) -> None:
         """Reference-path replay of positions ``[lo, hi)``.

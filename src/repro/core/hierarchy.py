@@ -247,25 +247,6 @@ class TLBHierarchy(BaseHierarchy):
         self.l2_page = l2_page
 
     # ------------------------------------------------------------------
-    def drain_shape(self) -> tuple[int, bool, bool]:
-        """Probe-path shape: (active slots, L1-range live, L2-range live).
-
-        The streak-coalescing engine (:mod:`repro.core.fastpath`)
-        specializes its drain loop to this shape and must stop and
-        re-specialize whenever an access changes it (a walk enabling a
-        new L1 slot, a fill latching a range TLB).  Everything else the
-        specialized loop touches is mutated strictly in place — per-set
-        key lists, value dicts, range recency stacks, and Lite's raw
-        counter lists keep their identity across fills, resizes, and
-        flushes — so the shape triple is the only regeneration trigger.
-        """
-        return (
-            len(self._active_slots),
-            self._l1_range_active is not None,
-            self._l2_range_active is not None,
-        )
-
-    # ------------------------------------------------------------------
     def access(self, vpn: int) -> None:
         """Translate one memory reference, updating all statistics."""
         self.accesses += 1
@@ -472,17 +453,6 @@ class MixedTLBHierarchy(BaseHierarchy):
         if huge:
             return ((vpn >> 9) << 1) | 1
         return vpn << 1
-
-    def drain_shape(self) -> tuple[bool, bool]:
-        """Probe-path shape: (L1-range live, L2-range live).
-
-        The fast engine's mixed template specializes to this pair and
-        re-specializes when a fill latches a range TLB.  The huge-chunk
-        set is not part of the shape: it changes only at OS events, which
-        fall on drain boundaries, and each generated drain reads it
-        afresh on entry.
-        """
-        return self._l1_range_active is not None, self._l2_range_active is not None
 
     def access(self, vpn: int) -> None:
         """Translate one memory reference through the mixed hierarchy."""

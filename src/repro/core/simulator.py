@@ -76,8 +76,9 @@ class Simulator:
     ``observability`` optionally attaches a telemetry hub
     (:class:`repro.observability.Observability`).  The hub is resolved
     at construction: a ``None`` or *disabled* hub stores as ``None`` and
-    the run takes the bare code path — zero hot-loop overhead, no probe
-    statements in the fastpath codegen.  An enabled hub collects
+    the run takes the bare code path — zero hot-loop overhead, and the
+    fast engine, which bumps its probe outside generated code, runs the
+    same generated drains either way.  An enabled hub collects
     boundary-granular counters, phase spans, and fast-engine probe
     counts without perturbing any result or state digest (the inertness
     guarantee proven by ``tests/test_observability.py``).

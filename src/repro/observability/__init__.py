@@ -15,10 +15,11 @@ Three pieces, one hub:
 
 The layer is **provably inert** (see ``docs/observability.md`` and
 ``tests/test_observability.py``): disabled, it normalizes to ``None``
-and the bare code paths run — including the fastpath drain codegen,
-which emits probe statements only when handed a :class:`FastPathProbe`;
-enabled, every per-boundary digest, result, sweep journal, and
-fuzz-oracle outcome is byte-identical to a bare run.
+and the bare code paths run — the fast engine's generated drains hold
+no telemetry at all, since the engine bumps a :class:`FastPathProbe`
+once per drain call outside them; enabled, every per-boundary digest,
+result, sweep journal, and fuzz-oracle outcome is byte-identical to a
+bare run.
 """
 
 from .hooks import (

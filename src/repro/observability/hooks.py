@@ -9,15 +9,15 @@ The zero-cost contract rests on one normalization rule:
 
 Every instrumented component stores the resolved value and branches on
 ``is None`` — so a disabled hub is structurally indistinguishable from
-no hub at all: the bare code path runs, no telemetry object is ever
-consulted, and the fastpath drain codegen emits no probe statements
-(:mod:`repro.core.fastpath` only includes them when handed a
-:class:`FastPathProbe`).
+no hub at all: the bare code path runs and no telemetry object is ever
+consulted.  The fastpath's generated drains hold no probe code either
+way: :mod:`repro.core.fastpath`'s engine bumps a :class:`FastPathProbe`
+once per drain call, outside them.
 
 :class:`SimulatorInstrumentation` is the per-run helper
 ``Simulator.run`` builds when a resolved hub is present: it owns the
 run/phase spans, the boundary-granular counters, and (for the fast
-engine) the drain-codegen probe, and publishes end-of-run gauges in
+engine) the engine's probe, and publishes end-of-run gauges in
 :meth:`~SimulatorInstrumentation.finish`.  It reads simulator state but
 never writes it — the inertness guarantee (enabled runs are
 digest-identical to bare runs) is enforced by the differential suite in
@@ -59,10 +59,9 @@ class FastPathProbe:
     """Plain counters the fast engine bumps per drained segment.
 
     Handed to :class:`repro.core.fastpath.FastEngine` only when
-    telemetry is enabled; the generated drain functions then include
-    probe-bump statements in their (per-segment, not per-access) flush
-    section.  Without a probe those statements are never emitted — the
-    generated source is byte-identical to the uninstrumented build.
+    telemetry is enabled.  The engine bumps it once per generated-drain
+    call (never per access), outside the generated code, so the drains
+    compiled with and without a probe are the same source.
     """
 
     __slots__ = (
@@ -71,7 +70,6 @@ class FastPathProbe:
         "drained_segments",
         "fallback_spans",
         "generated_drains",
-        "boundary_splits",
     )
 
     def __init__(self) -> None:
@@ -80,7 +78,6 @@ class FastPathProbe:
         self.drained_segments = 0
         self.fallback_spans = 0
         self.generated_drains = 0
-        self.boundary_splits = 0
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}

@@ -26,18 +26,21 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.fastpath_helpers import (
     RUN_LENGTH,
     SETTINGS,
     assert_engines_agree,
     mixed_trace,
+    run_with_digests,
     small_workload,
     streaky_trace,
 )
 from repro.analysis.experiments import prepare_run
 from repro.core import fastpath
-from repro.core.fastpath import ENGINES, encode_trace
+from repro.core.fastpath import ENGINES, _segment, encode_trace
 from repro.core.organizations import CONFIG_NAMES, EXTENDED_CONFIG_NAMES
 from repro.errors import SimulationError, TraceError
 from repro.observability import Observability
@@ -48,6 +51,9 @@ from repro.workloads.tracefile import as_vpn_array
 
 #: The configurations built on MixedTLBHierarchy, the mixed template's inputs.
 MIXED_CONFIGS = ("TLB_PP", "RMM_PP_Lite")
+
+#: Every configuration that drains through a generated template.
+TEMPLATE_CONFIGS = ("4KB", "THP", "TLB_Lite", "RMM", "RMM_Lite", *MIXED_CONFIGS)
 
 
 # ----------------------------------------------------------------------
@@ -92,6 +98,36 @@ class TestEncodeTrace:
     def test_as_vpn_array_rejects_2d(self):
         with pytest.raises(TraceError):
             as_vpn_array(np.zeros((2, 2), dtype=np.int64))
+
+
+class TestSegmentCut:
+    """The tokens one drain walks, cut from the encoding alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)), min_size=1, max_size=30),
+        cuts=st.lists(st.integers(0, 10**6), max_size=10),
+    )
+    def test_segments_expand_to_the_trace(self, runs, cuts):
+        """Each segment begins on a page and expands to its slice.
+
+        Expanding reads a page as one access and a sentinel ``-n`` as
+        ``n`` more of the page before it.
+        """
+        trace = [page for page, length in runs for _ in range(length)]
+        tokens, cum = encode_trace(trace)
+        bounds = sorted({0, len(trace), *(cut % len(trace) for cut in cuts)})
+        for start, stop in zip(bounds, bounds[1:]):
+            segment = _segment(tokens, cum, start, stop, int(cum.searchsorted(stop)))
+            assert segment[0] >= 0
+            assert all(type(token) is int for token in segment)
+            expanded = []
+            for token in segment:
+                if token >= 0:
+                    expanded.append(token)
+                else:
+                    expanded.extend([expanded[-1]] * -token)
+            assert expanded == trace[start:stop]
 
 
 class TestSharedEncoding:
@@ -305,6 +341,49 @@ class TestStreakSplitting:
 
         assert_engines_agree("RMM_PP_Lite", trace, make_events=empty_l1_range)
 
+    @pytest.mark.parametrize("position", (41, 45))
+    def test_demotion_inside_a_run_rekeys_it_to_a_stale_entry(self, position):
+        """A run re-keyed mid-run resumes with one full access.
+
+        RMM_PP_Lite.  ``b``'s first run misses L1 and synthesises the 4 KB
+        entry ``b << 1`` from the L2-range TLB; ``s1`` and ``s2`` share
+        its L1-mixed set and push it to rank 2, and the L1-range TLB
+        serves ``b``'s second run (accesses 40-79).  Demoting ``b``'s
+        chunk inside that run re-keys it to ``b << 1``: the full access
+        after the boundary hits it at rank 2 and promotes it, where the
+        repeat handler would count L1-mixed misses.  At 41 the boundary
+        falls right after the run's first access.
+        """
+        regions = small_workload().regions()
+        heap, stack = regions["heap"], regions["stack"]
+        a, b = heap.start_vpn, heap.start_vpn + 512 + 5
+        stack_pages = range(stack.start_vpn, stack.start_vpn + stack.num_pages)
+        s1, s2 = [vpn for vpn in stack_pages if vpn % 8 == b % 8][:2]
+        head = [a] * 10 + [b] * 10 + [s1] * 10 + [s2] * 10 + [b] * 40
+        trace = np.array(head + [a] * (SETTINGS.trace_accesses - len(head)))
+
+        def demote_b(process):
+            def fire(organization):
+                leaf = process.break_huge_page(b)
+                organization.hierarchy.shootdown_huge_page(leaf.vpn)
+
+            return [(position, fire)]
+
+        assert_engines_agree("RMM_PP_Lite", trace, make_events=demote_b)
+
+    @pytest.mark.parametrize("trace", (streaky_trace, mixed_trace), ids=("streaky", "mixed"))
+    @pytest.mark.parametrize("config_name", TEMPLATE_CONFIGS)
+    def test_a_split_costs_no_reference_replay(self, config_name, trace):
+        """Samples, interval ends and two flushes split runs; each resumes
+        in a generated drain, so no access replays through ``access``."""
+        hub = Observability()
+        run_with_digests(
+            config_name, trace(), "fast", events_at=(2_020, 4_444), observability=hub
+        )
+        counters = hub.snapshot()["counters"]
+        assert counters["fastpath.replayed_accesses"] == 0
+        assert counters["fastpath.coalesced_accesses"] == SETTINGS.trace_accesses
+
 
 # ----------------------------------------------------------------------
 # Kill-and-resume under the fast engine
@@ -326,12 +405,12 @@ class TestResumeDeterminism:
         assert resumed.result == fresh.result
 
     def test_resume_inside_a_streak(self, tmp_path):
-        """The resumed engine seeks into a run and replays its tail.
+        """The resumed engine's first drain starts inside a run.
 
         The fourth boundary, a timeline sample at access 924, lands 4
         accesses into a streak.  A flush there empties the TLBs, so the
-        replayed tail walks and fills: its page must reach them as a
-        Python int, or the next state digest fails.
+        run's resumed full access walks and fills: its page must reach
+        them as a Python int, or the next state digest fails.
         """
         assert 924 % RUN_LENGTH
 

@@ -25,7 +25,7 @@ from functools import partial
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings, prepare_run
-from repro.core.fastpath import ENGINES, FastEngine, _generate_drain
+from repro.core.fastpath import ENGINES, FastEngine
 from repro.core.organizations import (
     EXTENDED_CONFIG_NAMES,
     build_organization,
@@ -230,16 +230,15 @@ class TestCompiledOutCodegen:
         process.mmap(PAGES_PER_2MB * 2, name="heap")
         return build_organization("4KB", process).hierarchy
 
-    def test_uninstrumented_drain_has_no_probe_code(self):
-        drain = _generate_drain(self._hierarchy())
-        assert drain is not None
-        assert "probe" not in drain.__repro_source__
-
-    def test_instrumented_drain_bumps_probe(self):
-        drain = _generate_drain(self._hierarchy(), probe=FastPathProbe())
-        assert drain is not None
-        assert "probe.coalesced_accesses" in drain.__repro_source__
-        assert "probe.drained_segments" in drain.__repro_source__
+    def test_generated_drain_is_the_same_with_and_without_a_probe(self):
+        """The engine bumps the probe per drain call, outside generated code."""
+        sources = []
+        for probe in (None, FastPathProbe()):
+            drain = FastEngine(self._hierarchy(), [0], probe=probe)._drain_for_shape()
+            assert drain is not None
+            sources.append(drain.__repro_source__)
+        assert sources[0] == sources[1]
+        assert "probe" not in sources[0]
 
     def test_fast_engine_defaults_to_no_probe(self):
         prepared = prepare_run(small_workload(), "4KB", SETTINGS, engine="fast")
