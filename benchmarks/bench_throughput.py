@@ -66,8 +66,14 @@ def stream_workload() -> Workload:
     )
 
 
+#: The module's one stream workload.  ``Workload.trace`` shares a trace
+#: only with calls on the same workload object, so every stream test
+#: reuses this one instead of generating the trace again.
+STREAM = stream_workload()
+
+
 def bench_workload(trace_name: str) -> Workload:
-    return get_workload("omnetpp") if trace_name == "omnetpp" else stream_workload()
+    return get_workload("omnetpp") if trace_name == "omnetpp" else STREAM
 
 
 def prepare_cell(

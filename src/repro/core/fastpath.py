@@ -109,22 +109,30 @@ def encode_trace(trace) -> tuple[np.ndarray, np.ndarray]:
     pages = as_vpn_array(trace)
     count = len(pages)
     # Slices, not indices, at the ends: an empty trace needs no branch.
+    # Steps write in place where they can and drop each intermediate once
+    # used, so the encode's peak stays near the size of what it returns.
     run_start = np.empty(count, dtype=bool)
     run_start[:1] = True
     np.not_equal(pages[1:], pages[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
-    ends = np.empty(len(starts), dtype=np.int64)
-    ends[:-1] = starts[1:]
-    ends[-1:] = count
+    del run_start
     interleaved = np.empty(len(starts) * 2, dtype=np.int64)
     interleaved[0::2] = pages[starts]
-    interleaved[1::2] = 1 - (ends - starts)  # -(run length - 1); 0 for singletons
+    sentinels = interleaved[1::2]  # -(run length - 1); 0 for singletons
+    np.subtract(starts[:-1], starts[1:], out=sentinels[:-1])
+    sentinels[-1:] = starts[-1:] - count
+    del starts
+    sentinels += 1
     keep = interleaved != 0
     keep[0::2] = True
     tokens = interleaved[keep]
+    del interleaved, sentinels, keep
     cum = np.empty(len(tokens) + 1, dtype=np.int64)
     cum[0] = 0
-    np.cumsum(np.maximum(-tokens, 1), out=cum[1:])
+    steps = cum[1:]
+    np.negative(tokens, out=steps)
+    np.maximum(steps, 1, out=steps)
+    np.cumsum(steps, out=steps)
     tokens.flags.writeable = cum.flags.writeable = False
     return tokens, cum
 

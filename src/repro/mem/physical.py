@@ -25,6 +25,7 @@ deterministic (lowest address wins) and O(log n), which matters when a
 from __future__ import annotations
 
 import heapq
+from array import array
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class PhysicalMemory:
         self._free: list[set[int]] = [set() for _ in range(self.max_order + 1)]
         self._frames_free = 0
         self._rng = np.random.default_rng(seed)
-        self._scatter_pool: list[int] = []
+        self._scatter_pool = array("q")
         # Seed the free lists with the power-of-two decomposition of the
         # arena (handles non-power-of-two sizes).
         self._free_run(0, self.total_frames)
@@ -184,14 +185,14 @@ class PhysicalMemory:
             self._refill_scatter_pool()
         return self._scatter_pool.pop()
 
-    def alloc_frames(self, n: int) -> list[int]:
-        """Allocate ``n`` scattered frames.
+    def alloc_frames(self, n: int) -> array:
+        """Allocate ``n`` scattered frames, as an ``array('q')``.
 
-        Returns exactly ``[self.alloc_frame() for _ in range(n)]`` — the
-        same frames in the same order, refilling the pool at the same
-        points — but takes each stretch of the pool as one slice.
+        Holds exactly the frames of ``[self.alloc_frame() for _ in
+        range(n)]``, in the same order, refilling the pool at the same
+        points, but takes each stretch of the pool as one slice.
         """
-        frames: list[int] = []
+        frames = array("q")
         pool = self._scatter_pool
         while n > 0:
             if not pool:
@@ -213,7 +214,7 @@ class PhysicalMemory:
 
         The chunk is the largest block up to order 12 that ``alloc_block``
         can supply.  A seeded ``Generator.permutation`` orders its frames,
-        which enter the pool as Python ints.
+        and the pool, an ``array('q')``, copies them from its buffer.
         """
         order = _SCATTER_REFILL_ORDER
         while order >= 0:
@@ -224,7 +225,8 @@ class PhysicalMemory:
                 order -= 1
         else:
             raise OutOfMemoryError("physical memory exhausted")
-        self._scatter_pool.extend((base + self._rng.permutation(1 << order)).tolist())
+        block = self._rng.permutation(1 << order)
+        self._scatter_pool.frombytes(np.add(block, base, dtype=np.int64).tobytes())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -244,7 +246,7 @@ class PhysicalMemory:
         """Frames handed out (including those parked in the scatter pool)."""
         return self.total_frames - self._frames_free
 
-    def fragment(self, fraction: float, seed: int | None = None) -> list[int]:
+    def fragment(self, fraction: float, seed: int | None = None) -> array:
         """Artificially age the allocator by pinning random single frames.
 
         Allocates ``fraction`` of free memory as scattered frames and
@@ -272,6 +274,6 @@ class PhysicalMemory:
         return {
             "total_frames": self.total_frames,
             "free": [sorted(live) for live in self._free],
-            "scatter_pool": list(self._scatter_pool),
+            "scatter_pool": self._scatter_pool.tolist(),
             "rng": self._rng.bit_generator.state,
         }

@@ -4,7 +4,8 @@ The page table is the in-memory structure the hardware walker traverses on
 a TLB miss.  We model it faithfully as a radix tree with 512-entry nodes
 (PML4 → PDPT → PD → PT); leaves can sit at three levels:
 
-* level 1 (PT): 4 KB page entries, stored as bare frame numbers,
+* level 1 (PT): 4 KB page entries, stored as an ``array('q')`` of frame
+  numbers,
 * level 2 (PD): 2 MB page entries (PS bit set),
 * level 3 (PDPT): 1 GB page entries.
 
@@ -15,7 +16,10 @@ The tree is the ground truth for all translations; the OS substrate
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from ..errors import AddressSpaceError
 from .translation import (
@@ -36,6 +40,11 @@ _SHIFT_L4 = LEVEL_BITS * 3
 _SHIFT_L3 = LEVEL_BITS * 2
 _SHIFT_L2 = LEVEL_BITS
 
+#: A level-1 entry that maps no page (frame numbers are non-negative).
+UNMAPPED = -1
+#: A level-1 table with every entry unmapped; each new table copies it.
+_UNMAPPED_TABLE = array("q", [UNMAPPED]) * (LEVEL_MASK + 1)
+
 
 class PageFault(Exception):
     """Raised when a walk reaches an unmapped virtual page."""
@@ -48,16 +57,19 @@ class PageFault(Exception):
 class PageTableNode:
     """One 512-entry node of the radix tree.
 
-    ``entries`` maps a 9-bit index to a child node, to a huge-page
-    :class:`Translation` (a 2 MB PDE or 1 GB PDPTE leaf), or, in a
-    level-1 table, to the bare frame number of a 4 KB PTE.
+    Above level 1, ``entries`` maps a 9-bit index to a child node or to a
+    huge-page :class:`Translation` (a 2 MB PDE or 1 GB PDPTE leaf).  A
+    level-1 table's ``entries`` is an ``array('q')`` of all 512 PTEs, the
+    frame number of each mapped 4 KB page and ``UNMAPPED`` elsewhere, and
+    ``mapped`` counts its mapped entries.
     """
 
-    __slots__ = ("level", "entries")
+    __slots__ = ("level", "entries", "mapped")
 
     def __init__(self, level: int) -> None:
         self.level = level
-        self.entries: dict[int, object] = {}
+        self.entries = array("q", _UNMAPPED_TABLE) if level == 1 else {}
+        self.mapped = 0
 
     def index_for(self, vpn4k: int) -> int:
         """Index of this node's entry covering the given page."""
@@ -67,7 +79,7 @@ class PageTableNode:
 def _subtree_empty(node: PageTableNode) -> bool:
     """True if a subtree holds no leaf anywhere."""
     if node.level == 1:
-        return not node.entries
+        return not node.mapped
     for entry in node.entries.values():
         if type(entry) is Translation or not _subtree_empty(entry):
             return False
@@ -145,19 +157,31 @@ class PageTable:
 
         Equivalent to one :meth:`map` per page, but installed one leaf
         table (up to 512 entries) at a time.  The whole run is validated
-        before anything changes: if any page is already mapped, covered
-        by a huge page, or outside the page-number space,
-        :class:`repro.errors.AddressSpaceError` names the first such page
-        and the table is left as it was.  An empty run is a no-op.
+        before anything changes, and a rejected run leaves the table as it
+        was: :class:`repro.errors.AddressSpaceError` names the page of the
+        first frame that is negative (it would read as ``UNMAPPED``) or
+        does not fit a signed 64-bit PTE, else the first page that is
+        already mapped, covered by a huge page, or outside the page-number
+        space.  An empty run is a no-op.
 
-        Two passes over the leaf tables the run spans: the first checks
-        every table in address order and mutates nothing, the second
-        creates missing nodes and stores each table's frame numbers with
-        one ``dict.update``.
+        The frames become one ``array('q')``.  Then two passes over the
+        leaf tables the run spans: the first checks every table in address
+        order and mutates nothing, the second creates missing nodes and
+        copies each table's frames in with one slice assignment.
         """
         if not pfns:
             return
-        end = vpn4k + len(pfns)
+        try:
+            frames = array("q", pfns)
+        except OverflowError:
+            frames = None
+        if frames is None or np.frombuffer(frames, np.int64).min() < 0:
+            offset = next(i for i, pfn in enumerate(pfns) if not 0 <= pfn < 1 << 63)
+            raise AddressSpaceError(
+                f"vpn {vpn4k + offset:#x} cannot map frame {pfns[offset]}: "
+                "frame numbers run from 0 to 2**63 - 1"
+            )
+        end = vpn4k + len(frames)
         if vpn4k < 0:
             raise _outside(vpn4k)
         low = vpn4k
@@ -165,14 +189,12 @@ class PageTable:
         while low < stop:
             high = min((low | LEVEL_MASK) + 1, stop)
             table = self._leaf_table(low, create=False)
-            if table is not None and table.entries:
-                first = low & LEVEL_MASK
-                taken = table.entries.keys() & range(first, first + high - low)
-                if taken:
-                    index = min(taken)
-                    vpn = low - first + index
-                    existing = Translation(vpn, table.entries[index], PageSize.SIZE_4KB)
-                    raise AddressSpaceError(f"vpn {vpn:#x} already mapped ({existing!r})")
+            first = low & LEVEL_MASK
+            last = first + high - low
+            if table is not None and table.entries[first:last] != _UNMAPPED_TABLE[first:last]:
+                index = next(i for i in range(first, last) if table.entries[i] != UNMAPPED)
+                existing = Translation(low - first + index, table.entries[index], PageSize.SIZE_4KB)
+                raise AddressSpaceError(f"vpn {existing.vpn:#x} already mapped ({existing!r})")
             low = high
         if end > VPN_LIMIT:
             raise _outside(max(vpn4k, VPN_LIMIT))
@@ -180,11 +202,11 @@ class PageTable:
         while low < end:
             high = min((low | LEVEL_MASK) + 1, end)
             first = low & LEVEL_MASK
-            self._leaf_table(low, create=True).entries.update(
-                zip(range(first, first + high - low), pfns[low - vpn4k : high - vpn4k])
-            )
+            table = self._leaf_table(low, create=True)
+            table.entries[first : first + high - low] = frames[low - vpn4k : high - vpn4k]
+            table.mapped += high - low
             low = high
-        self._mapped_pages_4k += len(pfns)
+        self._mapped_pages_4k += len(frames)
 
     def _leaf_table(self, vpn4k: int, create: bool) -> Optional[PageTableNode]:
         """The level-1 node holding ``vpn4k``'s entry.
@@ -216,20 +238,24 @@ class PageTable:
         do); they are invisible to lookups.
         """
         node = self.root
-        while True:
+        while node.level > 1:
             index = node.index_for(vpn4k)
             entry = node.entries.get(index)
             if entry is None:
                 raise PageFault(vpn4k)
-            if node.level == 1:
-                del node.entries[index]
-                self._mapped_pages_4k -= 1
-                return Translation(vpn4k, entry, PageSize.SIZE_4KB)
             if type(entry) is Translation:
                 del node.entries[index]
                 self._mapped_pages_4k -= int(entry.page_size)
                 return entry
             node = entry
+        index = vpn4k & LEVEL_MASK
+        pfn = node.entries[index]
+        if pfn == UNMAPPED:
+            raise PageFault(vpn4k)
+        node.entries[index] = UNMAPPED
+        node.mapped -= 1
+        self._mapped_pages_4k -= 1
+        return Translation(vpn4k, pfn, PageSize.SIZE_4KB)
 
     # ------------------------------------------------------------------
     # Lookup / walking
@@ -261,8 +287,8 @@ class PageTable:
         entry = entry.entries.get((vpn4k >> _SHIFT_L2) & LEVEL_MASK)
         if entry is None or type(entry) is Translation:
             return entry
-        pfn = entry.entries.get(vpn4k & LEVEL_MASK)
-        if pfn is None:
+        pfn = entry.entries[vpn4k & LEVEL_MASK]
+        if pfn == UNMAPPED:
             return None
         return Translation(vpn4k, pfn, PageSize.SIZE_4KB)
 
@@ -294,8 +320,9 @@ class PageTable:
         def visit(node: PageTableNode, base: int) -> Iterator[Translation]:
             entries = node.entries
             if node.level == 1:
-                for index in sorted(entries):
-                    yield Translation(base | index, entries[index], PageSize.SIZE_4KB)
+                for index, pfn in enumerate(entries):
+                    if pfn != UNMAPPED:
+                        yield Translation(base | index, pfn, PageSize.SIZE_4KB)
                 return
             shift = LEVEL_BITS * (node.level - 1)
             for index in sorted(entries):
@@ -364,12 +391,12 @@ class PageTable:
         def visit(node: PageTableNode, base: int) -> None:
             entries = node.entries
             if node.level == 1:
-                keys = sorted(entries)
-                if keys and keys[-1] - keys[0] == len(keys) - 1:
-                    add_run(base + keys[0], [entries[i] for i in keys])
+                if node.mapped == len(entries):
+                    add_run(base, entries.tolist())
                     return
-                for index in keys:
-                    add_run(base + index, [entries[index]])
+                for index, pfn in enumerate(entries):
+                    if pfn != UNMAPPED:
+                        add_run(base + index, [pfn])
                 return
             shift = LEVEL_BITS * (node.level - 1)
             for index in sorted(entries):

@@ -21,6 +21,7 @@ Divergences, should a change introduce one, are localized with
 component naming.
 """
 
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -47,6 +48,7 @@ from repro.observability import Observability
 from repro.resilience.bisect import describe_divergence, record_resumed, record_trail
 from repro.resilience.checkpoint import first_divergence
 from repro.resilience.faults import TRACE_FAULTS, demotion_storm_events
+from repro.workloads.patterns import Region, Zipf
 from repro.workloads.tracefile import as_vpn_array
 
 #: The configurations built on MixedTLBHierarchy, the mixed template's inputs.
@@ -69,6 +71,30 @@ class TestEncodeTrace:
         tokens, cum = encode_trace([3, 1, 4, 1])
         assert tokens.tolist() == [3, 1, 4, 1]
         assert cum.tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "trace, tokens, cum",
+        [([7], [7], [0, 1]), ([4] * 10, [4, -9], [0, 1, 10])],
+        ids=("one-access", "one-run"),
+    )
+    def test_a_single_run(self, trace, tokens, cum):
+        encoded_tokens, encoded_cum = encode_trace(trace)
+        assert encoded_tokens.tolist() == tokens
+        assert encoded_cum.tolist() == cum
+
+    def test_peak_stays_near_the_output(self):
+        """The encode keeps few intermediates alive at once: its traced
+        peak stays within 1.5 times the bytes it returns."""
+        trace = Zipf(Region(0, 512), alpha=1.0, burst=8).generate(
+            np.random.default_rng(1), 200_000
+        )
+        tracemalloc.start()
+        try:
+            tokens, cum = encode_trace(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (tokens.nbytes + cum.nbytes)
 
     @pytest.mark.parametrize("trace", ([2, 2, 8], []), ids=("runs", "empty"))
     def test_arrays_are_read_only_int64(self, trace):

@@ -112,9 +112,9 @@ class TestScatteredFrames:
         # a row cross at least one refill for every count above 4096.
         bulk = PhysicalMemory(1 << 30, seed=3)
         single = PhysicalMemory(1 << 30, seed=3)
-        assert bulk.alloc_frames(100) == [single.alloc_frame() for _ in range(100)]
+        assert list(bulk.alloc_frames(100)) == [single.alloc_frame() for _ in range(100)]
         for _ in range(2):
-            assert bulk.alloc_frames(count) == [single.alloc_frame() for _ in range(count)]
+            assert list(bulk.alloc_frames(count)) == [single.alloc_frame() for _ in range(count)]
             assert bulk.state_dict() == single.state_dict()
 
     def test_alloc_frames_exhaustion_matches_alloc_frame_loop(self):

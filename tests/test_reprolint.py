@@ -7,6 +7,7 @@ source material for the AST pass, one file of known violations per rule.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -283,7 +284,12 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd or REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin",
+            # Keep the caller's choice, so the run leaves no bytecode in src/ when asked.
+            **{k: v for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE"},
+        },
     )
 
 

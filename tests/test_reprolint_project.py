@@ -15,6 +15,7 @@ Two layers:
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
@@ -242,7 +243,12 @@ def run_lint_cli(*args, cwd):
         capture_output=True,
         text=True,
         cwd=cwd,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin",
+            # Keep the caller's choice, so the run leaves no bytecode in src/ when asked.
+            **{k: v for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE"},
+        },
     )
 
 
