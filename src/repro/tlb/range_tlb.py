@@ -37,18 +37,24 @@ class RangeTLB(RecencyStackTLB):
     __slots__ = ()
 
     def lookup(self, vpn4k: int) -> Optional[RangeTranslation]:
-        """Probe for a range containing ``vpn4k``; None on a miss."""
+        """Probe for a range containing ``vpn4k``; None on a miss.
+
+        The walk counts ranks itself rather than through ``enumerate``,
+        which would build a tuple per entry on every access.
+        """
         stack = self._stack
-        for rank, rng in enumerate(stack):
+        rank = 0
+        for rng in stack:
             if rng.base_vpn <= vpn4k < rng.limit_vpn:
                 self._pending_hits += 1
                 counters = self.hit_rank_counters
                 if counters is not None:
                     counters[rank.bit_length()] += 1
                 if rank:
-                    stack.pop(rank)
+                    del stack[rank]
                     stack.insert(0, rng)
                 return rng
+            rank += 1
         self._pending_misses += 1
         return None
 

@@ -11,8 +11,12 @@ Each set is kept as a recency-ordered list of keys (most-recently-used
 first), so a hit's index in the list is exactly its LRU stack position —
 the quantity the Lite monitoring hardware derives from the LRU state bits.
 The cached values live in one dict keyed by key: a key can only reside in
-set ``key & _set_mask``, so one dict serves every set, and a probe finds
-its key with ``in`` and ``list.index``, which scan the set in C.  True LRU
+set ``key & _set_mask``, so one dict serves every set and holds exactly
+the resident keys.  A probe therefore decides hit or miss with one hash
+probe of that dict, whatever the cached value (``0`` and ``None`` are
+hits too); a miss never reads its set, a hit at the MRU position costs
+one comparison with the set's first key, and only a deeper hit scans the
+set with ``list.index`` to learn its rank.  True LRU
 gives the *stack inclusion* property Lite's counters rely on: the content
 of a w-way set is always a prefix of the 2w-way set's recency stack, which
 makes the counter-based miss prediction exact.
@@ -102,21 +106,28 @@ class SetAssociativeTLB(BatchedTLB):
         ``key`` is the page-granularity virtual page number (the caller
         divides the 4 KB VPN by the structure's page size).  Counts one
         read access at the current active-way configuration.
+
+        Membership in ``_values`` decides the outcome, so a miss never
+        touches its set.  A hit compares the key with the set's MRU key
+        first; only a hit below rank 0 calls ``list.index`` for its rank
+        and moves the key to the MRU position.
         """
+        values = self._values
+        if key not in values:
+            self._pending_misses += 1
+            return None
+        self._pending_hits += 1
         keys = self._sets[key & self._set_mask]
-        if key in keys:
-            self._pending_hits += 1
+        if keys[0] == key:
+            rank = 0
+        else:
             rank = keys.index(key)
-            counters = self.hit_rank_counters
-            if counters is not None:
-                counters[rank.bit_length()] += 1
-            if rank:
-                # Move to MRU position.
-                del keys[rank]
-                keys.insert(0, key)
-            return self._values[key]
-        self._pending_misses += 1
-        return None
+            del keys[rank]
+            keys.insert(0, key)
+        counters = self.hit_rank_counters
+        if counters is not None:
+            counters[rank.bit_length()] += 1
+        return values[key]
 
     def peek(self, key: int):
         """Check containment without updating LRU state or statistics."""
@@ -130,7 +141,7 @@ class SetAssociativeTLB(BatchedTLB):
         """
         self._pending_fills += 1
         keys = self._sets[key & self._set_mask]
-        if key in keys:
+        if key in self._values:
             keys.remove(key)
         keys.insert(0, key)
         self._values[key] = value
@@ -139,10 +150,9 @@ class SetAssociativeTLB(BatchedTLB):
 
     def invalidate(self, key: int) -> bool:
         """Remove one translation; returns True if it was present."""
-        keys = self._sets[key & self._set_mask]
-        if key not in keys:
+        if key not in self._values:
             return False
-        keys.remove(key)
+        self._sets[key & self._set_mask].remove(key)
         del self._values[key]
         return True
 
