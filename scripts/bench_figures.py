@@ -8,6 +8,10 @@ from pytest's durations report.  The output file holds one entry per
 commit: the commit hash and, for each run, the suite's wall time, each
 bench's seconds, and the sha256 of each ``benchmarks/results/*.txt``
 table the run wrote, so two entries' rendered outputs compare by hash.
+A run that wrote ``fig10_main.txt`` also records the ``average`` row of
+both Fig. 10 blocks (``fig10_average``: dynamic energy and TLB-miss
+cycles per configuration, normalised to 4KB, as printed), the numbers
+EXPERIMENTS.md's headline tables quote.
 A rerun at a commit replaces that commit's entry
 (``bench_e2e.merge_entry``); other entries keep their place.
 
@@ -36,6 +40,9 @@ from bench_e2e import REPO_ROOT, commit_of, merge_entry
 
 COMMAND = ["pytest", "benchmarks/", "--benchmark-only", "-q", "--durations=0"]
 RESULTS = Path("benchmarks") / "results"
+#: The Fig. 10 table, whose two blocks (energy, then TLB-miss cycles)
+#: each end in an ``average`` row.
+FIG10 = "fig10_main.txt"
 #: One line of the durations report: ``12.34s call     path::test``.
 DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown)\s+(\S+)$")
 
@@ -51,6 +58,20 @@ def parse_durations(output: str) -> dict[str, float]:
     return {node: round(seconds, 2) for node, seconds in benches.items()}
 
 
+def fig10_averages(text: str) -> dict[str, dict[str, float]]:
+    """The ``average`` row of each Fig. 10 block, keyed by configuration."""
+    rows = []
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if cells[0] == "workload":
+            configs = cells[1:]
+        elif cells[0] == "average":
+            rows.append(dict(zip(configs, map(float, cells[1:]))))
+    if len(rows) != 2:
+        raise ValueError(f"{FIG10} holds {len(rows)} average rows, expected 2")
+    return dict(zip(("energy", "cycles"), rows))
+
+
 def rendered_outputs(checkout: Path) -> dict[Path, int]:
     """Modification time (ns) of each rendered table in ``checkout``."""
     return {path: path.stat().st_mtime_ns for path in (checkout / RESULTS).glob("*.txt")}
@@ -58,7 +79,8 @@ def rendered_outputs(checkout: Path) -> dict[Path, int]:
 
 def run_suite(checkout: Path) -> dict:
     """One run of the figure suite in ``checkout``: total and per-bench
-    seconds, and the sha256 of each rendered table the run wrote."""
+    seconds, the sha256 of each rendered table the run wrote, and the
+    Fig. 10 averages when it wrote that table."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     before = rendered_outputs(checkout)
     started = time.perf_counter()
@@ -76,11 +98,14 @@ def run_suite(checkout: Path) -> dict:
         for path, mtime in sorted(rendered_outputs(checkout).items())
         if before.get(path) != mtime
     }
-    return {
+    run = {
         "total_s": round(total, 2),
         "benches": parse_durations(completed.stdout),
         "outputs": outputs,
     }
+    if FIG10 in outputs:
+        run["fig10_average"] = fig10_averages((checkout / RESULTS / FIG10).read_text())
+    return run
 
 
 def main(argv=None) -> int:

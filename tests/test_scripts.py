@@ -132,6 +132,32 @@ class TestBenchFigures:
             "table5.txt": hashlib.sha256(b"table5\n").hexdigest(),
         }
 
+    def test_run_records_the_fig10_averages(self, tmp_path, monkeypatch):
+        from repro.analysis.report import render_table
+
+        checkout = tmp_path / "checkout"
+        results = checkout / "benchmarks" / "results"
+        results.mkdir(parents=True)
+        headers = ["workload", "4KB", "THP", "RMM_Lite"]
+        fig10 = (
+            render_table(headers, [["mcf", 1.0, 0.61, 0.2], ["average", 1.0, 0.9374, 0.25]])
+            + "\n\n"
+            + render_table(headers, [["mcf", 1.0, 0.5, 0.0], ["average", 1.0, 0.28, 0.0001]])
+        )
+
+        def fake_pytest(args, **kwargs):
+            (results / "fig10_main.txt").write_text(fig10 + "\n")
+            return subprocess.CompletedProcess(args, 0, stdout="", stderr="")
+
+        monkeypatch.setattr(bench_figures.subprocess, "run", fake_pytest)
+        # Recorded as printed, to three decimals.
+        assert bench_figures.run_suite(checkout)["fig10_average"] == {
+            "energy": {"4KB": 1.0, "THP": 0.937, "RMM_Lite": 0.25},
+            "cycles": {"4KB": 1.0, "THP": 0.28, "RMM_Lite": 0.0},
+        }
+        with pytest.raises(ValueError, match="0 average rows"):
+            bench_figures.fig10_averages("no table\n")
+
     def test_checkouts_alternate_and_merge_per_commit(self, tmp_path, monkeypatch):
         out = tmp_path / "BENCH_figures.json"
         order = []
@@ -156,6 +182,67 @@ class TestBenchFigures:
         assert [entry["commit"] for entry in entries] == ["parent", "change"]
         assert [run["total_s"] for run in entries[0]["runs"]] == [5.0]
         assert [run["total_s"] for run in entries[1]["runs"]] == [2.0, 4.0]
+
+
+# ----------------------------------------------------------------------
+# EXPERIMENTS.md's Fig. 10 columns against the figure-suite trajectory
+# ----------------------------------------------------------------------
+def experiments_fig10_rows() -> list[tuple[str, str]]:
+    """(row label, measured cell) of each table in EXPERIMENTS.md's Fig. 10 section."""
+    text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split("## Headline results (Figure 10", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and len(cells) >= 3:
+            rows.append((cells[0], cells[2]))
+    return rows
+
+
+def printed(cell: str) -> tuple[float, float]:
+    """A measured cell's leading number and half a unit of its last digit."""
+    match = re.match(r"[0-9]+\.([0-9]+)", cell)
+    assert match, f"no measured number in {cell!r}"
+    return float(match.group(0)), 0.5 * 10 ** -len(match.group(1))
+
+
+class TestExperimentsFig10:
+    def test_measured_columns_match_the_latest_figure_run(self):
+        """EXPERIMENTS.md quotes the Fig. 10 averages the newest recorded run printed.
+
+        The energy rows are ratios of two printed averages (config over
+        THP), the cycle rows the printed averages themselves.  Each must
+        agree within half a unit of its own last digit plus the effect of
+        the table's three-decimal rounding.
+        """
+        entries = json.loads((REPO_ROOT / "BENCH_figures.json").read_text())["entries"]
+        recorded = [
+            (entry["commit"], run["fig10_average"])
+            for entry in entries
+            for run in entry["runs"]
+            if "fig10_average" in run
+        ]
+        assert recorded, "no BENCH_figures.json entry records the Fig. 10 averages"
+        newest = [pair for pair in recorded if pair[0] == recorded[-1][0]]
+        table_half_unit = 0.0005
+        checked = set()
+        for commit, average in newest:
+            energy, cycles = average["energy"], average["cycles"]
+            for label, cell in experiments_fig10_rows():
+                if label.endswith(" / THP"):
+                    expected = energy[label.removesuffix(" / THP")] / energy["THP"]
+                    slack = table_half_unit * (1 + expected) / energy["THP"]
+                elif label in cycles:
+                    expected, slack = cycles[label], table_half_unit
+                else:
+                    continue
+                value, half_unit = printed(cell)
+                assert abs(value - expected) <= half_unit + slack, (commit, label, value, expected)
+                checked.add(label)
+        assert checked == {
+            "TLB_Lite / THP", "RMM / THP", "TLB_PP / THP", "RMM_Lite / THP",
+            "THP", "TLB_Lite", "RMM", "RMM_Lite",
+        }
 
 
 # ----------------------------------------------------------------------

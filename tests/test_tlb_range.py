@@ -109,3 +109,77 @@ def test_containment_matches_linear_scan(queries, bases):
         resident = tlb.resident_ranges()
         expected = next((r for r in resident if r.covers(query)), None)
         assert tlb.peek(query) == expected
+
+
+#: Range-model operations.  "hit" probes a page of the resident range at
+#: a drawn rank, so hits reach every rank of a full stack.
+_RANGE_OPS = ["lookup"] * 4 + ["hit"] * 6 + ["fill"] * 6 + ["resize"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(_RANGE_OPS),
+            st.integers(min_value=0, max_value=199),
+            st.integers(min_value=1, max_value=8),
+        ),
+        min_size=20,
+        max_size=200,
+    ),
+    entries=st.sampled_from([1, 2, 4, 8]),
+)
+def test_matches_mru_list_model(ops, entries):
+    """The range TLB behaves exactly like a plain MRU-first list.
+
+    A lookup hits the first listed range containing the page, counts its
+    rank and moves it to the front; a fill drops every listed range that
+    overlaps the new one, puts it in front and cuts the list to the
+    active entries; a resize cuts the list to the new capacity.  Ranges
+    start anywhere in 200 pages and span 1-8 pages, so some fills
+    overlap while stacks still fill up, and each fill's range is a
+    distinct object with its own frame.
+    """
+    tlb = RangeTLB("r", entries)
+    counters = [0] * 4  # ranks 0..7 -> groups 0..3
+    tlb.hit_rank_counters = counters
+    model: list[RangeTranslation] = []  # MRU first
+    model_counters = [0] * 4
+    active = entries
+    hits = misses = fills = 0
+    for op, page, span in ops:
+        if op == "hit" and model:  # a page inside the range at rank page % len
+            entry = model[page % len(model)]
+            op, page = "lookup", entry.base_vpn + span % (entry.limit_vpn - entry.base_vpn)
+        if op in ("lookup", "hit"):
+            rank = next(
+                (r for r, entry in enumerate(model) if entry.base_vpn <= page < entry.limit_vpn),
+                None,
+            )
+            if rank is None:
+                misses += 1
+                assert tlb.lookup(page) is None
+            else:
+                hits += 1
+                model_counters[rank.bit_length()] += 1
+                assert tlb.lookup(page) is model[rank]
+                model.insert(0, model.pop(rank))
+        elif op == "fill":
+            fills += 1
+            new = RangeTranslation(page, page + span, 10_000 + fills)
+            model = [
+                entry
+                for entry in model
+                if entry.limit_vpn <= new.base_vpn or new.limit_vpn <= entry.base_vpn
+            ]
+            model.insert(0, new)
+            del model[active:]
+            tlb.fill(new)
+        else:
+            active = 1 + page % entries
+            tlb.set_active_units(active)
+            del model[active:]
+        assert tlb.resident_ranges() == model
+        assert counters == model_counters
+    tlb.sync_stats()
+    assert (tlb.stats.hits, tlb.stats.misses, tlb.stats.fills) == (hits, misses, fills)

@@ -251,10 +251,13 @@ _MODEL_OPS = (
 def test_matches_reference_lru_model(ops, ways, counted, reload_at):
     """The TLB behaves exactly like a per-set LRU stack of [key, value] pairs.
 
-    Every fill stores a value unique to that fill, so a value the TLB
+    Most fills store a value unique to that fill, so a value the TLB
     kept past its key's eviction, or returned from an older fill, shows.
-    At step ``reload_at`` the TLB is replaced by a fresh one loaded from
-    its JSON snapshot.
+    Every third fill stores ``None`` or ``0`` instead: a resident key
+    hits whatever it caches, so a lookup that judged a hit by its value
+    would count a miss and skip the promotion here.  At step
+    ``reload_at`` the TLB is replaced by a fresh one loaded from its JSON
+    snapshot.
     """
     tlb = SetAssociativeTLB("t", _MODEL_SETS * ways, ways)
     counters = [0] * 4 if counted else None  # ranks 0..7 -> groups 0..3
@@ -267,7 +270,10 @@ def test_matches_reference_lru_model(ops, ways, counted, reload_at):
     def model_fill(key):
         nonlocal fills
         fills += 1
-        value = Translation(key, fills, PageSize.SIZE_4KB)
+        if fills % 3:
+            value = Translation(key, fills, PageSize.SIZE_4KB)
+        else:
+            value = (None, 0)[fills % 2]
         stack = model[key % _MODEL_SETS]
         stack[:] = [pair for pair in stack if pair[0] != key]
         stack.insert(0, [key, value])
