@@ -11,7 +11,10 @@ table the run wrote, so two entries' rendered outputs compare by hash.
 A run that wrote ``fig10_main.txt`` also records the ``average`` row of
 both Fig. 10 blocks (``fig10_average``: dynamic energy and TLB-miss
 cycles per configuration, normalised to 4KB, as printed), the numbers
-EXPERIMENTS.md's headline tables quote.
+EXPERIMENTS.md's headline tables quote, and a run that wrote
+``table05_ways.txt`` records Table 5's ``average`` row
+(``table05_average``: its printed headers and values as two lists,
+since the headers repeat ``2w`` and ``1w``).
 A rerun at a commit replaces that commit's entry
 (``bench_e2e.merge_entry``); other entries keep their place.
 
@@ -43,6 +46,8 @@ RESULTS = Path("benchmarks") / "results"
 #: The Fig. 10 table, whose two blocks (energy, then TLB-miss cycles)
 #: each end in an ``average`` row.
 FIG10 = "fig10_main.txt"
+#: Table 5: one block, ending in an ``average`` row.
+TABLE5 = "table05_ways.txt"
 #: One line of the durations report: ``12.34s call     path::test``.
 DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown)\s+(\S+)$")
 
@@ -58,18 +63,34 @@ def parse_durations(output: str) -> dict[str, float]:
     return {node: round(seconds, 2) for node, seconds in benches.items()}
 
 
-def fig10_averages(text: str) -> dict[str, dict[str, float]]:
-    """The ``average`` row of each Fig. 10 block, keyed by configuration."""
+def average_rows(text: str) -> list[tuple[list[str], list[float]]]:
+    """Each ``average`` row of the tables in ``text``, with its table's
+    headers; the ``workload`` column is dropped from both."""
     rows = []
     for line in text.splitlines():
         cells = [cell.strip() for cell in line.split("|")]
         if cells[0] == "workload":
-            configs = cells[1:]
+            headers = cells[1:]
         elif cells[0] == "average":
-            rows.append(dict(zip(configs, map(float, cells[1:]))))
+            rows.append((headers, [float(cell) for cell in cells[1:]]))
+    return rows
+
+
+def fig10_averages(text: str) -> dict[str, dict[str, float]]:
+    """The ``average`` row of each Fig. 10 block, keyed by configuration."""
+    rows = average_rows(text)
     if len(rows) != 2:
         raise ValueError(f"{FIG10} holds {len(rows)} average rows, expected 2")
-    return dict(zip(("energy", "cycles"), rows))
+    return {block: dict(zip(*row)) for block, row in zip(("energy", "cycles"), rows)}
+
+
+def table5_average(text: str) -> dict[str, list]:
+    """Table 5's ``average`` row: the printed headers and the values."""
+    rows = average_rows(text)
+    if len(rows) != 1:
+        raise ValueError(f"{TABLE5} holds {len(rows)} average rows, expected 1")
+    headers, values = rows[0]
+    return {"headers": headers, "values": values}
 
 
 def rendered_outputs(checkout: Path) -> dict[Path, int]:
@@ -80,7 +101,7 @@ def rendered_outputs(checkout: Path) -> dict[Path, int]:
 def run_suite(checkout: Path) -> dict:
     """One run of the figure suite in ``checkout``: total and per-bench
     seconds, the sha256 of each rendered table the run wrote, and the
-    Fig. 10 averages when it wrote that table."""
+    Fig. 10 and Table 5 averages when it wrote those tables."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     before = rendered_outputs(checkout)
     started = time.perf_counter()
@@ -105,6 +126,8 @@ def run_suite(checkout: Path) -> dict:
     }
     if FIG10 in outputs:
         run["fig10_average"] = fig10_averages((checkout / RESULTS / FIG10).read_text())
+    if TABLE5 in outputs:
+        run["table05_average"] = table5_average((checkout / RESULTS / TABLE5).read_text())
     return run
 
 

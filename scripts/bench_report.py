@@ -7,6 +7,12 @@ harness, so it can run anywhere — and records per-cell accesses/second
 plus the fast/reference speedup per (trace, configuration).  The JSON
 artifact is the before/after evidence behind ``docs/performance.md``.
 
+Each round builds a fresh cell per engine and drains the two back to
+back, alternating which engine goes first, so a round's fast/reference
+ratio compares drains a moment apart.  A speedup is the median of those
+per-round ratios; a row's rate is the median across rounds, with the
+slowest and fastest round beside it.
+
 Usage::
 
     PYTHONPATH=src python scripts/bench_report.py
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -43,17 +50,21 @@ def current_commit() -> str:
         return "unknown"
 
 
-def measure(workload, config: str, engine: str, accesses: int, rounds: int) -> float:
-    """Best-of-``rounds`` accesses/second for one cell (fresh build each)."""
-    best = 0.0
-    for _ in range(rounds):
-        prepared = prepare_cell(workload, config, engine, accesses)
-        start = time.perf_counter()
-        result = drain(prepared)
-        elapsed = time.perf_counter() - start
-        assert result.accesses == accesses
-        best = max(best, accesses / elapsed)
-    return best
+def measure(workload, config: str, accesses: int, rounds: int) -> dict[str, list[float]]:
+    """Accesses/second per engine and round for one cell: each round
+    drains both engines back to back on fresh builds, alternating which
+    goes first."""
+    rates: dict[str, list[float]] = {engine: [] for engine in ENGINES}
+    for round_index in range(rounds):
+        order = ENGINES if round_index % 2 == 0 else ENGINES[::-1]
+        prepared = {engine: prepare_cell(workload, config, engine, accesses) for engine in order}
+        for engine in order:
+            start = time.perf_counter()
+            result = drain(prepared.pop(engine))
+            elapsed = time.perf_counter() - start
+            assert result.accesses == accesses
+            rates[engine].append(accesses / elapsed)
+    return rates
 
 
 def main() -> int:
@@ -69,26 +80,24 @@ def main() -> int:
     speedups: dict[str, dict[str, float]] = {}
     for trace_name in TRACES:
         workload = bench_workload(trace_name)
-        rates: dict[str, dict[str, float]] = {}
+        speedups[trace_name] = {}
         for config in CONFIGS:
-            rates[config] = {}
+            rates = measure(workload, config, args.accesses, args.rounds)
             for engine in ENGINES:
-                rate = measure(workload, config, engine, args.accesses, args.rounds)
-                rates[config][engine] = rate
+                rate = statistics.median(rates[engine])
                 rows.append(
                     {
                         "trace": trace_name,
                         "config": config,
                         "engine": engine,
                         "accesses_per_second": round(rate),
+                        "min_accesses_per_second": round(min(rates[engine])),
+                        "max_accesses_per_second": round(max(rates[engine])),
                     }
                 )
                 print(f"{trace_name:8s} {config:9s} {engine:9s} {rate:>12,.0f} acc/s")
-        speedups[trace_name] = {
-            config: round(rates[config]["fast"] / rates[config]["reference"], 2)
-            for config in CONFIGS
-        }
-        for config in CONFIGS:
+            ratios = [fast / ref for fast, ref in zip(rates["fast"], rates["reference"])]
+            speedups[trace_name][config] = round(statistics.median(ratios), 2)
             print(f"{trace_name:8s} {config:9s} speedup   {speedups[trace_name][config]:>11.2f}x")
 
     payload = {

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.workloads import patterns
 from repro.workloads.patterns import (
+    AccessPattern,
     Mixture,
     Phased,
     Region,
@@ -169,6 +171,11 @@ class TestMixture:
         with pytest.raises(ValueError):
             Mixture([])
 
+    def test_negative_weight_rejected(self):
+        a = UniformRandom(Region(0, 10), burst=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            Mixture([(a, 1.0), (a, -0.5)])
+
 
 class TestPhased:
     def test_phases_in_order(self):
@@ -221,3 +228,116 @@ def test_all_patterns_exact_length_and_bounds(n, seed):
         trace = pattern.generate(np.random.default_rng(seed), n)
         assert len(trace) == n
         assert in_region(trace, region)
+
+
+# ----------------------------------------------------------------------
+# Mixture.generate keeps bounded stream prefixes: equal to the all-streams
+# reference, draw for draw
+# ----------------------------------------------------------------------
+def all_streams_generate(mixture, rng, n):
+    """The reference ``Mixture.generate``: every component's stream is
+    kept whole until the choice is drawn."""
+    streams = [pattern.generate(rng, n) for pattern in mixture.patterns]
+    choice = rng.choice(len(streams), size=n, p=mixture.weights)
+    out = np.empty(n, dtype=np.int64)
+    for index, stream in enumerate(streams):
+        positions = np.nonzero(choice == index)[0]
+        out[positions] = stream[: len(positions)]
+    return out
+
+
+def reference_generate(pattern, seed, n):
+    """``pattern.generate`` with every Mixture in it, nested ones included,
+    run by the reference; returns the trace and the generator's final state."""
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Mixture, "generate", all_streams_generate)
+        trace = pattern.generate(rng, n)
+    return trace, rng.bit_generator.state
+
+
+MIX_REGION = Region(64, 2048)
+BURSTS = st.integers(min_value=1, max_value=8)
+PRIMITIVES = st.one_of(
+    st.builds(SequentialScan, st.just(MIX_REGION), st.integers(1, 7), BURSTS),
+    st.builds(ShuffledScan, st.just(MIX_REGION), BURSTS),
+    st.builds(UniformRandom, st.just(MIX_REGION), BURSTS),
+    st.builds(Zipf, st.just(MIX_REGION), st.floats(0.0, 2.0), BURSTS),
+    st.builds(StridedSet, st.just(MIX_REGION), st.integers(1, 64), st.integers(1, 31), BURSTS),
+)
+#: Zero, ordinary, and a weight that takes nearly all of the mass.
+WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.just(1e4))
+
+
+@st.composite
+def mixtures(draw):
+    """A Mixture of 1-7 components: a nested Mixture, a Phased (or
+    RepeatingPhases) pattern whose first phase is a Mixture, and primitives."""
+
+    def inner_mixture():
+        parts = st.tuples(PRIMITIVES, st.floats(0.1, 1.0))
+        return Mixture(draw(st.lists(parts, min_size=1, max_size=3)))
+
+    phases = [(inner_mixture(), draw(st.floats(0.1, 0.9))), (draw(PRIMITIVES), 0.5)]
+    repeats = draw(st.integers(1, 3))
+    phased = Phased(phases) if repeats == 1 else RepeatingPhases(phases, repeats)
+    size = draw(st.integers(min_value=1, max_value=7))
+    pool = [inner_mixture(), phased] + draw(st.lists(PRIMITIVES, min_size=5, max_size=5))
+    components = draw(st.permutations(pool[:size]))
+    weights = draw(st.lists(WEIGHTS, min_size=size, max_size=size).filter(any))
+    return Mixture(list(zip(components, weights)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mixture=mixtures(),
+    n=st.integers(min_value=1, max_value=5_000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_prefixes_match_the_all_streams_reference(mixture, n, seed):
+    """Same trace and same final generator state: a Mixture nested in
+    Phased or RepeatingPhases leaves the later phases' draws unchanged."""
+    rng = np.random.default_rng(seed)
+    trace = mixture.generate(rng, n)
+    expected, state = reference_generate(mixture, seed, n)
+    assert trace.dtype == np.int64
+    assert np.array_equal(trace, expected)
+    assert rng.bit_generator.state == state
+
+
+class CountingPattern(AccessPattern):
+    """Delegates to ``inner`` and counts its ``generate`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def generate(self, rng, n):
+        self.calls += 1
+        return self.inner.generate(rng, n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", (1, 5_000))
+def test_regeneration_matches_the_all_streams_reference(monkeypatch, n, seed):
+    """Prefixes cut to each expected share (no margin) leave some count
+    past its prefix (at n = 1 by exactly one), so every stream is drawn
+    again from the saved state: the trace and the final state still equal
+    the reference's."""
+    monkeypatch.setattr(patterns, "_PREFIX_SDS", 0)
+    monkeypatch.setattr(patterns, "_PREFIX_SLACK", 0)
+    counted = CountingPattern(Zipf(REGION, alpha=1.0, burst=3))
+    nested = Mixture([(UniformRandom(REGION, burst=2), 0.6), (ShuffledScan(REGION), 0.4)])
+    mixture = Mixture(
+        [
+            (counted, 0.3),
+            (UniformRandom(REGION, burst=4), 0.5),
+            (Phased([(nested, 0.5), (SequentialScan(REGION), 0.5)]), 0.2),
+        ]
+    )
+    rng = np.random.default_rng(seed)
+    trace = mixture.generate(rng, n)
+    assert counted.calls == 2  # drawn, then drawn again
+    expected, state = reference_generate(mixture, seed, n)
+    assert np.array_equal(trace, expected)
+    assert rng.bit_generator.state == state

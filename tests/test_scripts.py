@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -158,6 +159,36 @@ class TestBenchFigures:
         with pytest.raises(ValueError, match="0 average rows"):
             bench_figures.fig10_averages("no table\n")
 
+    def test_run_records_the_table5_average(self, tmp_path, monkeypatch):
+        from repro.analysis.report import render_table
+
+        checkout = tmp_path / "checkout"
+        results = checkout / "benchmarks" / "results"
+        results.mkdir(parents=True)
+        headers = ["workload", "Lite4K:4w", "2w", "1w", "RMM4K:4w", "2w", "1w", "range%"]
+        table5 = render_table(
+            headers,
+            [["mcf", 10.0, 20.0, 70.0, 0.0, 5.0, 95.0, 99.0],
+             ["average", 61.04, 27.2, 11.76, 20.0, 7.3, 72.7, 97.14]],
+            title="Table 5",
+            float_format="{:.1f}",
+        )
+
+        def fake_pytest(args, **kwargs):
+            (results / "table05_ways.txt").write_text(table5 + "\n")
+            return subprocess.CompletedProcess(args, 0, stdout="", stderr="")
+
+        monkeypatch.setattr(bench_figures.subprocess, "run", fake_pytest)
+        run = bench_figures.run_suite(checkout)
+        assert "fig10_average" not in run
+        # The repeated headers stay in order beside the values, as printed.
+        assert run["table05_average"] == {
+            "headers": headers[1:],
+            "values": [61.0, 27.2, 11.8, 20.0, 7.3, 72.7, 97.1],
+        }
+        with pytest.raises(ValueError, match="2 average rows"):
+            bench_figures.table5_average(table5 + "\n\n" + table5)
+
     def test_checkouts_alternate_and_merge_per_commit(self, tmp_path, monkeypatch):
         out = tmp_path / "BENCH_figures.json"
         order = []
@@ -185,7 +216,8 @@ class TestBenchFigures:
 
 
 # ----------------------------------------------------------------------
-# EXPERIMENTS.md's Fig. 10 columns against the figure-suite trajectory
+# EXPERIMENTS.md's Fig. 10 and Table 5 numbers against the figure-suite
+# trajectory
 # ----------------------------------------------------------------------
 def experiments_fig10_rows() -> list[tuple[str, str]]:
     """(row label, measured cell) of each table in EXPERIMENTS.md's Fig. 10 section."""
@@ -201,9 +233,23 @@ def experiments_fig10_rows() -> list[tuple[str, str]]:
 
 def printed(cell: str) -> tuple[float, float]:
     """A measured cell's leading number and half a unit of its last digit."""
-    match = re.match(r"[0-9]+\.([0-9]+)", cell)
+    match = re.match(r"[0-9]+(?:\.([0-9]+))?", cell)
     assert match, f"no measured number in {cell!r}"
-    return float(match.group(0)), 0.5 * 10 ** -len(match.group(1))
+    return float(match.group(0)), 0.5 * 10 ** -len(match.group(1) or "")
+
+
+def recorded_runs(key: str) -> list[tuple[str, dict]]:
+    """(commit, ``run[key]``) of every run in the newest BENCH_figures.json
+    entry that records ``key``."""
+    entries = json.loads((REPO_ROOT / "BENCH_figures.json").read_text())["entries"]
+    recorded = [
+        (entry["commit"], run[key])
+        for entry in entries
+        for run in entry["runs"]
+        if key in run
+    ]
+    assert recorded, f"no BENCH_figures.json entry records {key}"
+    return [pair for pair in recorded if pair[0] == recorded[-1][0]]
 
 
 class TestExperimentsFig10:
@@ -215,18 +261,9 @@ class TestExperimentsFig10:
         agree within half a unit of its own last digit plus the effect of
         the table's three-decimal rounding.
         """
-        entries = json.loads((REPO_ROOT / "BENCH_figures.json").read_text())["entries"]
-        recorded = [
-            (entry["commit"], run["fig10_average"])
-            for entry in entries
-            for run in entry["runs"]
-            if "fig10_average" in run
-        ]
-        assert recorded, "no BENCH_figures.json entry records the Fig. 10 averages"
-        newest = [pair for pair in recorded if pair[0] == recorded[-1][0]]
         table_half_unit = 0.0005
         checked = set()
-        for commit, average in newest:
+        for commit, average in recorded_runs("fig10_average"):
             energy, cycles = average["energy"], average["cycles"]
             for label, cell in experiments_fig10_rows():
                 if label.endswith(" / THP"):
@@ -243,6 +280,50 @@ class TestExperimentsFig10:
             "TLB_Lite / THP", "RMM / THP", "TLB_PP / THP", "RMM_Lite / THP",
             "THP", "TLB_Lite", "RMM", "RMM_Lite",
         }
+
+
+#: EXPERIMENTS.md's Table 5 bullets: label, then the recorded columns its
+#: measured numbers quote, each as (header, columns to the right of it).
+#: The headers repeat ``2w`` and ``1w``, so a column is found from the
+#: first header of its group.
+TABLE5_BULLETS = {
+    "TLB_Lite L1-4KB lookups at 4/2/1 ways": (
+        ("Lite4K:4w", 0), ("Lite4K:4w", 1), ("Lite4K:4w", 2),
+    ),
+    "TLB_Lite L1-2MB at 4 ways": (("Lite2M:4w", 0),),
+    "RMM_Lite L1-4KB at 1 way": (("RMM4K:4w", 2),),
+    "RMM_Lite hit share from the L1-range TLB": (("range%", 0),),
+}
+
+
+def experiments_table5_measured() -> dict[str, list[str]]:
+    """Each Table 5 bullet's measured numbers (after its arrow), as printed."""
+    text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split("## Table 5", 1)[1].split("\n## ", 1)[0]
+    measured = {}
+    for bullet in section.split("\n* ")[1:]:
+        label, _, quoted = bullet.partition(":")
+        if "→" in quoted:
+            after = quoted.split("→", 1)[1].split("%", 1)[0]
+            measured[label.strip()] = re.findall(r"[0-9]+(?:\.[0-9]+)?", after)
+    return measured
+
+
+class TestExperimentsTable5:
+    def test_averages_match_the_latest_figure_run(self):
+        """EXPERIMENTS.md quotes the Table 5 averages the newest recorded run
+        printed, within half a unit of its own last digit plus the table's
+        one-decimal rounding."""
+        measured = experiments_table5_measured()
+        for commit, average in recorded_runs("table05_average"):
+            for label, columns in TABLE5_BULLETS.items():
+                assert len(measured[label]) == len(columns), label
+                for cell, (header, offset) in zip(measured[label], columns):
+                    expected = average["values"][average["headers"].index(header) + offset]
+                    value, half_unit = printed(cell)
+                    assert abs(value - expected) <= half_unit + 0.05, (
+                        commit, label, header, offset, value, expected
+                    )
 
 
 # ----------------------------------------------------------------------
@@ -275,16 +356,56 @@ class TestBenchReport:
         )
         assert len(payload["rows"]) == expected_cells
         for row in payload["rows"]:
-            assert set(row) == {"trace", "config", "engine", "accesses_per_second"}
+            assert set(row) == {
+                "trace", "config", "engine", "accesses_per_second",
+                "min_accesses_per_second", "max_accesses_per_second",
+            }
             assert row["trace"] in bench_throughput.TRACES
             assert row["config"] in bench_throughput.CONFIGS
             assert row["engine"] in bench_throughput.ENGINES
-            assert row["accesses_per_second"] > 0
+            assert 0 < row["min_accesses_per_second"] == row["accesses_per_second"]
+            assert row["accesses_per_second"] == row["max_accesses_per_second"]
 
         assert set(payload["speedups"]) == set(bench_throughput.TRACES)
         for per_config in payload["speedups"].values():
             assert set(per_config) == set(bench_throughput.CONFIGS)
             assert all(ratio > 0 for ratio in per_config.values())
+
+    def test_rounds_pair_the_engines(self, tmp_path, monkeypatch):
+        """Each round drains both engines back to back, alternating which
+        goes first.  A row holds the median, slowest and fastest round; the
+        speedup is the median of the per-round ratios (here 4, where the
+        ratio of the best rates and of the median rates are both 2)."""
+        seconds = {"reference": [1.0, 2.0, 4.0], "fast": [1.0, 0.5, 1.0]}
+        drained = []
+        clock = [0.0]
+
+        def fake_drain(engine):
+            drained.append(engine)
+            clock[0] += seconds[engine][drained.count(engine) - 1]
+            return SimpleNamespace(accesses=100)
+
+        monkeypatch.setattr(bench_report, "prepare_cell", lambda w, c, engine, a: engine)
+        monkeypatch.setattr(bench_report, "drain", fake_drain)
+        monkeypatch.setattr(bench_report.time, "perf_counter", lambda: clock[0])
+        rates = bench_report.measure(None, "4KB", accesses=100, rounds=3)
+        assert drained == ["reference", "fast", "fast", "reference", "reference", "fast"]
+        assert rates == {"reference": [100.0, 50.0, 25.0], "fast": [100.0, 200.0, 100.0]}
+
+        monkeypatch.setattr(bench_report, "measure", lambda *args: rates)
+        monkeypatch.setattr(bench_report, "TRACES", ("omnetpp",))
+        monkeypatch.setattr(bench_report, "CONFIGS", ("4KB",))
+        monkeypatch.setattr(bench_report, "bench_workload", lambda name: None)
+        out = tmp_path / "BENCH_throughput.json"
+        monkeypatch.setattr(sys, "argv", ["bench_report.py", "--output", str(out)])
+        assert bench_report.main() == 0
+        payload = json.loads(out.read_text())
+        assert payload["speedups"] == {"omnetpp": {"4KB": 4.0}}
+        assert [
+            (row["engine"], row["accesses_per_second"], row["min_accesses_per_second"],
+             row["max_accesses_per_second"])
+            for row in payload["rows"]
+        ] == [("reference", 50, 25, 100), ("fast", 100, 100, 200)]
 
 
 # ----------------------------------------------------------------------
