@@ -351,6 +351,40 @@ class PageTable:
 
         yield from visit(self.root)
 
+    def run_pieces(self) -> Iterator[tuple[int, array, bool]]:
+        """Yield the 4 KB leaves in address order, a stretch of one table at a time.
+
+        Each item is ``(vpn, frames, joins)``: ``frames`` holds the frame
+        numbers of a stretch of consecutive mapped entries inside one
+        level-1 table, from page ``vpn`` on, and ``joins`` is true when
+        the stretch begins where the previous one ended, across a table
+        edge.  A stretch and the ones joining it make one maximal run of
+        :meth:`state_dict`.  A full table's stretch is the table's own
+        array: read it before the table changes, and never change it.
+        """
+
+        def visit(node: PageTableNode, base: int) -> Iterator[tuple[int, array]]:
+            entries = node.entries
+            if node.level == 1:
+                if node.mapped == len(entries):
+                    yield base, entries
+                elif node.mapped:
+                    mapped = np.frombuffer(entries, np.int64) != UNMAPPED
+                    edges = np.flatnonzero(np.diff(mapped, prepend=False, append=False))
+                    for first, last in edges.reshape(-1, 2).tolist():
+                        yield base | first, entries[first:last]
+                return
+            shift = LEVEL_BITS * (node.level - 1)
+            for index in sorted(entries):
+                entry = entries[index]
+                if type(entry) is not Translation:
+                    yield from visit(entry, base | (index << shift))
+
+        end = None
+        for vpn, frames in visit(self.root, 0):
+            yield vpn, frames, vpn == end
+            end = vpn + len(frames)
+
     def count_nodes(self) -> dict[int, int]:
         """Number of radix nodes per level (for memory-overhead reports)."""
         counts = {4: 1, 3: 0, 2: 0, 1: 0}
@@ -372,39 +406,18 @@ class PageTable:
         """Pure-JSON leaves in address order, 4 KB leaves as runs of frames.
 
         ``runs`` holds every maximal run of consecutive 4 KB leaves as
-        ``[vpn, [pfn, ...]]``, merged across leaf tables, so the state
-        depends only on the mapping and not on the order it was
-        installed in.  ``huge`` holds each 2 MB or 1 GB leaf as ``[vpn,
-        pfn, size]``.  Intermediate radix nodes, including empty ones
-        left behind by ``unmap``, are not serialized: they are invisible
-        to lookups and walks.
+        ``[vpn, [pfn, ...]]``, the joined stretches of :meth:`run_pieces`,
+        so the state depends only on the mapping and not on the order it
+        was installed in.  ``huge`` holds each 2 MB or 1 GB leaf as
+        ``[vpn, pfn, size]``.  Intermediate radix nodes, including empty
+        ones left behind by ``unmap``, are not serialized: they are
+        invisible to lookups and walks.
         """
         runs: list[list] = []
-        huge: list[list] = []
-
-        def add_run(vpn: int, pfns: list[int]) -> None:
-            if runs and runs[-1][0] + len(runs[-1][1]) == vpn:
-                runs[-1][1].extend(pfns)
+        for vpn, frames, joins in self.run_pieces():
+            if joins:
+                runs[-1][1].extend(frames)
             else:
-                runs.append([vpn, pfns])
-
-        def visit(node: PageTableNode, base: int) -> None:
-            entries = node.entries
-            if node.level == 1:
-                if node.mapped == len(entries):
-                    add_run(base, entries.tolist())
-                    return
-                for index, pfn in enumerate(entries):
-                    if pfn != UNMAPPED:
-                        add_run(base + index, [pfn])
-                return
-            shift = LEVEL_BITS * (node.level - 1)
-            for index in sorted(entries):
-                entry = entries[index]
-                if type(entry) is Translation:
-                    huge.append([entry.vpn, entry.pfn, int(entry.page_size)])
-                else:
-                    visit(entry, base | (index << shift))
-
-        visit(self.root, 0)
+                runs.append([vpn, frames.tolist()])
+        huge = [[leaf.vpn, leaf.pfn, int(leaf.page_size)] for leaf in self.huge_leaves()]
         return {"runs": runs, "huge": huge}

@@ -36,7 +36,7 @@ from ..core.simulator import ordered_events
 from ..errors import CheckpointError
 from ..ioutils import atomic_write_text
 from ..observability import Observability
-from ..stateful import require
+from ..stateful import require, rng_state_to_json
 
 #: Bump when the snapshot layout changes incompatibly.  Policy: loading
 #: rejects any other version outright (snapshots are short-lived restart
@@ -55,6 +55,39 @@ def canonical_json(state) -> str:
 def state_digest(state) -> str:
     """sha256 hex digest of a pure-JSON state."""
     return hashlib.sha256(canonical_json(state).encode()).hexdigest()
+
+
+def process_state_digest(process) -> str:
+    """``state_digest(process.state_dict())``, without building the state.
+
+    A 4 KB-paged process's state is mostly its page table's runs (mcf's
+    maps 444,416 pages), and a snapshot keeps only their hash.  So sha256
+    is fed the same canonical text piece by piece: the runs one stretch
+    of a leaf table at a time
+    (:meth:`repro.mmu.page_table.PageTable.run_pieces`), each encoded
+    from one ``tolist()``, and every other component from the state its
+    owner produces.  ``"page_table"`` sorts first among the process's
+    keys, so the others follow it as one object.  ``Process.state_dict()``
+    stays the definition; tests hold the two equal.
+    """
+    page_table = process.page_table
+    huge = [[leaf.vpn, leaf.pfn, int(leaf.page_size)] for leaf in page_table.huge_leaves()]
+    others = canonical_json(
+        {
+            "physical": process.physical.state_dict(),
+            "range_table": process.range_table.state_dict(),
+            "rng": rng_state_to_json(process._rng.getstate()),
+            "seed": process.seed,
+        }
+    )
+    sha = hashlib.sha256(f'{{"page_table":{{"huge":{canonical_json(huge)},"runs":['.encode())
+    close = ""  # "]]," once a run is open: ends it before the next one
+    for vpn, frames, joins in page_table.run_pieces():
+        pfns = canonical_json(frames.tolist())[1:-1]
+        sha.update((f",{pfns}" if joins else f"{close}[{vpn},[{pfns}").encode())
+        close = "]],"
+    sha.update(f"{close[:2]}]}},{others[1:]}".encode())
+    return sha.hexdigest()
 
 
 def component_digests(state: dict) -> dict[str, str]:
@@ -90,9 +123,9 @@ def component_digests(state: dict) -> dict[str, str]:
 def simulation_state(simulator, process_digest: str, loop_state: dict) -> dict:
     """Combined pure-JSON state of one running simulation cell.
 
-    ``process_digest`` is ``state_digest(process.state_dict())``: the
-    snapshot records the process by its digest, and a restore rebuilds
-    the process and checks it (:func:`restore_simulation`).
+    ``process_digest`` is :func:`process_state_digest` of the process:
+    the snapshot records the process by its digest, and a restore
+    rebuilds the process and checks it (:func:`restore_simulation`).
     """
     organization = simulator.organization
     state = {
@@ -133,7 +166,7 @@ def restore_simulation(prepared, state: dict) -> dict:
     loop_state = state["loop"]
     for _position, event in ordered_events(prepared.events)[: loop_state["event_index"]]:
         event(organization)
-    if state_digest(prepared.process.state_dict()) != state["process_digest"]:
+    if process_state_digest(prepared.process) != state["process_digest"]:
         raise CheckpointError(
             "the rebuilt process differs from the snapshot's "
             "(built with another seed, workload or memory size?)"
@@ -398,7 +431,7 @@ class SimulationCheckpointer:
         span = obs.spans.begin("checkpoint", boundary=boundary) if obs is not None else None
         event_index = loop_state["event_index"]
         if self._process_digest is None or self._process_digest[0] != event_index:
-            self._process_digest = (event_index, state_digest(self.process.state_dict()))
+            self._process_digest = (event_index, process_state_digest(self.process))
         state = simulation_state(self.simulator, self._process_digest[1], loop_state)
         if digest:
             self.trail.record(boundary, component_digests(state))
