@@ -11,10 +11,14 @@ table the run wrote, so two entries' rendered outputs compare by hash.
 A run that wrote ``fig10_main.txt`` also records the ``average`` row of
 both Fig. 10 blocks (``fig10_average``: dynamic energy and TLB-miss
 cycles per configuration, normalised to 4KB, as printed), the numbers
-EXPERIMENTS.md's headline tables quote, and a run that wrote
+EXPERIMENTS.md's headline tables quote, a run that wrote
 ``table05_ways.txt`` records Table 5's ``average`` row
 (``table05_average``: its printed headers and values as two lists,
-since the headers repeat ``2w`` and ``1w``).
+since the headers repeat ``2w`` and ``1w``), and a run that wrote
+``fig12_other_workloads.txt`` records the ``average`` row of both
+Fig. 12 blocks (``fig12_average``: the TLB_Lite/THP and RMM_Lite/THP
+ratios for SPEC 2006 and PARSEC; that row's memory cell is blank and
+its MPKI cell reads ``nan``, so only the ratio cells are kept).
 A rerun at a commit replaces that commit's entry
 (``bench_e2e.merge_entry``); other entries keep their place.
 
@@ -48,6 +52,10 @@ RESULTS = Path("benchmarks") / "results"
 FIG10 = "fig10_main.txt"
 #: Table 5: one block, ending in an ``average`` row.
 TABLE5 = "table05_ways.txt"
+#: Fig. 12: a SPEC 2006 block, then a PARSEC block, each ending in an
+#: ``average`` row.
+FIG12 = "fig12_other_workloads.txt"
+FIG12_SUITES = ("SPEC 2006", "PARSEC")
 #: One line of the durations report: ``12.34s call     path::test``.
 DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown)\s+(\S+)$")
 
@@ -63,34 +71,44 @@ def parse_durations(output: str) -> dict[str, float]:
     return {node: round(seconds, 2) for node, seconds in benches.items()}
 
 
-def average_rows(text: str) -> list[tuple[list[str], list[float]]]:
-    """Each ``average`` row of the tables in ``text``, with its table's
-    headers; the ``workload`` column is dropped from both."""
+def average_rows(text: str, name: str, count: int) -> list[tuple[list[str], list[str]]]:
+    """The ``count`` ``average`` rows of the tables in ``text`` (the table
+    file ``name``), each with its table's headers, as printed; the
+    ``workload`` column is dropped from both."""
     rows = []
     for line in text.splitlines():
         cells = [cell.strip() for cell in line.split("|")]
         if cells[0] == "workload":
             headers = cells[1:]
         elif cells[0] == "average":
-            rows.append((headers, [float(cell) for cell in cells[1:]]))
+            rows.append((headers, cells[1:]))
+    if len(rows) != count:
+        raise ValueError(f"{name} holds {len(rows)} average rows, expected {count}")
     return rows
 
 
 def fig10_averages(text: str) -> dict[str, dict[str, float]]:
     """The ``average`` row of each Fig. 10 block, keyed by configuration."""
-    rows = average_rows(text)
-    if len(rows) != 2:
-        raise ValueError(f"{FIG10} holds {len(rows)} average rows, expected 2")
-    return {block: dict(zip(*row)) for block, row in zip(("energy", "cycles"), rows)}
+    return {
+        block: {header: float(cell) for header, cell in zip(*row)}
+        for block, row in zip(("energy", "cycles"), average_rows(text, FIG10, 2))
+    }
 
 
 def table5_average(text: str) -> dict[str, list]:
     """Table 5's ``average`` row: the printed headers and the values."""
-    rows = average_rows(text)
-    if len(rows) != 1:
-        raise ValueError(f"{TABLE5} holds {len(rows)} average rows, expected 1")
-    headers, values = rows[0]
-    return {"headers": headers, "values": values}
+    [(headers, cells)] = average_rows(text, TABLE5, 1)
+    return {"headers": headers, "values": [float(cell) for cell in cells]}
+
+
+def fig12_averages(text: str) -> dict[str, dict[str, float]]:
+    """The ratio cells of each Fig. 12 block's ``average`` row, by suite."""
+    return {
+        suite: {
+            header: float(cell) for header, cell in zip(*row) if header.endswith("/THP")
+        }
+        for suite, row in zip(FIG12_SUITES, average_rows(text, FIG12, 2))
+    }
 
 
 def rendered_outputs(checkout: Path) -> dict[Path, int]:
@@ -101,7 +119,7 @@ def rendered_outputs(checkout: Path) -> dict[Path, int]:
 def run_suite(checkout: Path) -> dict:
     """One run of the figure suite in ``checkout``: total and per-bench
     seconds, the sha256 of each rendered table the run wrote, and the
-    Fig. 10 and Table 5 averages when it wrote those tables."""
+    Fig. 10, Table 5 and Fig. 12 averages when it wrote those tables."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     before = rendered_outputs(checkout)
     started = time.perf_counter()
@@ -128,6 +146,8 @@ def run_suite(checkout: Path) -> dict:
         run["fig10_average"] = fig10_averages((checkout / RESULTS / FIG10).read_text())
     if TABLE5 in outputs:
         run["table05_average"] = table5_average((checkout / RESULTS / TABLE5).read_text())
+    if FIG12 in outputs:
+        run["fig12_average"] = fig12_averages((checkout / RESULTS / FIG12).read_text())
     return run
 
 

@@ -189,6 +189,36 @@ class TestBenchFigures:
         with pytest.raises(ValueError, match="2 average rows"):
             bench_figures.table5_average(table5 + "\n\n" + table5)
 
+    def test_run_records_the_fig12_averages(self, tmp_path, monkeypatch):
+        from repro.analysis.report import render_table
+
+        checkout = tmp_path / "checkout"
+        results = checkout / "benchmarks" / "results"
+        results.mkdir(parents=True)
+        headers = ["workload", "memory", "L1 MPKI@THP", "TLB_Lite/THP", "RMM_Lite/THP"]
+        fig12 = "\n\n".join(
+            render_table(
+                headers,
+                [["gcc", "35 MB", 9.5, 0.8, 0.3], ["average", "", float("nan"), lite, rmm]],
+                title=f"Figure 12 — {suite} (energy vs THP)",
+            )
+            for suite, lite, rmm in (("SPEC 2006", 0.7684, 0.2625), ("PARSEC", 0.79, 0.2749))
+        )
+
+        def fake_pytest(args, **kwargs):
+            (results / "fig12_other_workloads.txt").write_text(fig12 + "\n")
+            return subprocess.CompletedProcess(args, 0, stdout="", stderr="")
+
+        monkeypatch.setattr(bench_figures.subprocess, "run", fake_pytest)
+        # Only the ratio cells, as printed: the blank memory cell and the
+        # nan MPKI cell are left out.
+        assert bench_figures.run_suite(checkout)["fig12_average"] == {
+            "SPEC 2006": {"TLB_Lite/THP": 0.768, "RMM_Lite/THP": 0.263},
+            "PARSEC": {"TLB_Lite/THP": 0.79, "RMM_Lite/THP": 0.275},
+        }
+        with pytest.raises(ValueError, match="1 average rows"):
+            bench_figures.fig12_averages(fig12.split("\n\n")[0])
+
     def test_checkouts_alternate_and_merge_per_commit(self, tmp_path, monkeypatch):
         out = tmp_path / "BENCH_figures.json"
         order = []
@@ -216,13 +246,14 @@ class TestBenchFigures:
 
 
 # ----------------------------------------------------------------------
-# EXPERIMENTS.md's Fig. 10 and Table 5 numbers against the figure-suite
-# trajectory
+# EXPERIMENTS.md's Fig. 10, Table 5 and Fig. 12 numbers against the
+# figure-suite trajectory
 # ----------------------------------------------------------------------
-def experiments_fig10_rows() -> list[tuple[str, str]]:
-    """(row label, measured cell) of each table in EXPERIMENTS.md's Fig. 10 section."""
+def experiments_rows(heading: str) -> list[tuple[str, str]]:
+    """(row label, measured cell) of each table row in the EXPERIMENTS.md
+    section whose heading starts with ``heading``."""
     text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
-    section = text.split("## Headline results (Figure 10", 1)[1].split("\n## ", 1)[0]
+    section = text.split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
     rows = []
     for line in section.splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
@@ -265,7 +296,7 @@ class TestExperimentsFig10:
         checked = set()
         for commit, average in recorded_runs("fig10_average"):
             energy, cycles = average["energy"], average["cycles"]
-            for label, cell in experiments_fig10_rows():
+            for label, cell in experiments_rows("Headline results (Figure 10"):
                 if label.endswith(" / THP"):
                     expected = energy[label.removesuffix(" / THP")] / energy["THP"]
                     slack = table_half_unit * (1 + expected) / energy["THP"]
@@ -324,6 +355,34 @@ class TestExperimentsTable5:
                     assert abs(value - expected) <= half_unit + 0.05, (
                         commit, label, header, offset, value, expected
                     )
+
+
+#: EXPERIMENTS.md's Fig. 12 rows: label, then the recorded suite and
+#: ratio its measured column quotes.
+FIG12_ROWS = {
+    "TLB_Lite/THP, rest of SPEC": ("SPEC 2006", "TLB_Lite/THP"),
+    "TLB_Lite/THP, rest of PARSEC": ("PARSEC", "TLB_Lite/THP"),
+    "RMM_Lite/THP, rest of SPEC": ("SPEC 2006", "RMM_Lite/THP"),
+    "RMM_Lite/THP, rest of PARSEC": ("PARSEC", "RMM_Lite/THP"),
+}
+
+
+class TestExperimentsFig12:
+    def test_measured_column_matches_the_latest_figure_run(self):
+        """EXPERIMENTS.md quotes the Fig. 12 averages the newest recorded run
+        printed: each ratio within half a unit of its own last digit plus
+        the table's three-decimal rounding, and the reduction beside it
+        within half a percent of that ratio's."""
+        rows = dict(experiments_rows("Figure 12"))
+        for commit, average in recorded_runs("fig12_average"):
+            for label, (suite, ratio) in FIG12_ROWS.items():
+                expected = average[suite][ratio]
+                value, half_unit = printed(rows[label])
+                assert abs(value - expected) <= half_unit + 0.0005, (commit, label, value, expected)
+                sign, percent = re.search(r"\(([−-])([0-9]+) %\)", rows[label]).groups()
+                assert sign == "−" and abs(int(percent) - (1 - expected) * 100) <= 0.55, (
+                    commit, label, percent, expected
+                )
 
 
 # ----------------------------------------------------------------------
