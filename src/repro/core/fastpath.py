@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mmu.translation import PageSize, Translation
+from ..mmu.translation import translation_4kb
 from ..tlb.set_assoc import SetAssociativeTLB
 from ..workloads.base import shared_encoding
 from ..workloads.tracefile import as_vpn_array
@@ -440,7 +440,7 @@ def _paged_source(h, namespace):
     src.l2_probe(
         "vpn",
         hit_fill=_inline_fill(fill4, "vpn", "pe"),
-        range_fill=_inline_fill(fill4, "vpn", "Translation(vpn, vpn + re_.offset, S4K)"),
+        range_fill=_inline_fill(fill4, "vpn", "translation_4kb(vpn, vpn + re_.offset)"),
     )
     for si in range(nslots):
         hits = f"ph{si}" if si == last and not has_range else f"at{si}"
@@ -496,7 +496,7 @@ def _mixed_source(h, namespace):
     src.l2_probe(
         "k",
         hit_fill=_inline_fill(0, "k", "pe"),
-        range_fill=["t0.fill(vpn << 1, Translation(vpn, vpn + re_.offset, S4K))"],
+        range_fill=["t0.fill(vpn << 1, translation_4kb(vpn, vpn + re_.offset))"],
     )
     src.flush.append("h.attributed_hits_2mb += a2")
     src.flush.append(f"h.attributed_hits_4kb += {'at0' if has_range else 'ph0'} - a2")
@@ -623,8 +623,7 @@ class FastEngine:
             "slow": hierarchy.access,
             "shape_key": shape_key,
             "shape": shape,
-            "Translation": Translation,
-            "S4K": PageSize.SIZE_4KB,
+            "translation_4kb": translation_4kb,
         }
         source = template(hierarchy, namespace)
         drain = None if source is None else source.compile()

@@ -31,7 +31,7 @@ from __future__ import annotations
 from ..errors import ConfigurationError
 from ..stateful import require
 from ..mem.range_table import RangeTable
-from ..mmu.translation import PageSize, Translation
+from ..mmu.translation import SIZE_2MB, SIZE_4KB, PageSize, translation_4kb
 from ..mmu.walker import PageWalker
 from ..tlb.base import TranslationStructure
 from ..tlb.mixed_fa import MixedFullyAssociativeTLB
@@ -239,9 +239,9 @@ class TLBHierarchy(BaseHierarchy):
         super().__init__(walker, l1_range, l2_range, range_table)
         self.l1_slots = l1_slots
         self._slot_by_size = {slot.page_size: slot for slot in l1_slots}
-        if PageSize.SIZE_4KB not in self._slot_by_size:
+        if SIZE_4KB not in self._slot_by_size:
             raise ConfigurationError("hierarchy needs an L1 TLB for 4KB pages")
-        self._slot_4kb = self._slot_by_size[PageSize.SIZE_4KB]
+        self._slot_4kb = self._slot_by_size[SIZE_4KB]
         self._slot_4kb.enabled = True
         self._active_slots = [slot for slot in l1_slots if slot.enabled]
         self.l2_page = l2_page
@@ -276,10 +276,7 @@ class TLBHierarchy(BaseHierarchy):
             # 4 KB page translation (PA = VA + offset) and installs it in
             # the L1-4KB TLB; the range hardware cannot know the page-
             # table leaf size without walking, so the granule is 4 KB.
-            self._slot_4kb.tlb.fill(
-                vpn,
-                Translation(vpn, vpn + range_entry.offset, PageSize.SIZE_4KB),
-            )
+            self._slot_4kb.tlb.fill(vpn, translation_4kb(vpn, vpn + range_entry.offset))
         if page_entry is not None or range_entry is not None:
             return
         self.walk_fill(vpn)
@@ -304,7 +301,7 @@ class TLBHierarchy(BaseHierarchy):
             slot.enabled = True
             self._active_slots.append(slot)
         slot.tlb.fill(vpn >> slot.shift, translation)
-        if translation.page_size is PageSize.SIZE_4KB:
+        if translation.page_size is SIZE_4KB:
             self.l2_page.fill(vpn, translation)
         if self.range_table is not None:
             self.walk_range_table(vpn)
@@ -322,7 +319,7 @@ class TLBHierarchy(BaseHierarchy):
             slot.attributed_hits = 0
 
     def shootdown_huge_page(self, base_vpn: int) -> None:
-        slot = self._slot_by_size.get(PageSize.SIZE_2MB)
+        slot = self._slot_by_size.get(SIZE_2MB)
         if slot is not None:
             slot.tlb.invalidate(base_vpn >> 9)
 
@@ -383,7 +380,7 @@ class L0FilterHierarchy(TLBHierarchy):
         if entry is None and self._l1_range_active is not None:
             rng = self._l1_range_active.peek(vpn)
             if rng is not None:
-                entry = Translation(vpn, vpn + rng.offset, PageSize.SIZE_4KB)
+                entry = translation_4kb(vpn, vpn + rng.offset)
         if entry is not None:
             self.l0.fill(entry)
 
@@ -481,9 +478,7 @@ class MixedTLBHierarchy(BaseHierarchy):
             self.l1_mixed.fill(key, entry)
         elif range_entry is not None:
             # Synthesise the 4 KB page entry from the range, as in RMM.
-            self.l1_mixed.fill(
-                vpn << 1, Translation(vpn, vpn + range_entry.offset, PageSize.SIZE_4KB)
-            )
+            self.l1_mixed.fill(vpn << 1, translation_4kb(vpn, vpn + range_entry.offset))
         if entry is not None or range_entry is not None:
             return
         self.walk_fill(vpn)
@@ -661,7 +656,7 @@ class FullyAssociativeL1Hierarchy(BaseHierarchy):
         self.l2_misses += 1
         result = self.walker.walk(vpn)
         self.l1_fa.fill(result.translation)
-        if result.translation.page_size is PageSize.SIZE_4KB:
+        if result.translation.page_size is SIZE_4KB:
             self.l2_page.fill(vpn, result.translation)
 
     def page_structures(self) -> list[TranslationStructure]:
@@ -676,7 +671,7 @@ class FullyAssociativeL1Hierarchy(BaseHierarchy):
 
     def shootdown_huge_page(self, base_vpn: int) -> None:
         entry = self.l1_fa.peek(base_vpn)
-        if entry is not None and entry.page_size is PageSize.SIZE_2MB:
+        if entry is not None and entry.page_size is SIZE_2MB:
             self.l1_fa.invalidate_covering(base_vpn)
 
     def state_dict(self) -> dict:

@@ -15,7 +15,17 @@ MMU-cache_PML4     2      fully assoc  PML4 entries (VA bits 47..39)
 
 A hit at a level lets the walk skip reading that level and everything
 above it, so a 4 KB walk needs 1–4 memory references, a 2 MB walk 1–3,
-and a 1 GB walk 1–2.
+and a 1 GB walk 1–2.  The deepest hit *relevant to the page size* wins:
+a PDE-cache hit skips 3 levels of a 4 KB walk, a PDPTE hit skips 2, a
+PML4 hit skips 1.  For a 2 MB page the PDE *is* the leaf, so the PDE
+cache cannot help (its entries are non-leaf PDEs); likewise the PDPTE
+cache cannot help a 1 GB walk.
+
+Only non-leaf entries enter the caches: a completed 4 KB walk installs
+its PML4E, PDPTE and PDE, a 2 MB walk its PML4E and PDPTE, and a 1 GB
+walk only its PML4E (the leaf goes to the TLBs instead).  An entry the
+probe found is not filled again: its hit already made it the most
+recently used, and a refill would charge spurious write energy.
 """
 
 from __future__ import annotations
@@ -24,10 +34,10 @@ from dataclasses import dataclass
 
 from ..tlb.fully_assoc import FullyAssociativeTLB
 from ..tlb.set_assoc import SetAssociativeTLB
-from .translation import LEVEL_BITS, PageSize
+from .translation import LEVEL_BITS, SIZE_1GB, SIZE_2MB, PageSize
 
 # Tag shifts, inlined from translation.pde_tag/pdpte_tag/pml4e_tag:
-# probe/fill run on every page walk, and the function-call overhead is
+# access runs on every page walk, and the function-call overhead is
 # measurable there.
 _PDE_SHIFT = LEVEL_BITS
 _PDPTE_SHIFT = 2 * LEVEL_BITS
@@ -61,49 +71,37 @@ class MMUCache:
         """All three caches, for stats/energy iteration."""
         return (self.pde, self.pdpte, self.pml4)
 
-    def probe(self, vpn4k: int, page_size: PageSize) -> int:
-        """Parallel probe; returns the number of page-table levels skipped.
+    def access(self, vpn4k: int, page_size: PageSize) -> int:
+        """One walk's parallel probe and fill; returns the levels skipped.
 
         All three structures are charged a lookup (they are accessed in
-        parallel after the L2 TLB miss).  The deepest hit *relevant to the
-        page size* wins: a PDE-cache hit skips 3 levels of a 4 KB walk, a
-        PDPTE hit skips 2, a PML4 hit skips 1.  For a 2 MB page the PDE
-        *is* the leaf, so the PDE cache cannot help (its entries are
-        non-leaf PDEs); likewise the PDPTE cache cannot help a 1 GB walk.
+        parallel after the L2 TLB miss).  Then each level the walk of a
+        ``page_size`` page installs and the probe missed is filled, in
+        PML4E, PDPTE, PDE order, so no cache is scanned twice.  See the
+        module docstring for which hit counts and which level fills.
         """
-        pde_hit = self.pde.lookup(vpn4k >> _PDE_SHIFT) is not None
-        pdpte_hit = self.pdpte.lookup(vpn4k >> _PDPTE_SHIFT) is not None
-        pml4_hit = self.pml4.lookup(vpn4k >> _PML4_SHIFT) is not None
-        if page_size is PageSize.SIZE_4KB and pde_hit:
+        pde_tag = vpn4k >> _PDE_SHIFT
+        pdpte_tag = vpn4k >> _PDPTE_SHIFT
+        pml4_tag = vpn4k >> _PML4_SHIFT
+        pde_hit = self.pde.lookup(pde_tag) is not None
+        pdpte_hit = self.pdpte.lookup(pdpte_tag) is not None
+        if self.pml4.lookup(pml4_tag) is not None:
+            skipped = 1
+        else:
+            skipped = 0
+            self.pml4.fill(pml4_tag, True)
+        if page_size is SIZE_1GB:
+            return skipped
+        if pdpte_hit:
+            skipped = 2
+        else:
+            self.pdpte.fill(pdpte_tag, True)
+        if page_size is SIZE_2MB:
+            return skipped
+        if pde_hit:
             return 3
-        if page_size is not PageSize.SIZE_1GB and pdpte_hit:
-            return 2
-        if pml4_hit:
-            return 1
-        return 0
-
-    def fill(self, vpn4k: int, page_size: PageSize) -> None:
-        """Install the intermediate entries traversed by a completed walk.
-
-        Only non-leaf entries enter the paging-structure caches: a 4 KB
-        walk installs PML4E + PDPTE + PDE, a 2 MB walk PML4E + PDPTE, and
-        a 1 GB walk only the PML4E (the leaf goes to the TLBs instead).
-        Filling an already-present entry just refreshes its recency and is
-        skipped to avoid charging spurious write energy.
-        """
-        tag = vpn4k >> _PML4_SHIFT
-        if self.pml4.peek(tag) is None:
-            self.pml4.fill(tag, True)
-        if page_size is PageSize.SIZE_1GB:
-            return
-        tag = vpn4k >> _PDPTE_SHIFT
-        if self.pdpte.peek(tag) is None:
-            self.pdpte.fill(tag, True)
-        if page_size is PageSize.SIZE_2MB:
-            return
-        tag = vpn4k >> _PDE_SHIFT
-        if self.pde.peek(tag) is None:
-            self.pde.fill(tag, True)
+        self.pde.fill(pde_tag, True)
+        return skipped
 
     def flush(self) -> None:
         """Invalidate all three caches."""

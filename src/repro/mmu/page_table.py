@@ -25,8 +25,10 @@ from ..errors import AddressSpaceError
 from .translation import (
     LEVEL_BITS,
     LEVEL_MASK,
+    SIZE_4KB,
     PageSize,
     Translation,
+    translation_4kb,
 )
 
 
@@ -118,7 +120,7 @@ class PageTable:
         policies.  A 4 KB leaf is a one-page :meth:`map_run`: its table
         keeps the frame number, not the :class:`Translation`.
         """
-        if translation.page_size is PageSize.SIZE_4KB:
+        if translation.page_size is SIZE_4KB:
             self.map_run(translation.vpn, (translation.pfn,))
             return
         if not 0 <= translation.vpn <= VPN_LIMIT - int(translation.page_size):
@@ -193,7 +195,7 @@ class PageTable:
             last = first + high - low
             if table is not None and table.entries[first:last] != _UNMAPPED_TABLE[first:last]:
                 index = next(i for i in range(first, last) if table.entries[i] != UNMAPPED)
-                existing = Translation(low - first + index, table.entries[index], PageSize.SIZE_4KB)
+                existing = translation_4kb(low - first + index, table.entries[index])
                 raise AddressSpaceError(f"vpn {existing.vpn:#x} already mapped ({existing!r})")
             low = high
         if end > VPN_LIMIT:
@@ -255,7 +257,7 @@ class PageTable:
         node.entries[index] = UNMAPPED
         node.mapped -= 1
         self._mapped_pages_4k -= 1
-        return Translation(vpn4k, pfn, PageSize.SIZE_4KB)
+        return translation_4kb(vpn4k, pfn)
 
     # ------------------------------------------------------------------
     # Lookup / walking
@@ -274,7 +276,8 @@ class PageTable:
         entries are either huge-page :class:`Translation` leaves or
         :class:`PageTableNode` children (``map`` enforces that), so an
         exact type test picks the leaf case.  Level-1 tables hold frame
-        numbers, so a 4 KB hit builds its :class:`Translation` here.
+        numbers, so a 4 KB hit builds its :class:`Translation` here, with
+        the trusted :func:`~repro.mmu.translation.translation_4kb`.
         """
         if not 0 <= vpn4k < VPN_LIMIT:
             return None
@@ -290,7 +293,7 @@ class PageTable:
         pfn = entry.entries[vpn4k & LEVEL_MASK]
         if pfn == UNMAPPED:
             return None
-        return Translation(vpn4k, pfn, PageSize.SIZE_4KB)
+        return translation_4kb(vpn4k, pfn)
 
     def walk(self, vpn4k: int) -> Translation:
         """Like :meth:`lookup` but raises :class:`PageFault` if unmapped."""
@@ -322,7 +325,7 @@ class PageTable:
             if node.level == 1:
                 for index, pfn in enumerate(entries):
                     if pfn != UNMAPPED:
-                        yield Translation(base | index, pfn, PageSize.SIZE_4KB)
+                        yield translation_4kb(base | index, pfn)
                 return
             shift = LEVEL_BITS * (node.level - 1)
             for index in sorted(entries):

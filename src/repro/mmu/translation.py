@@ -62,13 +62,9 @@ class PageSize(enum.IntEnum):
         """Number of page-table levels traversed to reach the leaf entry.
 
         4 memory references for a 4 KB page, 3 for 2 MB, 2 for 1 GB
-        (Section 3.2 of the paper).
+        (Section 3.2 of the paper); read from :data:`WALK_LEVELS`.
         """
-        if self is PageSize.SIZE_4KB:
-            return 4
-        if self is PageSize.SIZE_2MB:
-            return 3
-        return 2
+        return WALK_LEVELS[self]
 
     def align_down(self, vpn4k: int) -> int:
         """Align a 4 KB-granularity page number down to this page size."""
@@ -77,6 +73,17 @@ class PageSize(enum.IntEnum):
     def label(self) -> str:
         """Human-readable size label ('4KB', '2MB', '1GB')."""
         return {1: "4KB", PAGES_PER_2MB: "2MB", PAGES_PER_1GB: "1GB"}[int(self)]
+
+
+# Module-level aliases of the members: the walk path tests sizes with
+# ``is`` on every page walk, and reading a member through the enum class
+# costs more than a dozen global reads.
+SIZE_4KB = PageSize.SIZE_4KB
+SIZE_2MB = PageSize.SIZE_2MB
+SIZE_1GB = PageSize.SIZE_1GB
+
+#: Page-table levels a walk reads to reach each page size's leaf entry.
+WALK_LEVELS = {SIZE_4KB: 4, SIZE_2MB: 3, SIZE_1GB: 2}
 
 
 def pt_index(vpn4k: int) -> int:
@@ -150,6 +157,33 @@ class Translation:
         if not self.covers(vpn4k):
             raise TranslationDomainError(f"vpn {vpn4k:#x} outside translation {self}")
         return self.pfn + (vpn4k - self.vpn)
+
+
+# The frozen class's slot setters, bound once: they write a slot without
+# the ``__setattr__`` that freezes it.
+_new = object.__new__
+_set_vpn = Translation.vpn.__set__
+_set_pfn = Translation.pfn.__set__
+_set_page_size = Translation.page_size.__set__
+
+
+def translation_4kb(vpn: int, pfn: int) -> Translation:
+    """The trusted constructor of a 4 KB :class:`Translation`.
+
+    Returns the same frozen class as ``Translation(vpn, pfn, SIZE_4KB)``,
+    equal to it with the same hash, repr and encoding, but writes the
+    three slots directly instead of running the dataclass ``__init__``
+    and ``__post_init__``: every int is aligned to one 4 KB page, so the
+    alignment check cannot fail.  For translations the program derives
+    from its own state (a page-table leaf, an RMM range synthesis);
+    input from outside the program (a snapshot, a caller's ``map``)
+    goes through the validating constructor.
+    """
+    translation = _new(Translation)
+    _set_vpn(translation, vpn)
+    _set_pfn(translation, pfn)
+    _set_page_size(translation, SIZE_4KB)
+    return translation
 
 
 @dataclass(frozen=True, slots=True)

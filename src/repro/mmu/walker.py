@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .mmu_cache import MMUCache
 from .page_table import PageTable
-from .translation import PageSize, Translation
+from .translation import WALK_LEVELS, Translation
 
 
 @dataclass(slots=True)
@@ -67,18 +67,19 @@ class PageWalker:
     def walk(self, vpn4k: int) -> WalkResult:
         """Translate a 4 KB page via the page table.
 
-        Raises :class:`repro.mmu.page_table.PageFault` if unmapped.  The
-        returned ``memory_refs`` is ``walk_levels - levels_skipped`` and
-        lies in [1, 4]: even a full MMU-cache hit must read the leaf entry
-        itself.
+        Raises :class:`repro.mmu.page_table.PageFault` if unmapped.  One
+        :meth:`MMUCache.access` probes the paging-structure caches and
+        fills the levels they missed.  The returned ``memory_refs`` is
+        ``walk_levels - levels_skipped`` and lies in [1, 4]: even a full
+        MMU-cache hit must read the leaf entry itself.  Both drain
+        engines walk through here.
         """
         translation = self.page_table.walk(vpn4k)
-        size: PageSize = translation.page_size
-        skipped = self.mmu_cache.probe(vpn4k, size)
-        refs = size.walk_levels - skipped
-        self.mmu_cache.fill(vpn4k, size)
+        size = translation.page_size
+        skipped = self.mmu_cache.access(vpn4k, size)
+        refs = WALK_LEVELS[size] - skipped
         self.stats.record_walk(refs)
-        return WalkResult(translation=translation, memory_refs=refs, levels_skipped=skipped)
+        return WalkResult(translation, refs, skipped)
 
     def state_dict(self) -> dict:
         """Pure-JSON walker state (the MMU caches are checkpointed by the

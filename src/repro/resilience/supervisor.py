@@ -9,9 +9,10 @@ process, which buys what an attempt in the driver's process cannot have:
   order, so its journal is byte-identical to an in-process run's);
 * **hard SIGKILL timeouts** — a cell over its wall-clock budget is
   killed, not abandoned, actually reclaiming the core;
-* **heartbeats** — workers pump a heartbeat pipe at every drain-loop
-  boundary (the same boundaries the checkpoint hook fires at), so a hang
-  is detected as soon as the beat stops, before the timeout expires;
+* **heartbeats** — workers pump a heartbeat pipe at drain-loop
+  boundaries (the same boundaries the checkpoint hook fires at), at most
+  one beat per supervisor poll interval, so a hang is detected as soon
+  as the beat stops, before the timeout expires;
 * **memory budgets** — ``resource.setrlimit`` address-space caps (the
   enforceable proxy for an RSS budget; Linux does not enforce
   ``RLIMIT_RSS``) turn a runaway cell into a structured ``oom`` status
@@ -41,13 +42,15 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 
-from ..errors import MemoryBudgetError, WorkerCrashError
+from ..errors import MemoryBudgetError, SweepError, WorkerCrashError
 from .faults import ChaosPolicy
 from .sweep import CellOptions, CellOutcome, _cell_key, run_cell
 
 #: Supervisor poll cadence — bounds how stale heartbeat/deadline checks
 #: can be.  Small enough that hang detection adds negligible latency,
-#: large enough that a mostly-idle supervisor costs ~nothing.
+#: large enough that a mostly-idle supervisor costs ~nothing.  A worker
+#: sends at most one heartbeat per interval, since the supervisor reads
+#: them no more often: a beat can be up to two intervals old when read.
 _POLL_INTERVAL_S = 0.05
 
 #: How long a worker that already sent its result may take to exit
@@ -154,7 +157,15 @@ def _worker_main(task: WorkerTask, result_conn, heartbeat_conn) -> None:
 
 
 def _simulate_cell(task: WorkerTask, heartbeat_conn, shutdown: dict) -> tuple:
-    """Run :func:`run_cell` inside the worker, pumping heartbeats."""
+    """Run :func:`run_cell` inside the worker, pumping heartbeats.
+
+    A boundary sends a heartbeat only once ``_POLL_INTERVAL_S`` has
+    passed since the last one (or since the worker started, as the
+    supervisor counts its launch as the first beat): each send is a pipe
+    write that wakes the supervisor, which reads beats no more often
+    than that.  Chaos strikes and the SIGTERM check run at every
+    boundary.
+    """
     # Imported here so a spawn-start worker pays for the registry, not
     # the supervisor's loop.
     from ..workloads.registry import get_workload
@@ -167,18 +178,23 @@ def _simulate_cell(task: WorkerTask, heartbeat_conn, shutdown: dict) -> tuple:
         else None
     )
     checkpointers: list = []
+    last_beat = time.monotonic()
 
     def on_boundary(loop_state: dict) -> None:
+        nonlocal last_beat
         checkpointer = checkpointers[0]
-        beat = {"boundary": loop_state["boundary"], "ts": time.monotonic()}
-        if checkpointer.observability is not None:
-            # Cumulative snapshot: if the worker crashes later, the
-            # supervisor keeps the last beat's metrics as best-effort.
-            beat["metrics"] = checkpointer.observability.snapshot()
-        try:
-            heartbeat_conn.send(beat)
-        except (BrokenPipeError, OSError):
-            pass  # supervisor died; finish the cell, the result send will tell
+        now = time.monotonic()
+        if now - last_beat >= _POLL_INTERVAL_S:
+            last_beat = now
+            beat = {"boundary": loop_state["boundary"], "ts": now}
+            if checkpointer.observability is not None:
+                # Cumulative snapshot: if the worker crashes later, the
+                # supervisor keeps the last beat's metrics as best-effort.
+                beat["metrics"] = checkpointer.observability.snapshot()
+            try:
+                heartbeat_conn.send(beat)
+            except (BrokenPipeError, OSError):
+                pass  # supervisor died; finish the cell, the result send will tell
         if chaos is not None:
             chaos.strike(chaos_rng, loop_state["boundary"], task.attempt)
         if shutdown["requested"]:
@@ -233,6 +249,29 @@ class _ShutdownState:
     def handler(self, signum, _frame) -> None:
         self.requested = True
         self.signum = signum
+
+
+def check_budgets(
+    cell_timeout_s: float | None,
+    heartbeat_timeout_s: float | None,
+    memory_limit_mb: int | None,
+) -> None:
+    """Raise :class:`SweepError` for a budget no worker could meet.
+
+    A budget that is not positive would SIGKILL every worker at its
+    first poll and report each cell as a final ``timeout``.  A heartbeat
+    budget must exceed two poll intervals: a worker beats at most once
+    per interval and the supervisor reads once per interval, so a live
+    worker's last beat can be that old when read.
+    """
+    for name, value in (("cell_timeout_s", cell_timeout_s), ("memory_limit_mb", memory_limit_mb)):
+        if value is not None and value <= 0:
+            raise SweepError(f"{name} must be positive, got {value}")
+    if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 2 * _POLL_INTERVAL_S:
+        raise SweepError(
+            f"heartbeat_timeout_s must exceed {2 * _POLL_INTERVAL_S} s (two "
+            f"supervisor poll intervals), got {heartbeat_timeout_s}"
+        )
 
 
 def _mp_context():

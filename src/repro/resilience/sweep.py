@@ -531,7 +531,10 @@ def run_resilient_sweep(
         (hang detection), an address-space budget, and a
         :class:`repro.resilience.faults.ChaosPolicy` injected into the
         workers.  They need worker processes: with ``workers=None``
-        each raises :class:`SweepError`.
+        each raises :class:`SweepError`.  So does a ``cell_timeout_s`` or
+        ``memory_limit_mb`` that is not positive, and a
+        ``heartbeat_timeout_s`` at or below two supervisor poll
+        intervals (0.1 s).
     ``quarantine_after``
         A cell whose worker dies without reporting this many times —
         tallied across ``--resume`` cycles in a :class:`CrashLedger` —
@@ -563,6 +566,10 @@ def run_resilient_sweep(
             "cannot cross the worker process boundary (use chaos=... "
             "or workers=None)"
         )
+    else:
+        from .supervisor import check_budgets
+
+        check_budgets(cell_timeout_s, heartbeat_timeout_s, memory_limit_mb)
     if quarantine_after < 1:
         raise SweepError(f"quarantine_after must be >= 1, got {quarantine_after}")
     if journal_path is None and resume:

@@ -123,18 +123,25 @@ class FullyAssociativeTLB(RecencyStackTLB):
         return [key, decode_entry(value)]
 
     def lookup(self, key):
-        """Probe the structure; return the value or ``None`` on a miss."""
+        """Probe the structure; return the value or ``None`` on a miss.
+
+        :meth:`lookup`, :meth:`fill` and :meth:`invalidate` count ranks
+        themselves rather than through ``enumerate``, which would build a
+        tuple per entry: the PDPTE and PML4 caches run them on every walk.
+        """
         stack = self._stack
-        for rank, pair in enumerate(stack):
+        rank = 0
+        for pair in stack:
             if pair[0] == key:
                 self._pending_hits += 1
                 counters = self.hit_rank_counters
                 if counters is not None:
                     counters[rank.bit_length()] += 1
                 if rank:
-                    stack.pop(rank)
+                    del stack[rank]
                     stack.insert(0, pair)
                 return pair[1]
+            rank += 1
         self._pending_misses += 1
         return None
 
@@ -149,20 +156,25 @@ class FullyAssociativeTLB(RecencyStackTLB):
         """Insert an entry at the MRU position, evicting the LRU if full."""
         self._pending_fills += 1
         stack = self._stack
-        for rank, pair in enumerate(stack):
+        rank = 0
+        for pair in stack:
             if pair[0] == key:
-                stack.pop(rank)
+                del stack[rank]
                 break
+            rank += 1
         stack.insert(0, [key, value])
         if len(stack) > self.active_entries:
             stack.pop()
 
     def invalidate(self, key) -> bool:
         """Remove one entry; returns True if it was present."""
-        for rank, pair in enumerate(self._stack):
+        stack = self._stack
+        rank = 0
+        for pair in stack:
             if pair[0] == key:
-                self._stack.pop(rank)
+                del stack[rank]
                 return True
+            rank += 1
         return False
 
     def resident_keys(self) -> list:

@@ -1,5 +1,7 @@
 """Unit tests for page sizes, index arithmetic, and translation types."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.mmu.translation import (
     PAGES_PER_1GB,
     PAGES_PER_2MB,
+    WALK_LEVELS,
     PageSize,
     RangeTranslation,
     Translation,
@@ -17,7 +20,9 @@ from repro.mmu.translation import (
     pml4_index,
     pml4e_tag,
     pt_index,
+    translation_4kb,
 )
+from repro.stateful import decode_entry, encode_entry
 
 
 class TestPageSize:
@@ -40,6 +45,7 @@ class TestPageSize:
         assert PageSize.SIZE_4KB.walk_levels == 4
         assert PageSize.SIZE_2MB.walk_levels == 3
         assert PageSize.SIZE_1GB.walk_levels == 2
+        assert WALK_LEVELS == {size: size.walk_levels for size in PageSize}
 
     def test_align_down(self):
         assert PageSize.SIZE_2MB.align_down(513) == 512
@@ -96,6 +102,40 @@ class TestTranslation:
     def test_1gb_page(self):
         t = Translation(PAGES_PER_1GB, 0, PageSize.SIZE_1GB)
         assert t.covers(PAGES_PER_1GB + PAGES_PER_2MB)
+
+
+class TestTrustedConstructor:
+    """``translation_4kb`` builds what the validating constructor builds."""
+
+    @given(
+        st.integers(min_value=0, max_value=(1 << 36) - 1),
+        st.integers(min_value=0, max_value=(1 << 63) - 1),
+    )
+    def test_matches_validating_constructor(self, vpn, pfn):
+        trusted = translation_4kb(vpn, pfn)
+        validated = Translation(vpn, pfn, PageSize.SIZE_4KB)
+        assert type(trusted) is Translation
+        assert trusted.page_size is PageSize.SIZE_4KB
+        assert trusted == validated and not trusted != validated
+        assert hash(trusted) == hash(validated)
+        assert repr(trusted) == repr(validated)
+        assert encode_entry(trusted) == encode_entry(validated)
+        assert decode_entry(encode_entry(trusted)) == validated
+        assert decode_entry(encode_entry(validated)) == trusted
+
+    def test_unequal_to_other_pages(self):
+        assert translation_4kb(5, 7) != translation_4kb(5, 8)
+        assert translation_4kb(5, 7) != translation_4kb(6, 7)
+        assert translation_4kb(0, 0) != Translation(0, 0, PageSize.SIZE_2MB)
+
+    def test_frozen(self):
+        trusted = translation_4kb(5, 7)
+        for name, value in (("vpn", 6), ("pfn", 8), ("page_size", PageSize.SIZE_2MB)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trusted, name, value)
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+            trusted.extra = 1
+        assert trusted == Translation(5, 7, PageSize.SIZE_4KB)
 
 
 class TestRangeTranslation:

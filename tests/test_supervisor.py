@@ -17,6 +17,8 @@ import pytest
 from repro.analysis.experiments import ExperimentSettings
 from repro.errors import SweepError
 from repro.resilience import ChaosPolicy, SweepJournal, run_resilient_sweep
+from repro.resilience import supervisor
+from repro.resilience.sweep import CellOptions
 from repro.workloads.registry import get_workload
 
 SETTINGS = ExperimentSettings(trace_accesses=6_000, seed=5)
@@ -183,3 +185,104 @@ class TestSupervisedSweep:
                 [workload], ("4KB",), SETTINGS,
                 journal_path=journal, workers=1, resume=True,
             )
+
+
+class TestBudgetValidation:
+    """A budget no worker can meet is a usage error, not a dead sweep.
+
+    Before these checks, each value below SIGKILLed every worker at its
+    first poll and reported every cell as a final ``timeout``.
+    """
+
+    TINY = ExperimentSettings(trace_accesses=4_000, seed=5)
+
+    def _sweep(self, tmp_path, **budget):
+        journal = tmp_path / "sweep.jsonl"
+        with pytest.raises(SweepError, match=next(iter(budget))):
+            run_resilient_sweep(
+                [get_workload("povray")], ("4KB",), self.TINY,
+                journal_path=journal, workers=1, **budget,
+            )
+        assert not journal.exists()  # refused before anything ran
+
+    @pytest.mark.parametrize("seconds", [0, -1])
+    def test_non_positive_cell_timeout_rejected(self, tmp_path, seconds):
+        self._sweep(tmp_path, cell_timeout_s=seconds)
+
+    @pytest.mark.parametrize("megabytes", [0, -5])
+    def test_non_positive_memory_limit_rejected(self, tmp_path, megabytes):
+        self._sweep(tmp_path, memory_limit_mb=megabytes)
+
+    @pytest.mark.parametrize("seconds", [0, -5, 2 * supervisor._POLL_INTERVAL_S])
+    def test_heartbeat_timeout_within_two_polls_rejected(self, tmp_path, seconds):
+        self._sweep(tmp_path, heartbeat_timeout_s=seconds)
+
+
+class _RecordingConnection:
+    """A heartbeat pipe that keeps what the worker sends."""
+
+    def __init__(self) -> None:
+        self.beats: list[dict] = []
+
+    def send(self, beat) -> None:
+        self.beats.append(beat)
+
+
+class _SteppingClock:
+    """``time.monotonic`` that advances a fixed step on every read."""
+
+    def __init__(self, step: float) -> None:
+        self.step = step
+        self.now = 100.0
+
+    def monotonic(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+class TestHeartbeatSpacing:
+    """A worker beats at most once per supervisor poll interval."""
+
+    STEP = 0.02  # one clock read per boundary: a beat every third boundary
+
+    def _run(self, monkeypatch, shutdown=None, chaos=None):
+        clock = _SteppingClock(self.STEP)
+        monkeypatch.setattr(supervisor, "time", clock)
+        boundaries: list[int] = []
+        real_strike = ChaosPolicy.strike
+
+        def counting_strike(policy, rng, boundary, attempt):
+            boundaries.append(boundary)
+            real_strike(policy, rng, boundary, attempt)
+
+        monkeypatch.setattr(ChaosPolicy, "strike", counting_strike)
+        task = supervisor.WorkerTask(
+            workload="povray",
+            configuration="TLB_Lite",
+            attempt=0,
+            options=CellOptions(SETTINGS),
+            chaos=(chaos or ChaosPolicy()).to_json(),
+        )
+        connection = _RecordingConnection()
+        supervisor._simulate_cell(task, connection, shutdown or {"requested": False})
+        return connection.beats, boundaries
+
+    def test_beats_are_one_poll_interval_apart(self, monkeypatch):
+        beats, boundaries = self._run(monkeypatch)
+        assert len(boundaries) > 30  # every boundary still consults chaos
+        assert beats, "a long cell must still beat"
+        assert len(beats) <= len(boundaries) // 2
+        times = [beat["ts"] for beat in beats]
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        assert min(gaps) >= supervisor._POLL_INTERVAL_S
+        # The first beat waits one interval from the worker's start too.
+        assert beats[0]["boundary"] == boundaries[2]
+        assert [beat["boundary"] for beat in beats] == boundaries[2::3][: len(beats)]
+
+    def test_sigterm_honoured_at_a_boundary_without_a_beat(self, monkeypatch):
+        with pytest.raises(supervisor._GracefulExit, match="boundary"):
+            self._run(monkeypatch, shutdown={"requested": True})
+
+    def test_chaos_strikes_at_a_boundary_without_a_beat(self, monkeypatch):
+        with pytest.raises(MemoryError, match="boundary 1"):
+            self._run(monkeypatch, chaos=ChaosPolicy(oom_at_boundary=1))
