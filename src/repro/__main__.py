@@ -548,8 +548,9 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="SIGKILL a worker whose per-boundary heartbeat goes silent "
-        "this long (hang detection ahead of --cell-timeout)",
+        help="SIGKILL a worker whose heartbeat goes silent this long "
+        "(hang detection ahead of --cell-timeout); workers beat at most "
+        "once per 0.05 s poll, so it must exceed 0.1",
     )
     sweep_parser.add_argument(
         "--memory-limit-mb",
