@@ -289,8 +289,7 @@ class TLBHierarchy(BaseHierarchy):
         call this same method on every full L2 miss.
         """
         self.l2_misses += 1
-        result = self.walker.walk(vpn)
-        translation = result.translation
+        translation = self.walker.walk(vpn)
         slot = self._slot_by_size.get(translation.page_size)
         if slot is None:
             raise ConfigurationError(
@@ -491,10 +490,10 @@ class MixedTLBHierarchy(BaseHierarchy):
         drains call this same method on every full L2 miss.
         """
         self.l2_misses += 1
-        result = self.walker.walk(vpn)
+        translation = self.walker.walk(vpn)
         key = self.oracle_key(vpn, (vpn >> 9) in self._huge_chunks)
-        self.l1_mixed.fill(key, result.translation)
-        self.l2_mixed.fill(key, result.translation)
+        self.l1_mixed.fill(key, translation)
+        self.l2_mixed.fill(key, translation)
         if self.range_table is not None:
             self.walk_range_table(vpn)
 
@@ -654,10 +653,10 @@ class FullyAssociativeL1Hierarchy(BaseHierarchy):
             self.l1_fa.fill(entry)
             return
         self.l2_misses += 1
-        result = self.walker.walk(vpn)
-        self.l1_fa.fill(result.translation)
-        if result.translation.page_size is SIZE_4KB:
-            self.l2_page.fill(vpn, result.translation)
+        translation = self.walker.walk(vpn)
+        self.l1_fa.fill(translation)
+        if translation.page_size is SIZE_4KB:
+            self.l2_page.fill(vpn, translation)
 
     def page_structures(self) -> list[TranslationStructure]:
         return [self.l1_fa, self.l2_page]

@@ -9,7 +9,7 @@ from .translation import (
     RangeTranslation,
     Translation,
 )
-from .walker import PageWalker, WalkerStats, WalkResult
+from .walker import PageWalker, WalkerStats
 
 __all__ = [
     "PageSize",
@@ -23,6 +23,5 @@ __all__ = [
     "MMUCache",
     "MMUCacheConfig",
     "PageWalker",
-    "WalkResult",
     "WalkerStats",
 ]

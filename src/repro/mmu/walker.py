@@ -19,15 +19,6 @@ from .translation import WALK_LEVELS, Translation
 
 
 @dataclass(slots=True)
-class WalkResult:
-    """Outcome of one page walk."""
-
-    translation: Translation
-    memory_refs: int  # page-table reads that went to the memory hierarchy
-    levels_skipped: int  # levels satisfied by the MMU cache
-
-
-@dataclass(slots=True)
 class WalkerStats:
     """Aggregate walker activity over a measurement window."""
 
@@ -64,22 +55,21 @@ class PageWalker:
         self.mmu_cache = mmu_cache if mmu_cache is not None else MMUCache()
         self.stats = WalkerStats()
 
-    def walk(self, vpn4k: int) -> WalkResult:
-        """Translate a 4 KB page via the page table.
+    def walk(self, vpn4k: int) -> Translation:
+        """Translate a 4 KB page via the page table; returns its leaf.
 
         Raises :class:`repro.mmu.page_table.PageFault` if unmapped.  One
         :meth:`MMUCache.access` probes the paging-structure caches and
-        fills the levels they missed.  The returned ``memory_refs`` is
-        ``walk_levels - levels_skipped`` and lies in [1, 4]: even a full
-        MMU-cache hit must read the leaf entry itself.  Both drain
-        engines walk through here.
+        fills the levels they missed.  The walk's memory references,
+        ``walk_levels - levels_skipped``, lie in [1, 4] (even a full
+        MMU-cache hit must read the leaf entry itself) and are counted
+        in :attr:`stats`, the only record of them.  Both drain engines
+        walk through here.
         """
         translation = self.page_table.walk(vpn4k)
         size = translation.page_size
-        skipped = self.mmu_cache.access(vpn4k, size)
-        refs = WALK_LEVELS[size] - skipped
-        self.stats.record_walk(refs)
-        return WalkResult(translation, refs, skipped)
+        self.stats.record_walk(WALK_LEVELS[size] - self.mmu_cache.access(vpn4k, size))
+        return translation
 
     def state_dict(self) -> dict:
         """Pure-JSON walker state (the MMU caches are checkpointed by the

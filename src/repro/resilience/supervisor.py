@@ -24,7 +24,10 @@ process, which buys what an attempt in the driver's process cannot have:
   in-flight workers, which drain to the next boundary, flush a mid-cell
   snapshot, and report ``interrupted``;
 * **chaos** — a :class:`repro.resilience.faults.ChaosPolicy` strikes
-  inside the workers to drill all of the above.
+  inside the workers to drill all of the above;
+* **one trace per workload** — the first attempt at a workload saves its
+  reference stream in the pool's private directory and later attempts
+  load it, so a pool generates each trace once.
 
 The pool decides nothing about journals, retries or quarantine: each
 reaped attempt goes back to the driver as one
@@ -35,7 +38,9 @@ cell back at the front of the queue.
 from __future__ import annotations
 
 import multiprocessing
+import shutil
 import signal
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass
@@ -75,13 +80,16 @@ class WorkerTask:
 
     The workload travels by registry name, so the task survives any
     multiprocessing start method (``fork`` and ``spawn`` alike) and can
-    be logged verbatim when debugging a quarantined cell.
+    be logged verbatim when debugging a quarantined cell.  ``trace_dir``
+    is the pool's private directory of traces, one ``<workload>.npy``
+    per workload.
     """
 
     workload: str
     configuration: str
     attempt: int
     options: CellOptions
+    trace_dir: Path
     checkpoint_path: Path | None = None
     restore: bool = False
     memory_limit_mb: int | None = None
@@ -168,9 +176,20 @@ def _simulate_cell(task: WorkerTask, heartbeat_conn, shutdown: dict) -> tuple:
     """
     # Imported here so a spawn-start worker pays for the registry, not
     # the supervisor's loop.
+    from ..workloads.base import load_or_generate_trace
     from ..workloads.registry import get_workload
 
     _apply_memory_limit(task.memory_limit_mb)
+    workload = get_workload(task.workload)
+    settings = task.options.settings
+    # The first attempt at a workload saves its trace for the pool; later
+    # ones load it into the slot that prepare_run reads.
+    load_or_generate_trace(
+        workload,
+        settings.trace_accesses,
+        settings.seed,
+        task.trace_dir / f"{task.workload}.npy",
+    )
     chaos = ChaosPolicy.from_json(task.chaos) if task.chaos else None
     chaos_rng = (
         chaos.rng(_cell_key(task.workload, task.configuration), task.attempt)
@@ -207,7 +226,7 @@ def _simulate_cell(task: WorkerTask, heartbeat_conn, shutdown: dict) -> tuple:
     # path it writes nothing but still fires on_boundary at every
     # drain-loop boundary.
     return run_cell(
-        get_workload(task.workload),
+        workload,
         task.configuration,
         task.options,
         checkpoint_path=task.checkpoint_path,
@@ -300,9 +319,15 @@ def run_worker_pool(
     the in-flight workers; returns whether such a signal stopped it.
     The budgets and ``chaos`` are the driver's parameters of the same
     names.
+
+    The pool owns a private temporary directory of traces for its
+    lifetime: each workload's first attempt writes its trace there and
+    every later attempt loads it (``load_or_generate_trace``).  The
+    directory is removed on every way out of this function.
     """
     chaos_spec = chaos.to_json() if chaos is not None else None
     ctx = _mp_context()
+    trace_dir = Path(tempfile.mkdtemp(prefix="repro-traces-"))
     shutdown = _ShutdownState()
     previous_handlers = _install_handlers(shutdown)
     inflight: dict[int, _Inflight] = {}
@@ -326,6 +351,7 @@ def run_worker_pool(
                     configuration=slot.configuration,
                     attempt=slot.attempt,
                     options=options,
+                    trace_dir=trace_dir,
                     checkpoint_path=slot.checkpoint_path,
                     restore=slot.restore,
                     memory_limit_mb=memory_limit_mb,
@@ -344,10 +370,12 @@ def run_worker_pool(
                 )
                 if verdict is None:
                     continue
+                # Stamped after the reap, which _judge may have waited for.
+                reaped = time.monotonic()
                 del inflight[pid]
                 entry.result_recv.close()
                 entry.heartbeat_recv.close()
-                settle(entry.slot, _outcome(entry, verdict, now))
+                settle(entry.slot, _outcome(entry, verdict, reaped))
             if shutdown.requested and not inflight:
                 break
     finally:
@@ -355,6 +383,7 @@ def run_worker_pool(
         for entry in inflight.values():  # pragma: no cover — safety net
             entry.process.kill()
             entry.process.join()
+        shutil.rmtree(trace_dir, ignore_errors=True)
     return shutdown.requested
 
 
@@ -467,15 +496,20 @@ def _judge(
 
     Returns ``None`` (still running) or one of ``"result"``, ``"crash"``,
     ``"timeout"``, ``"hang"``, ``"shutdown-kill"``.
+
+    A worker that has reported has closed its pipes, so every poll returns
+    at once until the worker can be reaped; waiting here for its exit, one
+    poll interval at most, keeps the supervisor from spinning meanwhile.
     """
-    alive = entry.process.is_alive()
     if entry.result is not None:
-        if alive and now - (entry.result_seen_at or now) < _EXIT_GRACE_S:
-            return None  # result in hand; give the worker a moment to exit
-        if alive:
+        entry.process.join(_POLL_INTERVAL_S)
+        if entry.process.is_alive():
+            if now - entry.result_seen_at < _EXIT_GRACE_S:
+                return None  # result in hand; give the worker a moment to exit
             entry.process.kill()
-        entry.process.join()
+            entry.process.join()
         return "result"
+    alive = entry.process.is_alive()
     if not alive:
         entry.process.join()
         # One last look: the result may have landed between polls.

@@ -12,12 +12,15 @@ layout independently of the policy.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from ..errors import WorkloadError
+from ..errors import TraceError, WorkloadError
 from ..mem.paging import PagingPolicy
 from ..mem.physical import PhysicalMemory
 from ..mem.process import Process
@@ -27,9 +30,10 @@ from .patterns import AccessPattern, Region
 #: 4 KB pages per MiB.
 PAGES_PER_MB = 256
 
-#: The latest trace :meth:`Workload.trace` generated, as ``[workload,
-#: num_accesses, seed, trace, encoding]``; ``encoding`` (None until asked
-#: for) is :func:`shared_encoding`'s.  One process-wide slot suffices because
+#: The latest trace :meth:`Workload.trace` generated (or
+#: :func:`load_or_generate_trace` loaded), as ``[workload, num_accesses,
+#: seed, trace, encoding]``; ``encoding`` (None until asked for) is
+#: :func:`shared_encoding`'s.  One process-wide slot suffices because
 #: every matrix walk loops workload-major, so a workload's configurations
 #: ask for its trace back to back.
 _latest_trace: list | None = None
@@ -44,6 +48,40 @@ def shared_encoding(trace, encode):
     if _latest_trace[4] is None:
         _latest_trace[4] = encode(trace)
     return _latest_trace[4]
+
+
+def load_or_generate_trace(
+    workload: Workload, num_accesses: int, seed: int, path: Path
+) -> np.ndarray:
+    """``workload.trace(num_accesses, seed=seed)``, shared through ``path``.
+
+    When ``path`` exists, its array is loaded (no pickles) and becomes the
+    slot's trace, so the next :meth:`Workload.trace` call with these
+    arguments returns it instead of generating.  Otherwise the trace is
+    generated and saved under a temporary name in ``path``'s directory,
+    then renamed onto ``path``: a reader sees the whole file or none, and
+    processes that race on one path write the same bytes.  Nothing is
+    fsynced; ``path`` belongs to a directory its owner deletes.  A file of
+    another dtype or length raises :class:`TraceError`.
+    """
+    global _latest_trace
+    try:
+        trace = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        trace = workload.trace(num_accesses, seed=seed)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        with os.fdopen(fd, "wb") as handle:
+            np.save(handle, trace)
+        os.replace(tmp_name, path)
+        return trace
+    if trace.dtype != np.int64 or trace.shape != (num_accesses,):
+        raise TraceError(
+            f"{path} holds a {trace.dtype} trace of shape {trace.shape}, "
+            f"not {num_accesses} int64 accesses"
+        )
+    trace.flags.writeable = False
+    _latest_trace = [workload, num_accesses, seed, trace, None]
+    return trace
 
 
 @dataclass(frozen=True, slots=True)

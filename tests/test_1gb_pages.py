@@ -69,9 +69,10 @@ class TestHierarchy1GBPath:
         org = build_thp(process)
         base = next(iter(process.address_space)).start_vpn
         walker = org.hierarchy.walker
-        result = walker.walk(base)
-        assert result.memory_refs == 2
-        assert walker.walk(base + 12345).memory_refs == 1  # PML4E cached
+        walker.walk(base)
+        assert walker.stats.memory_refs == 2
+        walker.walk(base + 12345)
+        assert walker.stats.memory_refs == 2 + 1  # PML4E cached
 
     def test_l1_1gb_slot_enables_and_hits(self):
         process = giant_process(1)

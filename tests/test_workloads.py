@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.errors import TraceError
 from repro.mem.paging import DemandPaging, EagerPaging, TransparentHugePaging
 from repro.mem.physical import PhysicalMemory
 from repro.resilience.faults import TRACE_FAULTS
-from repro.workloads.base import PAGES_PER_MB, VMASpec, Workload
+from repro.workloads import base
+from repro.workloads.base import PAGES_PER_MB, VMASpec, Workload, load_or_generate_trace
 from repro.workloads.patterns import Region, UniformRandom
 from repro.workloads.registry import (
     all_workloads,
@@ -116,6 +118,46 @@ class TestSharedTrace:
         assert perturbed.flags.writeable
         assert not np.shares_memory(perturbed, trace)
         assert np.array_equal(trace, before)
+
+
+class TestTraceFile:
+    """``load_or_generate_trace`` shares a trace between processes by file."""
+
+    def test_first_call_generates_and_saves_the_trace(self, tmp_path):
+        w = toy_workload()
+        path = tmp_path / "toy.npy"
+        trace = load_or_generate_trace(w, 1000, 3, path)
+        assert trace is w.trace(1000, seed=3)
+        assert np.load(path, allow_pickle=False).tobytes() == trace.tobytes()
+        assert [entry.name for entry in tmp_path.iterdir()] == ["toy.npy"]
+
+    def test_an_existing_file_is_loaded_not_generated(self, tmp_path, monkeypatch):
+        w = toy_workload()
+        path = tmp_path / "toy.npy"
+        generated = load_or_generate_trace(w, 1000, 3, path)
+        monkeypatch.setattr(base, "_latest_trace", None)  # as in another process
+
+        def no_generation(_regions):
+            raise AssertionError("the trace was generated again")
+
+        monkeypatch.setattr(w, "pattern_factory", no_generation)
+        loaded = load_or_generate_trace(w, 1000, 3, path)
+        assert loaded is not generated
+        assert loaded is w.trace(1000, seed=3)  # the load filled the slot
+        assert not loaded.flags.writeable
+        assert loaded.dtype == np.int64
+        assert loaded.tobytes() == generated.tobytes()
+
+    @pytest.mark.parametrize(
+        "stored",
+        [np.arange(999, dtype=np.int64), np.arange(1000, dtype=np.int32)],
+        ids=["length", "dtype"],
+    )
+    def test_a_file_of_another_length_or_dtype_raises(self, tmp_path, stored):
+        path = tmp_path / "toy.npy"
+        np.save(path, stored)
+        with pytest.raises(TraceError, match="toy.npy"):
+            load_or_generate_trace(toy_workload(), 1000, 3, path)
 
 
 class TestRegistry:
