@@ -10,9 +10,9 @@ count.
 Run time: ~10 seconds.
 """
 
-from repro import ExperimentSettings, get_workload
-from repro.analysis.experiments import run_workload_config_with_org
+from repro.analysis.experiments import ExperimentSettings, run_workload_config_with_org
 from repro.core.params import LiteParams
+from repro.workloads.registry import get_workload
 
 
 def main() -> None:

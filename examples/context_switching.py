@@ -9,8 +9,9 @@ range walk refills a whole VMA, where paging re-walks every hot page.
 Run time: ~30 seconds.
 """
 
-from repro import get_workload, render_table
+from repro.analysis.report import render_table
 from repro.core.multiprocess import TimeSharingConfig, run_time_shared
+from repro.workloads.registry import get_workload
 
 
 def main() -> None:

@@ -9,15 +9,15 @@ a streamed probe-side relation, and a hot stack.
 Run time: ~15 seconds.
 """
 
-from repro import CONFIG_NAMES, ExperimentSettings, render_table
-from repro.analysis.experiments import run_workload_config
-from repro.workloads import (
+from repro.analysis.experiments import ExperimentSettings, run_workload_config
+from repro.analysis.report import render_table
+from repro.core.organizations import CONFIG_NAMES
+from repro.workloads.base import VMASpec, Workload
+from repro.workloads.patterns import (
     Mixture,
     SequentialScan,
     StridedSet,
     UniformRandom,
-    VMASpec,
-    Workload,
     Zipf,
 )
 

@@ -9,9 +9,10 @@ simulator's reported total to the picojoule.
 Run time: ~10 seconds.
 """
 
-from repro import ExperimentSettings, get_workload, render_table
-from repro.analysis import run_workload_config_with_org
+from repro.analysis.experiments import ExperimentSettings, run_workload_config_with_org
+from repro.analysis.report import render_table
 from repro.energy.model import EnergyModel
+from repro.workloads.registry import get_workload
 
 
 def main() -> None:

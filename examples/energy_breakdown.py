@@ -9,10 +9,11 @@ Figure 3 walk-locality sensitivity.
 Run time: ~20 seconds.
 """
 
-from repro import ExperimentSettings, get_workload, render_table
-from repro.analysis.experiments import run_workload_config
+from repro.analysis.experiments import ExperimentSettings, run_workload_config
+from repro.analysis.report import render_table
 from repro.core.params import SimulationParams
 from repro.energy.model import COMPONENTS
+from repro.workloads.registry import get_workload
 
 
 def breakdown_table(workload_name: str) -> None:

@@ -15,10 +15,12 @@ Run time: ~10 seconds.
 
 import numpy as np
 
-from repro import PhysicalMemory, Process, TransparentHugePaging
 from repro.core.organizations import build_tlb_lite
 from repro.core.params import LiteParams
 from repro.core.simulator import Simulator
+from repro.mem.paging import TransparentHugePaging
+from repro.mem.physical import PhysicalMemory
+from repro.mem.process import Process
 from repro.mmu.translation import PAGES_PER_2MB, PageSize
 
 

@@ -9,14 +9,15 @@ is `pytest benchmarks/bench_fig10_main.py --benchmark-only`.
 Run time: ~60 seconds.
 """
 
-from repro import (
-    CONFIG_NAMES,
-    ExperimentSettings,
-    get_workload,
-    render_table,
-    run_matrix,
+from repro.analysis.experiments import ExperimentSettings, run_matrix
+from repro.analysis.normalize import (
+    average_ratio,
+    normalized_energy,
+    normalized_miss_cycles,
 )
-from repro.analysis import average_ratio, normalized_energy, normalized_miss_cycles
+from repro.analysis.report import render_table
+from repro.core.organizations import CONFIG_NAMES
+from repro.workloads.registry import get_workload
 
 #: The paper's Figure 10 averages over the eight TLB-intensive workloads.
 PAPER_ENERGY_VS_4KB = {

@@ -8,13 +8,10 @@ translation energy per access, L1/L2 MPKI, and TLB-miss cycles.
 Run time: ~20 seconds.
 """
 
-from repro import (
-    CONFIG_NAMES,
-    ExperimentSettings,
-    get_workload,
-    render_table,
-    run_workload_config,
-)
+from repro.analysis.experiments import ExperimentSettings, run_workload_config
+from repro.analysis.report import render_table
+from repro.core.organizations import CONFIG_NAMES
+from repro.workloads.registry import get_workload
 
 
 def main() -> None:

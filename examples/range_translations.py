@@ -9,8 +9,11 @@ translations get served.
 Run time: ~15 seconds.
 """
 
-from repro import EagerPaging, ExperimentSettings, PhysicalMemory, Process, get_workload
-from repro.analysis.experiments import run_workload_config
+from repro.analysis.experiments import ExperimentSettings, run_workload_config
+from repro.mem.paging import EagerPaging
+from repro.mem.physical import PhysicalMemory
+from repro.mem.process import Process
+from repro.workloads.registry import get_workload
 
 
 def inspect_substrate() -> None:

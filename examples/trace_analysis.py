@@ -13,8 +13,8 @@ Run time: ~15 seconds.
 import tempfile
 from pathlib import Path
 
-from repro import get_workload, render_table
-from repro.analysis import (
+from repro.analysis.report import render_table
+from repro.analysis.tracestats import (
     footprint_curve,
     hit_ratio_curve,
     reuse_distance_histogram,
@@ -23,7 +23,12 @@ from repro.analysis import (
 from repro.core.organizations import build_organization, paging_policy_for
 from repro.core.simulator import Simulator
 from repro.mem.physical import PhysicalMemory
-from repro.workloads import export_workload_trace, load_trace, workload_from_metadata
+from repro.workloads.registry import get_workload
+from repro.workloads.tracefile import (
+    export_workload_trace,
+    load_trace,
+    workload_from_metadata,
+)
 
 
 def main() -> None:

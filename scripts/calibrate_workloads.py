@@ -17,14 +17,10 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro import (
-    CONFIG_NAMES,
-    ExperimentSettings,
-    get_workload,
-    run_workload_config,
-    tlb_intensive_workloads,
-)
+from repro.analysis.experiments import ExperimentSettings, run_workload_config
 from repro.analysis.report import render_table
+from repro.core.organizations import CONFIG_NAMES
+from repro.workloads.registry import get_workload, tlb_intensive_workloads
 
 
 def main() -> None:

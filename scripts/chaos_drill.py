@@ -32,8 +32,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import ExperimentSettings, get_workload
-from repro.resilience import ChaosPolicy, SweepJournal, run_resilient_sweep
+from repro.analysis.experiments import ExperimentSettings
+from repro.resilience.faults import ChaosPolicy
+from repro.resilience.sweep import SweepJournal, run_resilient_sweep
+from repro.workloads.registry import get_workload
 
 CONFIGS = ("4KB", "THP", "TLB_Lite", "RMM_Lite")
 
@@ -95,7 +97,7 @@ def main() -> int:
             print("FAIL: resume did not replay every cell", file=sys.stderr)
             return 1
         if metrics:
-            from repro.observability import metrics_sidecar_path
+            from repro.observability.hooks import metrics_sidecar_path
 
             sidecar = metrics_sidecar_path(chaotic)
             if not sidecar.exists():

@@ -45,7 +45,7 @@ from bench_throughput import drain, prepare_cell, stream_workload  # noqa: E402
 
 from repro.analysis.experiments import ExperimentSettings, prepare_run  # noqa: E402
 from repro.core.organizations import EXTENDED_CONFIG_NAMES  # noqa: E402
-from repro.observability import Observability  # noqa: E402
+from repro.observability.hooks import Observability  # noqa: E402
 from repro.resilience.bisect import describe_divergence, record_trail  # noqa: E402
 from repro.resilience.checkpoint import first_divergence  # noqa: E402
 from repro.workloads.base import VMASpec, Workload  # noqa: E402

@@ -224,7 +224,7 @@ def _cmd_sweep(args) -> int:
             f"{drained} accesses drained over {boundaries} boundaries"
         )
         if journal_path is not None:
-            from .observability import metrics_sidecar_path
+            from .observability.hooks import metrics_sidecar_path
 
             line += f" → {metrics_sidecar_path(journal_path)}"
         print(line)
@@ -384,7 +384,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from .observability import (
+    from .observability.hooks import (
         Observability,
         metrics_sidecar_path,
         read_metrics_sidecar,

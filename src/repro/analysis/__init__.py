@@ -1,61 +1,2 @@
 """Experiment drivers, normalisation, and text rendering for the paper's
 tables and figures."""
-
-from .experiments import (
-    ExperimentSettings,
-    PreparedRun,
-    ReplicatedMetric,
-    prepare_run,
-    run_matrix,
-    run_replicated,
-    run_workload_config,
-    run_workload_config_with_org,
-)
-from .export import flatten_result, results_to_records, write_csv, write_json
-from .normalize import (
-    average_ratio,
-    normalized_energy,
-    normalized_miss_cycles,
-    reduction_percent,
-)
-from .report import percent, render_series, render_table
-from .tracestats import (
-    COLD,
-    footprint_curve,
-    hit_ratio_curve,
-    lru_hit_ratio,
-    page_touch_counts,
-    reuse_distance_histogram,
-    summarize_by_region,
-    summarize_trace,
-)
-
-__all__ = [
-    "ExperimentSettings",
-    "PreparedRun",
-    "prepare_run",
-    "run_workload_config",
-    "run_workload_config_with_org",
-    "run_matrix",
-    "run_replicated",
-    "ReplicatedMetric",
-    "normalized_energy",
-    "normalized_miss_cycles",
-    "average_ratio",
-    "reduction_percent",
-    "render_table",
-    "render_series",
-    "percent",
-    "reuse_distance_histogram",
-    "lru_hit_ratio",
-    "hit_ratio_curve",
-    "footprint_curve",
-    "page_touch_counts",
-    "summarize_trace",
-    "summarize_by_region",
-    "COLD",
-    "flatten_result",
-    "results_to_records",
-    "write_csv",
-    "write_json",
-]

@@ -12,7 +12,7 @@ RMM_Lite    L1-4KB (Lite) ∥ 4-entry L1-range,      eager paging (4 KB layout)
             L2-4KB ∥ L2-range
 ==========  =====================================  ==========================
 
-Each builder wires the hierarchy to a populated :class:`repro.mem.Process`;
+Each builder wires the hierarchy to a populated :class:`repro.mem.process.Process`;
 :func:`energy_bindings` derives from that hierarchy the bindings that map
 every structure's per-way access histogram onto Table 2 parameters.
 :data:`CONFIG_SPECS` maps each of the thirteen configuration names (these

@@ -25,7 +25,7 @@ from ..energy.model import EnergyModel
 from ..energy.performance import miss_cycles
 from ..errors import CheckpointError, ConfigurationError, SimulationError
 from ..mmu.page_table import PageFault
-from ..observability import Observability, SimulatorInstrumentation
+from ..observability.hooks import Observability, SimulatorInstrumentation
 from .fastpath import ENGINES, FastEngine
 from .organizations import Organization
 from .params import SimulationParams
@@ -74,7 +74,7 @@ class Simulator:
     fault attribution is incompatible with coalescing.
 
     ``observability`` optionally attaches a telemetry hub
-    (:class:`repro.observability.Observability`).  The hub is resolved
+    (:class:`repro.observability.hooks.Observability`).  The hub is resolved
     at construction: a ``None`` or *disabled* hub stores as ``None`` and
     the run takes the bare code path — zero hot-loop overhead, and the
     fast engine, which bumps its probe outside generated code, runs the

@@ -27,8 +27,6 @@ by *kind* instead of string-matching messages:
     The resilient sweep runner cannot proceed (e.g. a resume journal that
     does not match the requested matrix, or a timeout asked of the
     in-process executor).
-``TransientSimulationError``
-    Marker for failures worth retrying (the sweep runner's backoff path).
 ``WorkerCrashError``
     A supervised sweep worker process died without reporting a result
     (native crash, OOM kill, ``sys.exit``).  Retryable: the sweep driver
@@ -114,18 +112,14 @@ class SweepError(ReproError):
     """The sweep runner cannot proceed (bad journal, matrix or settings)."""
 
 
-class TransientSimulationError(ReproError):
-    """A failure the sweep runner should retry with backoff."""
-
-
-class WorkerCrashError(TransientSimulationError):
+class WorkerCrashError(ReproError):
     """A supervised sweep worker died without reporting a result.
 
     Covers every way a child process can vanish mid-cell: a native
     abort, the kernel OOM killer, a stray ``sys.exit``, or an interpreter
-    crash.  Derives from :class:`TransientSimulationError` because a
-    crash is retryable by definition — the sweep driver re-dispatches the
-    cell until ``quarantine_after`` crashes mark it poison.
+    crash.  A crash is retryable by definition: the sweep driver
+    re-dispatches the cell until ``quarantine_after`` crashes mark it
+    poison.
     """
 
 

@@ -45,23 +45,3 @@ with::
     python -m repro lint [paths...] [--format=text|json] [--strict]
                          [--update-baseline] [--changed] [--explain RLxxx]
 """
-
-from .baseline import Baseline
-from .engine import FileContext, LintRule, PassManager, ProjectRule, lint_paths
-from .findings import Finding, Severity
-from .project import ProjectContext
-from .rules import ALL_RULES, default_rules
-
-__all__ = [
-    "ALL_RULES",
-    "Baseline",
-    "FileContext",
-    "Finding",
-    "LintRule",
-    "PassManager",
-    "ProjectContext",
-    "ProjectRule",
-    "Severity",
-    "default_rules",
-    "lint_paths",
-]

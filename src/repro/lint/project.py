@@ -5,8 +5,8 @@ One :class:`ProjectContext` is built per lint run from every parsed
 cross-module rules (RL007–RL009) ask:
 
 * **module/symbol index** — which dotted module does each file implement,
-  and what does ``repro.resilience.SweepJournal`` actually resolve to
-  once ``__init__`` re-export chains are followed;
+  and what does a name such as ``pkg.Base`` actually resolve to once
+  ``__init__`` re-export chains are followed;
 * **class table** — every class with its base classes resolved across
   modules, its per-method ``self.*`` attribute-write sets (inherited
   sets included, so a subclass inherits its base's mutable surface), and
@@ -431,10 +431,9 @@ class ProjectContext:
     def resolve(self, qualified: str, _seen: frozenset[str] = frozenset()):
         """Resolve a dotted name to a ModuleInfo/ClassInfo/FunctionInfo.
 
-        Follows re-export chains (``from .sweep import SweepJournal`` in a
-        package ``__init__`` makes ``repro.resilience.SweepJournal``
-        resolve to ``repro.resilience.sweep.SweepJournal``).  Returns
-        ``None`` for names outside the analysed project.
+        Follows re-export chains (``from .impl import Base`` in a package
+        ``__init__`` makes ``pkg.Base`` resolve to ``pkg.impl.Base``).
+        Returns ``None`` for names outside the analysed project.
         """
         if qualified in _seen:
             return None
@@ -501,11 +500,6 @@ class ProjectContext:
         if isinstance(resolved, ClassInfo):
             return []
         return []
-
-    def function_info(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> FunctionInfo | None:
-        return self.functions.get(id(func))
 
     # ------------------------------------------------------------------
     def _resolve_bases(self) -> None:

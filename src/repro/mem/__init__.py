@@ -1,28 +1,1 @@
 """OS memory-management substrate: frames, VMAs, paging policies, ranges."""
-
-from .paging import (
-    DemandPaging,
-    EagerPaging,
-    HugeTLBFSPaging,
-    PagingPolicy,
-    TransparentHugePaging,
-)
-from .physical import OutOfMemoryError, PhysicalMemory
-from .process import Process
-from .range_table import RangeTable, RangeTableError
-from .vma import VMA, AddressSpace
-
-__all__ = [
-    "PhysicalMemory",
-    "OutOfMemoryError",
-    "VMA",
-    "AddressSpace",
-    "RangeTable",
-    "RangeTableError",
-    "PagingPolicy",
-    "DemandPaging",
-    "TransparentHugePaging",
-    "EagerPaging",
-    "HugeTLBFSPaging",
-    "Process",
-]

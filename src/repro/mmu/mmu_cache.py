@@ -107,17 +107,3 @@ class MMUCache:
         """Invalidate all three caches."""
         for structure in self.structures:
             structure.flush()
-
-    def state_dict(self) -> dict:
-        """Pure-JSON state of all three paging-structure caches."""
-        return {
-            "pde": self.pde.state_dict(),
-            "pdpte": self.pdpte.state_dict(),
-            "pml4": self.pml4.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore all three caches from :meth:`state_dict` output."""
-        self.pde.load_state_dict(state["pde"])
-        self.pdpte.load_state_dict(state["pdpte"])
-        self.pml4.load_state_dict(state["pml4"])

@@ -50,9 +50,9 @@ class WalkerStats:
 class PageWalker:
     """Walks a :class:`PageTable` with MMU-cache acceleration."""
 
-    def __init__(self, page_table: PageTable, mmu_cache: MMUCache | None = None) -> None:
+    def __init__(self, page_table: PageTable) -> None:
         self.page_table = page_table
-        self.mmu_cache = mmu_cache if mmu_cache is not None else MMUCache()
+        self.mmu_cache = MMUCache()
         self.stats = WalkerStats()
 
     def walk(self, vpn4k: int) -> Translation:

@@ -21,46 +21,3 @@ once per drain call outside them; enabled, every per-boundary digest,
 result, sweep journal, and fuzz-oracle outcome is byte-identical to a
 bare run.
 """
-
-from .hooks import (
-    METRICS_SIDECAR_VERSION,
-    FastPathProbe,
-    Observability,
-    SimulatorInstrumentation,
-    aggregate_cell_metrics,
-    metrics_sidecar_path,
-    read_metrics_sidecar,
-    render_totals_prometheus,
-    write_metrics_sidecar,
-)
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricScope,
-    MetricsRegistry,
-    merge_snapshots,
-    render_prometheus,
-)
-from .spans import Span, SpanRecorder
-
-__all__ = [
-    "METRICS_SIDECAR_VERSION",
-    "Counter",
-    "FastPathProbe",
-    "Gauge",
-    "Histogram",
-    "MetricScope",
-    "MetricsRegistry",
-    "Observability",
-    "SimulatorInstrumentation",
-    "Span",
-    "SpanRecorder",
-    "aggregate_cell_metrics",
-    "merge_snapshots",
-    "metrics_sidecar_path",
-    "read_metrics_sidecar",
-    "render_prometheus",
-    "render_totals_prometheus",
-    "write_metrics_sidecar",
-]

@@ -24,114 +24,3 @@ Five pillars, each usable on its own:
   kill-and-resume identity, invariant auditing, taxonomy containment)
   with delta-debugging minimization and a versioned regression corpus.
 """
-
-from .auditor import InvariantAuditor
-from .bisect import (
-    TrailRun,
-    describe_divergence,
-    record_resumed,
-    record_trail,
-)
-from .checkpoint import (
-    CHECKPOINT_VERSION,
-    AbortSimulation,
-    DigestTrail,
-    Divergence,
-    SimulationCheckpointer,
-    claim_snapshot,
-    component_digests,
-    first_divergence,
-    read_snapshot,
-    restore_simulation,
-    resume_from_snapshot,
-    simulation_state,
-    state_digest,
-    write_snapshot,
-)
-from .faults import (
-    TRACE_FAULTS,
-    ChaosPolicy,
-    adversarial_events,
-    inject_duplicate_bursts,
-    inject_negative_vpns,
-    inject_out_of_range,
-    truncate_trace,
-)
-from .supervisor import WorkerTask
-from .fuzz import (
-    CORPUS_VERSION,
-    FUZZ_CASE_VERSION,
-    ORACLE_NAMES,
-    FuzzCase,
-    FuzzFailure,
-    FuzzReport,
-    generate_case,
-    load_reproducer,
-    minimize_reproducer,
-    replay_corpus,
-    rng_stream,
-    run_case,
-    run_fuzz,
-    write_reproducer,
-)
-from .minimize import MinimizationResult, minimize_case
-from .sweep import (
-    CrashLedger,
-    JournalState,
-    SweepCell,
-    SweepJournal,
-    SweepReport,
-    run_resilient_sweep,
-)
-
-__all__ = [
-    "InvariantAuditor",
-    "TrailRun",
-    "describe_divergence",
-    "record_resumed",
-    "record_trail",
-    "CHECKPOINT_VERSION",
-    "AbortSimulation",
-    "DigestTrail",
-    "Divergence",
-    "SimulationCheckpointer",
-    "component_digests",
-    "first_divergence",
-    "read_snapshot",
-    "restore_simulation",
-    "resume_from_snapshot",
-    "simulation_state",
-    "state_digest",
-    "write_snapshot",
-    "TRACE_FAULTS",
-    "adversarial_events",
-    "inject_duplicate_bursts",
-    "inject_negative_vpns",
-    "inject_out_of_range",
-    "truncate_trace",
-    "ChaosPolicy",
-    "CORPUS_VERSION",
-    "FUZZ_CASE_VERSION",
-    "ORACLE_NAMES",
-    "FuzzCase",
-    "FuzzFailure",
-    "FuzzReport",
-    "MinimizationResult",
-    "generate_case",
-    "load_reproducer",
-    "minimize_case",
-    "minimize_reproducer",
-    "replay_corpus",
-    "rng_stream",
-    "run_case",
-    "run_fuzz",
-    "write_reproducer",
-    "claim_snapshot",
-    "CrashLedger",
-    "JournalState",
-    "SweepCell",
-    "SweepJournal",
-    "SweepReport",
-    "WorkerTask",
-    "run_resilient_sweep",
-]

@@ -35,7 +35,7 @@ from pathlib import Path
 from ..core.simulator import ordered_events
 from ..errors import CheckpointError
 from ..ioutils import atomic_write_text
-from ..observability import Observability
+from ..observability.hooks import Observability
 from ..stateful import require, rng_state_to_json
 
 #: Bump when the snapshot layout changes incompatibly.  Policy: loading

@@ -26,7 +26,7 @@ reproducer), run through an **oracle stack**:
     every timeline boundary and once more on the finished result.
 ``observability``
     Telemetry inertness: the case re-runs with a live
-    :class:`repro.observability.Observability` hub attached to the
+    :class:`repro.observability.hooks.Observability` hub attached to the
     simulator and the checkpointer (engine and a mid-run
     Prometheus-export toggle drawn from the case's own seed), and its
     digest trail plus final result must match the bare reference run's
@@ -72,7 +72,7 @@ from ..core.params import (
 from ..core.stats import SimulationResult
 from ..errors import ConfigurationError, FuzzError, InvariantViolation, ReproError
 from ..ioutils import atomic_write_json
-from ..observability import Observability
+from ..observability.hooks import Observability
 from ..workloads.base import VMASpec, Workload
 from ..workloads.patterns import (
     Mixture,

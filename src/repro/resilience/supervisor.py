@@ -263,11 +263,9 @@ class _ShutdownState:
         self.requested = False
         self.signalled = False
         self.deadline: float | None = None
-        self.signum: int | None = None
 
-    def handler(self, signum, _frame) -> None:
+    def handler(self, _signum, _frame) -> None:
         self.requested = True
-        self.signum = signum
 
 
 def check_budgets(

@@ -401,7 +401,7 @@ def run_cell(
     """
     observability = None
     if options.metrics:
-        from ..observability import Observability
+        from ..observability.hooks import Observability
 
         observability = Observability()
 
@@ -540,7 +540,7 @@ def run_resilient_sweep(
         tallied across ``--resume`` cycles in a :class:`CrashLedger` —
         is journaled as quarantined and skipped thereafter.
     ``metrics``
-        Run every cell with an :class:`repro.observability.Observability`
+        Run every cell with an :class:`repro.observability.hooks.Observability`
         hub and aggregate the per-cell snapshots onto ``report.metrics``
         (and, with a journal, into the ``<journal>.metrics.json``
         sidecar).  The journal itself stays byte-identical to a
@@ -697,7 +697,7 @@ def run_resilient_sweep(
     if not report.interrupted:
         ledger.reset()  # sweep finished; no crash history to carry forward
     if metrics:
-        from ..observability import (
+        from ..observability.hooks import (
             aggregate_cell_metrics,
             metrics_sidecar_path,
             write_metrics_sidecar,

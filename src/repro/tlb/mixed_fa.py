@@ -77,7 +77,3 @@ class MixedFullyAssociativeTLB(RecencyStackTLB):
                 self._stack.pop(rank)
                 return True
         return False
-
-    def resident_translations(self) -> list[Translation]:
-        """Entries in recency order (MRU first); for tests."""
-        return list(self._stack)

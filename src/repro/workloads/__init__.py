@@ -1,56 +1,1 @@
 """Synthetic workload models standing in for the paper's Pin traces."""
-
-from .base import PAGES_PER_MB, VMASpec, Workload
-from .patterns import (
-    AccessPattern,
-    Mixture,
-    Phased,
-    Region,
-    RepeatingPhases,
-    SequentialScan,
-    ShuffledScan,
-    StridedSet,
-    UniformRandom,
-    Zipf,
-)
-from .registry import (
-    all_workloads,
-    get_workload,
-    other_workloads,
-    tlb_intensive_workloads,
-)
-from .secondary import LightProfile, build_light_workload
-from .tracefile import (
-    TraceMetadata,
-    export_workload_trace,
-    load_trace,
-    save_trace,
-    workload_from_metadata,
-)
-
-__all__ = [
-    "Workload",
-    "VMASpec",
-    "PAGES_PER_MB",
-    "Region",
-    "AccessPattern",
-    "SequentialScan",
-    "ShuffledScan",
-    "StridedSet",
-    "UniformRandom",
-    "Zipf",
-    "Mixture",
-    "Phased",
-    "RepeatingPhases",
-    "all_workloads",
-    "get_workload",
-    "tlb_intensive_workloads",
-    "other_workloads",
-    "LightProfile",
-    "build_light_workload",
-    "TraceMetadata",
-    "save_trace",
-    "load_trace",
-    "export_workload_trace",
-    "workload_from_metadata",
-]

@@ -3,7 +3,7 @@
 The paper's traces come from Pin-instrumented SPEC / PARSEC / BioBench
 runs; what the TLB hierarchy observes is only the sequence of virtual page
 numbers.  These primitives compose into per-benchmark models
-(:mod:`repro.workloads.spec`) that reproduce the statistics that matter to
+(:mod:`repro.workloads.benchmarks`) that reproduce the statistics that matter to
 a TLB — footprint, page-level reuse distances, burstiness (spatial
 locality within a page), phase changes — without the applications
 themselves.

@@ -44,7 +44,7 @@ from repro.core import fastpath
 from repro.core.fastpath import ENGINES, _segment, encode_trace
 from repro.core.organizations import CONFIG_NAMES, EXTENDED_CONFIG_NAMES
 from repro.errors import SimulationError, TraceError
-from repro.observability import Observability
+from repro.observability.hooks import Observability
 from repro.resilience.bisect import describe_divergence, record_resumed, record_trail
 from repro.resilience.checkpoint import first_divergence
 from repro.resilience.faults import TRACE_FAULTS, demotion_storm_events

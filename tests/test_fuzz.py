@@ -60,7 +60,7 @@ def _install_telemetry_defect(monkeypatch) -> None:
     Only the observability oracle's run carries a hub, so only that run
     is perturbed — the exact inertness violation the oracle exists for.
     """
-    from repro.observability import SimulatorInstrumentation
+    from repro.observability.hooks import SimulatorInstrumentation
 
     original = SimulatorInstrumentation.finish
 

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from repro import get_workload
 from repro.analysis.experiments import ExperimentSettings, run_workload_config_with_org
 from repro.core.lite import LiteController
 from repro.core.params import LiteParams
 from repro.tlb.fully_assoc import FullyAssociativeTLB
 from repro.tlb.set_assoc import SetAssociativeTLB
+from repro.workloads.registry import get_workload
 
 
 def make_controller(**overrides):

@@ -35,20 +35,22 @@ from repro.errors import ObservabilityError
 from repro.mem.physical import PhysicalMemory
 from repro.mem.process import Process
 from repro.mmu.translation import PAGES_PER_2MB
-from repro.observability import (
+from repro.observability.hooks import (
     METRICS_SIDECAR_VERSION,
     FastPathProbe,
-    MetricsRegistry,
     Observability,
-    SpanRecorder,
     aggregate_cell_metrics,
-    merge_snapshots,
     metrics_sidecar_path,
     read_metrics_sidecar,
-    render_prometheus,
     render_totals_prometheus,
     write_metrics_sidecar,
 )
+from repro.observability.registry import (
+    MetricsRegistry,
+    merge_snapshots,
+    render_prometheus,
+)
+from repro.observability.spans import SpanRecorder
 from repro.resilience.bisect import describe_divergence, record_resumed, record_trail
 from repro.resilience.checkpoint import SimulationCheckpointer, first_divergence
 from repro.resilience.sweep import run_resilient_sweep

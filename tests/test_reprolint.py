@@ -15,8 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, Finding, Severity, default_rules, lint_paths
-from repro.lint.engine import LintConfigError, PassManager, iter_python_files
+from repro.lint.baseline import Baseline
+from repro.lint.engine import (
+    LintConfigError,
+    PassManager,
+    iter_python_files,
+    lint_paths,
+)
+from repro.lint.findings import Finding, Severity
+from repro.lint.rules import default_rules
 
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_DIR.parent

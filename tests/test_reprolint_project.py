@@ -176,7 +176,7 @@ class TestCallGraph:
 
 
 # ---------------------------------------------------------------------------
-# Real repo: the resilience package's re-export surface resolves
+# Real repo: call-graph edges through dynamic dispatch
 # ---------------------------------------------------------------------------
 
 
@@ -184,11 +184,6 @@ class TestRepoResolution:
     @pytest.fixture(scope="class")
     def project(self):
         return build_project(REPO_ROOT, PACKAGE)
-
-    def test_resilience_reexports_resolve(self, project):
-        auditor = project.resolve("repro.resilience.InvariantAuditor")
-        assert isinstance(auditor, ClassInfo)
-        assert auditor.qualname == "repro.resilience.auditor.InvariantAuditor"
 
     def test_hierarchy_serializes_through_indirection(self, project):
         """RL007's dynamic-dispatch chain: BaseHierarchy.state_dict reaches
@@ -300,7 +295,8 @@ class TestProjectFingerprints:
         relocated (vendored deeper, linted from another cwd) — exactly
         where path-keyed fingerprints would all go stale.
         """
-        from repro.lint import Baseline, lint_paths
+        from repro.lint.baseline import Baseline
+        from repro.lint.engine import lint_paths
 
         source = (
             "class Drifty:\n"

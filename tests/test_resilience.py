@@ -31,18 +31,17 @@ from repro.errors import (
 )
 from repro.mmu.page_table import PageFault, PageTable, VPN_LIMIT
 from repro.mmu.translation import PageSize, Translation
-from repro.resilience import (
+from repro.resilience.auditor import InvariantAuditor
+from repro.resilience.faults import (
     TRACE_FAULTS,
     ChaosPolicy,
-    InvariantAuditor,
     adversarial_events,
     inject_duplicate_bursts,
     inject_negative_vpns,
     inject_out_of_range,
-    run_resilient_sweep,
     truncate_trace,
 )
-from repro.resilience.sweep import SweepJournal
+from repro.resilience.sweep import SweepJournal, run_resilient_sweep
 from repro.workloads.registry import get_workload
 
 SETTINGS = ExperimentSettings(trace_accesses=6_000, seed=5)

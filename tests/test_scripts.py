@@ -503,7 +503,7 @@ class TestPerfSmoke:
         The check counts calls instead of timing them, so it is exact
         at any trace length.
         """
-        from repro.observability import Observability
+        from repro.observability.hooks import Observability
 
         assert perf_smoke.check_telemetry_work(4_000)
         # Both gated configurations drain through the paged template, so

@@ -17,9 +17,9 @@ import pytest
 
 from repro.analysis.experiments import ExperimentSettings
 from repro.errors import SweepError
-from repro.resilience import ChaosPolicy, SweepJournal, run_resilient_sweep
 from repro.resilience import supervisor
-from repro.resilience.sweep import CellOptions
+from repro.resilience.faults import ChaosPolicy
+from repro.resilience.sweep import CellOptions, SweepJournal, run_resilient_sweep
 from repro.workloads import base
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
@@ -173,7 +173,10 @@ class TestSupervisedSweep:
     def test_hard_timeout_sigkills_worker(self):
         """The wall-clock budget SIGKILLs the worker, and only once."""
         workload = get_workload("povray")
-        slow = ExperimentSettings(trace_accesses=400_000, seed=5)
+        # About 0.7 s of work in a worker, several times the budget: a
+        # result that lands before the first poll past the deadline is
+        # kept, so a cell only just over budget would finish "ok".
+        slow = ExperimentSettings(trace_accesses=1_200_000, seed=5)
         report = run_resilient_sweep(
             [workload], ("THP",), slow, workers=1, cell_timeout_s=0.2,
         )

@@ -12,13 +12,11 @@ import json
 import pytest
 
 from repro.mmu.translation import PageSize, RangeTranslation, Translation
-from repro.tlb import (
-    FullyAssociativeTLB,
-    MixedFullyAssociativeTLB,
-    PLRUSetAssociativeTLB,
-    RangeTLB,
-    SetAssociativeTLB,
-)
+from repro.tlb.fully_assoc import FullyAssociativeTLB
+from repro.tlb.mixed_fa import MixedFullyAssociativeTLB
+from repro.tlb.range_tlb import RangeTLB
+from repro.tlb.replacement import PLRUSetAssociativeTLB
+from repro.tlb.set_assoc import SetAssociativeTLB
 
 
 def page(key):
