@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.hierarchy import ConfigurationError, L1Slot, MixedTLBHierarchy, TLBHierarchy
+from repro.core.hierarchy import L1Slot, MixedTLBHierarchy, TLBHierarchy
+from repro.errors import ConfigurationError
 from repro.mem.range_table import RangeTable
 from repro.mmu.page_table import PageTable
 from repro.mmu.translation import (
