@@ -94,9 +94,10 @@ class DeterminismRule(LintRule):
     """RL001: every random draw must come from an explicitly seeded RNG.
 
     Flags (a) module-level ``random.*`` / legacy ``numpy.random.*``
-    calls, which share hidden global state between unrelated components;
-    (b) ``random.Random()`` / ``default_rng()`` constructed without a
-    seed argument; (c) wall-clock reads feeding an RNG constructor or a
+    calls, which share hidden global state between unrelated components,
+    also through names imported from either module; (b)
+    ``random.Random()`` / ``default_rng()`` constructed without a seed
+    argument; (c) wall-clock reads feeding an RNG constructor or a
     ``*seed*`` variable.  ``random.Random(seed)`` threaded from the
     owning object's parameters (the ``core/lite.py`` pattern) is the
     blessed idiom; so is ``rng_stream(seed, *path)``
@@ -114,13 +115,14 @@ class DeterminismRule(LintRule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         random_aliases = _module_aliases(ctx.tree, "random")
         from_random = _imported_names(ctx.tree, "random")
+        from_numpy = _imported_names(ctx.tree, "numpy.random")
         numpy_aliases = _module_aliases(ctx.tree, "numpy") | _module_aliases(
             ctx.tree, "numpy.random"
         )
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_call(
-                    ctx, node, random_aliases, from_random, numpy_aliases
+                    ctx, node, random_aliases, from_random, from_numpy, numpy_aliases
                 )
             elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 yield from self._check_seed_assignment(ctx, node)
@@ -132,6 +134,7 @@ class DeterminismRule(LintRule):
         node: ast.Call,
         random_aliases: set[str],
         from_random: dict[str, str],
+        from_numpy: dict[str, str],
         numpy_aliases: set[str],
     ) -> Iterator[Finding]:
         func = node.func
@@ -144,6 +147,10 @@ class DeterminismRule(LintRule):
                 f"module-level random.{from_random[func.id]}() in {where} "
                 "uses the hidden global RNG",
             )
+            return
+        # from numpy.random import default_rng; default_rng()
+        if isinstance(func, ast.Name) and func.id in from_numpy:
+            yield from self._check_numpy_call(ctx, node, from_numpy[func.id], where)
             return
         # rng_stream(seed, *path) — the fuzzer's seeded stream helper.
         helper = None
@@ -188,20 +195,26 @@ class DeterminismRule(LintRule):
             base in {f"{alias}.random" for alias in numpy_aliases}
             or base in numpy_aliases and func.attr == "default_rng"
         ):
-            if func.attr in _NUMPY_GLOBAL_FNS:
+            yield from self._check_numpy_call(ctx, node, func.attr, where)
+
+    def _check_numpy_call(
+        self, ctx: FileContext, node: ast.Call, name: str, where: str
+    ) -> Iterator[Finding]:
+        """A call of ``numpy.random.<name>``, however the name was bound."""
+        if name in _NUMPY_GLOBAL_FNS:
+            yield self.finding(
+                ctx,
+                node,
+                f"legacy numpy.random.{name}() in {where} "
+                "uses the hidden global state",
+            )
+        elif name == "default_rng":
+            if not node.args:
                 yield self.finding(
-                    ctx,
-                    node,
-                    f"legacy numpy.random.{func.attr}() in {where} "
-                    "uses the hidden global state",
+                    ctx, node, f"unseeded numpy default_rng() in {where}"
                 )
-            elif func.attr == "default_rng":
-                if not node.args:
-                    yield self.finding(
-                        ctx, node, f"unseeded numpy default_rng() in {where}"
-                    )
-                else:
-                    yield from self._check_time_seed(ctx, node, where)
+            else:
+                yield from self._check_time_seed(ctx, node, where)
 
     def _check_time_seed(
         self, ctx: FileContext, call: ast.Call, where: str

@@ -22,7 +22,10 @@ faulted processes, so fault-time behaviour is not part of any experiment.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..errors import AddressSpaceError
 from ..mmu.translation import PAGES_PER_2MB, PageSize, RangeTranslation, Translation
@@ -57,13 +60,20 @@ def _map_4k_run(process: "Process", start: int, end: int, pfn_for=None) -> None:
     """Back [start, end) with 4 KB pages in one ``PageTable.map_run``.
 
     Frames come from the allocator's scatter pool, or are the contiguous
-    ``pfn_for(start)...`` run for eager paging.
+    ``pfn_for(start)...`` run for eager paging.  Either way they arrive
+    as one ``array('q')``, which ``map_run`` takes as it is; the eager
+    run's is filled from an ``np.arange``, not one Python int per page.
+    An empty run, as THP layouts leave before most huge pages, maps
+    nothing.
     """
+    if start == end:
+        return
     if pfn_for is None:
         pfns = process.physical.alloc_frames(end - start)
     else:
         base = pfn_for(start)
-        pfns = range(base, base + end - start)
+        pfns = array("q")
+        pfns.frombytes(np.arange(base, base + end - start, dtype=np.int64).view(np.uint8))
     process.page_table.map_run(start, pfns)
 
 

@@ -166,17 +166,21 @@ class PageTable:
         already mapped, covered by a huge page, or outside the page-number
         space.  An empty run is a no-op.
 
-        The frames become one ``array('q')``.  Then two passes over the
-        leaf tables the run spans: the first checks every table in address
-        order and mutates nothing, the second creates missing nodes and
-        copies each table's frames in with one slice assignment.
+        An ``array('q')`` of frames is read as it is; any other sequence
+        is first copied into one.  Then two passes over the leaf tables
+        the run spans: the first checks every table in address order and
+        mutates nothing, the second creates missing nodes and copies each
+        table's frames in with one slice assignment.
         """
         if not pfns:
             return
-        try:
-            frames = array("q", pfns)
-        except OverflowError:
-            frames = None
+        if type(pfns) is array and pfns.typecode == "q":
+            frames = pfns
+        else:
+            try:
+                frames = array("q", pfns)
+            except OverflowError:
+                frames = None
         if frames is None or np.frombuffer(frames, np.int64).min() < 0:
             offset = next(i for i, pfn in enumerate(pfns) if not 0 <= pfn < 1 << 63)
             raise AddressSpaceError(

@@ -47,6 +47,12 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 
+# numpy imports numpy.random on first use.  A sweep driver never uses
+# it, but every worker's PhysicalMemory does (default_rng).  Imported
+# here, it is in the image run_worker_pool forks, so no worker imports
+# it afresh.
+import numpy.random  # noqa: F401
+
 from ..errors import MemoryBudgetError, SweepError, WorkerCrashError
 from .faults import ChaosPolicy
 from .sweep import CellOptions, CellOutcome, _cell_key, run_cell
@@ -316,7 +322,10 @@ def run_worker_pool(
     queue and the pool are empty, or until a SIGINT/SIGTERM has drained
     the in-flight workers; returns whether such a signal stopped it.
     The budgets and ``chaos`` are the driver's parameters of the same
-    names.
+    names.  The supervisor checks them once per ``_POLL_INTERVAL_S``
+    (0.05 s), so ``cell_timeout_s`` holds to within one poll: a worker
+    whose result was read before a check found its deadline passed has
+    finished, and its result is kept.
 
     The pool owns a private temporary directory of traces for its
     lifetime: each workload's first attempt writes its trace there and

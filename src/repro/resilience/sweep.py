@@ -530,8 +530,11 @@ def run_resilient_sweep(
         A wall-clock budget per attempt, a budget for heartbeat silence
         (hang detection), an address-space budget, and a
         :class:`repro.resilience.faults.ChaosPolicy` injected into the
-        workers.  They need worker processes: with ``workers=None``
-        each raises :class:`SweepError`.  So does a ``cell_timeout_s`` or
+        workers.  The supervisor checks the time budgets once per poll
+        (0.05 s), so ``cell_timeout_s`` holds to within one poll: a
+        result read before a check found the deadline passed is kept.
+        They need worker processes: with ``workers=None`` each raises
+        :class:`SweepError`.  So does a ``cell_timeout_s`` or
         ``memory_limit_mb`` that is not positive, and a
         ``heartbeat_timeout_s`` at or below two supervisor poll
         intervals (0.1 s).

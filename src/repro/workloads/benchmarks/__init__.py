@@ -1,40 +1,8 @@
 """Per-benchmark models of the paper's TLB-intensive workloads.
 
 One module per benchmark (Table 4), each documenting the paper anchors
-its parameters were calibrated against.  The registry consumes
-:data:`TLB_INTENSIVE_BUILDERS`; see ``docs/workloads.md`` for the shared
-methodology and ``repro.workloads.tiers`` for the tier builders.
+its parameters were calibrated against.  The registry
+(:mod:`repro.workloads.registry`) imports each builder from its module;
+see ``docs/workloads.md`` for the shared methodology and
+``repro.workloads.tiers`` for the tier builders.
 """
-
-from .astar import astar
-from .cactusadm import cactusadm
-from .canneal import canneal
-from .gemsfdtd import gemsfdtd
-from .mcf import mcf
-from .mummer import mummer
-from .omnetpp import omnetpp
-from .zeusmp import zeusmp
-
-#: Builders for the paper's TLB-intensive evaluation set, in paper order.
-TLB_INTENSIVE_BUILDERS = (
-    astar,
-    cactusadm,
-    gemsfdtd,
-    mcf,
-    omnetpp,
-    zeusmp,
-    mummer,
-    canneal,
-)
-
-__all__ = [
-    "astar",
-    "cactusadm",
-    "gemsfdtd",
-    "mcf",
-    "omnetpp",
-    "zeusmp",
-    "mummer",
-    "canneal",
-    "TLB_INTENSIVE_BUILDERS",
-]

@@ -4,6 +4,7 @@ import random
 import time
 
 import numpy as np
+from numpy.random import default_rng, permutation
 
 
 def unseeded_module_rng():
@@ -27,6 +28,11 @@ def numpy_legacy():
 
 def numpy_unseeded():
     return np.random.default_rng()  # finding: unseeded generator
+
+
+def numpy_imported_names():
+    rng = default_rng()  # finding: unseeded generator
+    return rng, permutation(10)  # finding: global numpy state
 
 
 def seed_from_clock():

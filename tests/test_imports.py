@@ -2,11 +2,10 @@
 
 The packages under ``src/repro`` hold only their docstrings, so each
 name is imported from the module that defines it.  These tests keep it
-that way: no package ``__init__`` imports anything (the one exception
-builds the registry's benchmark tuple), importing the simulator and the
-sweep driver loads none of the tooling no run needs, and every import
-shown in a fenced ``python`` block of README.md or docs/*.md still
-resolves.
+that way: no package ``__init__`` imports anything, importing the
+simulator and the sweep driver loads none of the tooling no run needs,
+and every import shown in a fenced ``python`` block of README.md or
+docs/*.md still resolves.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "repro"
-
-#: The one package ``__init__`` that imports: it builds
-#: ``TLB_INTENSIVE_BUILDERS`` from its benchmark modules for the registry.
-IMPORTING_INIT = PACKAGE / "workloads" / "benchmarks" / "__init__.py"
 
 #: Modules a simulation or an unsupervised sweep never runs.  The last
 #: two load when a supervised sweep starts its worker pool.
@@ -47,8 +42,6 @@ NOT_LOADED_BY_A_RUN = (
 def test_package_inits_import_nothing():
     importing = []
     for init in sorted(PACKAGE.rglob("__init__.py")):
-        if init == IMPORTING_INIT:
-            continue
         tree = ast.parse(init.read_text(), filename=str(init))
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):

@@ -174,17 +174,18 @@ class TestPackedLeaves:
     """A level-1 table is one array of 512 PTEs and a count of mapped ones."""
 
     def test_full_tables_cost_under_9_bytes_per_page(self):
+        """Also at the peak: an ``array('q')`` of frames is not copied."""
         pages = 64 * PAGES_PER_2MB
         pfns = array("q", range(1 << 40, (1 << 40) + pages))  # no cached small ints
         tracemalloc.start()
         try:
             pt = PageTable()
             pt.map_run(5 * PAGES_PER_1GB, pfns)
-            live, _ = tracemalloc.get_traced_memory()
+            live, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert pt.mapped_bytes == pages << 12
-        assert live <= 9 * pages
+        assert live <= peak <= 9 * pages
 
     def test_tables_stay_whole_after_partial_runs(self):
         pt = PageTable()
@@ -271,14 +272,14 @@ class TestMapRun:
 class TestMapRunRejection:
     """A rejected run names its first offending page and changes nothing."""
 
-    def rejected(self, pt, vpn, count, offending, frame=None):
+    def rejected(self, pt, vpn, count, offending, frame=None, container=list):
         """Map ``count`` pages from ``vpn``; ``frame`` goes to ``offending``."""
         pfns = list(range(count))
         if frame is not None:
             pfns[offending - vpn] = frame
         before = snapshot(pt)
         with pytest.raises(AddressSpaceError, match=f"vpn {offending:#x} "):
-            pt.map_run(vpn, pfns)
+            pt.map_run(vpn, container(pfns))
         assert snapshot(pt) == before
 
     def test_already_mapped(self):
@@ -324,6 +325,16 @@ class TestMapRunRejection:
         pt.map_run(PAGES_PER_2MB + 400, [1, 2])  # in the run's second table
         self.rejected(pt, PAGES_PER_2MB - 300, 600, offending=PAGES_PER_2MB + 150, frame=frame)
         self.rejected(pt, 0, 1, offending=0, frame=frame)
+
+    @pytest.mark.parametrize("frame", [UNMAPPED, -5], ids=("unmapped", "negative"))
+    def test_frame_outside_a_pte_in_an_array(self, frame):
+        """An ``array('q')``, which ``map_run`` reads without a copy."""
+        pt = PageTable()
+        pt.map_run(PAGES_PER_2MB + 400, array("q", [1, 2]))
+        self.rejected(
+            pt, PAGES_PER_2MB - 300, 600, offending=PAGES_PER_2MB + 150,
+            frame=frame, container=partial(array, "q"),
+        )
 
 
 # ----------------------------------------------------------------------

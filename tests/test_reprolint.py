@@ -31,7 +31,7 @@ FIXTURES = TESTS_DIR / "lint_fixtures"
 
 #: rule id -> (fixture file, minimum expected findings of that rule)
 RULE_FIXTURES = {
-    "RL001": ("rl001_determinism.py", 10),
+    "RL001": ("rl001_determinism.py", 12),
     "RL002": ("rl002_taxonomy.py", 4),
     "RL003": ("rl003_hot_path.py", 8),
     "RL004": ("rl004_stats.py", 2),

@@ -10,8 +10,12 @@ loudly.
 """
 
 import json
+import os
 import signal
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +319,123 @@ class TestReapAfterResult:
         assert report.completed_count == len(configs)
         assert all(cell.seconds > 0 for cell in report.cells)
         assert len(spins) < 5 * len(configs)
+
+
+class _StubProcess:
+    """A worker process that exits when joined, or only once killed."""
+
+    def __init__(self, exits_when_joined: bool) -> None:
+        self.exits_when_joined = exits_when_joined
+        self.alive = True
+        self.calls: list[str] = []
+
+    def join(self, timeout=None) -> None:
+        self.calls.append("join")
+        if self.exits_when_joined:
+            self.alive = False
+
+    def is_alive(self) -> bool:
+        return self.alive
+
+    def kill(self) -> None:
+        self.calls.append("kill")
+        self.alive = False
+
+
+class _SilentConnection:
+    """A result pipe with nothing in it."""
+
+    def poll(self) -> bool:
+        return False
+
+
+class TestJudgeDeadline:
+    """``cell_timeout_s`` holds to within one 0.05 s supervisor poll."""
+
+    NOW = 100.0
+
+    def _entry(self, process, result=None) -> supervisor._Inflight:
+        return supervisor._Inflight(
+            process=process,
+            slot=None,
+            result_recv=_SilentConnection(),
+            heartbeat_recv=_SilentConnection(),
+            started=self.NOW - 1.0,
+            deadline=self.NOW - 0.5,
+            last_heartbeat=self.NOW,
+            result=result,
+            result_seen_at=None if result is None else self.NOW - 0.01,
+        )
+
+    def _judge(self, entry):
+        return supervisor._judge(
+            entry, self.NOW, heartbeat_timeout_s=None, shutdown_deadline=None
+        )
+
+    def test_result_read_before_the_deadline_check_is_kept(self):
+        """The cell finished, so its row is valid however late it is judged."""
+        process = _StubProcess(exits_when_joined=True)
+        entry = self._entry(process, result={"status": "ok"})
+        assert self._judge(entry) == "result"
+        assert process.calls == ["join"]
+        assert entry.killed_for is None
+
+    def test_no_result_past_the_deadline_is_killed(self):
+        process = _StubProcess(exits_when_joined=False)
+        entry = self._entry(process)
+        assert self._judge(entry) == "timeout"
+        assert process.calls == ["kill", "join"]
+        assert entry.killed_for == "timeout"
+
+
+class TestWarmWorkers:
+    """A forked worker imports nothing its driver has not imported."""
+
+    SCRIPT = """
+import sys
+
+from repro.analysis.experiments import ExperimentSettings
+from repro.resilience import supervisor
+from repro.resilience.sweep import run_resilient_sweep
+from repro.workloads.registry import get_workload
+
+journal, growth = sys.argv[1:]
+simulate = supervisor._simulate_cell
+
+
+def recording(task, heartbeat_conn, shutdown):
+    before = set(sys.modules)
+    try:
+        return simulate(task, heartbeat_conn, shutdown)
+    finally:
+        with open(growth, "w") as handle:
+            handle.write("\\n".join(sorted(set(sys.modules) - before)))
+
+
+supervisor._simulate_cell = recording  # the fork inherits the wrapper
+report = run_resilient_sweep(
+    [get_workload("povray")], ("RMM_Lite",),
+    ExperimentSettings(trace_accesses=5_000, seed=5),
+    journal_path=journal, workers=1, metrics=True, checkpoint_every=4,
+)
+assert report.completed_count == 1, report
+"""
+
+    def test_worker_imports_no_module(self, tmp_path):
+        """Runs in a fresh interpreter: this one has imported far more
+        than a sweep driver does, numpy.random included."""
+        growth = tmp_path / "growth.txt"
+        subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "sweep.jsonl"), str(growth)],
+            check=True,
+            cwd=tmp_path,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(supervisor.__file__).parents[2]),
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
+        )
+        assert growth.read_text().split() == []
 
 
 class TestBudgetValidation:
