@@ -47,10 +47,10 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 
-# numpy imports numpy.random on first use.  A sweep driver never uses
-# it, but every worker's PhysicalMemory does (default_rng).  Imported
-# here, it is in the image run_worker_pool forks, so no worker imports
-# it afresh.
+# numpy imports numpy.random on first use.  The sweeping process never
+# uses it, but every worker's PhysicalMemory does (default_rng).
+# Imported here, it is in the image run_worker_pool forks, so no worker
+# imports it afresh.
 import numpy.random  # noqa: F401
 
 from ..errors import MemoryBudgetError, SweepError, WorkerCrashError

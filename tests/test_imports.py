@@ -3,7 +3,7 @@
 The packages under ``src/repro`` hold only their docstrings, so each
 name is imported from the module that defines it.  These tests keep it
 that way: no package ``__init__`` imports anything, importing the
-simulator and the sweep driver loads none of the tooling no run needs,
+simulator and the sweep module loads none of the tooling no run needs,
 and every import shown in a fenced ``python`` block of README.md or
 docs/*.md still resolves.
 """

@@ -389,7 +389,7 @@ class TestJudgeDeadline:
 
 
 class TestWarmWorkers:
-    """A forked worker imports nothing its driver has not imported."""
+    """A forked worker imports nothing its parent has not imported."""
 
     SCRIPT = """
 import sys
@@ -423,7 +423,7 @@ assert report.completed_count == 1, report
 
     def test_worker_imports_no_module(self, tmp_path):
         """Runs in a fresh interpreter: this one has imported far more
-        than a sweep driver does, numpy.random included."""
+        than a sweep's parent process does, numpy.random included."""
         growth = tmp_path / "growth.txt"
         subprocess.run(
             [sys.executable, "-c", self.SCRIPT, str(tmp_path / "sweep.jsonl"), str(growth)],
