@@ -39,8 +39,8 @@ metrics
 bisect-divergence
     Run one (workload, configuration) cell twice — fresh vs.
     resumed-from-checkpoint by default, or against a second seed
-    (``--seed-b``) or a perturbed trace (``--fault``) — and binary-search
-    the per-interval golden state digests for the first boundary and
+    (``--seed-b``) or a perturbed trace (``--fault``) — and scan the
+    per-interval golden state digests for the first boundary and
     component where the two runs diverge.  Exit 0 when identical, 1 on
     divergence (the determinism CI gate).
 describe

@@ -64,8 +64,8 @@ Legality rules (what makes the transformation exact):
   (``_TEMPLATES``): other types — the L0-filter and predicted-size
   subclasses, banked, semantic and fully-associative L1s — and shapes a
   template rejects (Lite monitoring on the L2, fully-associative L1
-  slots) replay the raw trace slice through the reference ``access``
-  method — same results, reference speed.
+  slots) hand their ranges to the simulator's own reference drain —
+  same results, reference speed.
 
 Equivalence is proven, not argued: the differential harness
 (``tests/test_fastpath.py``, ``scripts/perf_smoke.py``) runs every
@@ -555,43 +555,44 @@ class FastEngine:
 
     ``drain(start, stop)`` consumes access positions ``[start, stop)``
     exactly like the reference drain loop; the simulator calls it
-    between consecutive boundaries.  The engine keeps no position, so a
-    resumed run may start anywhere.  Generated drains are cached by their
+    between consecutive boundaries.  ``replay`` is that reference drain,
+    the simulator's own: every range of a hierarchy type or shape without
+    a template goes to it.  The engine keeps no position, so a resumed
+    run may start anywhere.  Generated drains are cached by their
     template's shape key (for the paged template the identity and order
     of the active slots; for both, the latched range TLBs), so
     boundary-heavy runs (Lite intervals, dense checkpointing) regenerate
     nothing.
     """
 
-    __slots__ = ("_hierarchy", "_vpns", "_tokens", "_cum", "_drains", "_probe")
+    __slots__ = ("_hierarchy", "_replay", "_tokens", "_cum", "_drains", "_probe")
 
-    def __init__(self, hierarchy, trace, probe=None) -> None:
+    def __init__(self, hierarchy, trace, replay, probe=None) -> None:
         self._hierarchy = hierarchy
+        self._replay = replay
         self._probe = probe
-        self._vpns = as_vpn_array(trace)
+        vpns = as_vpn_array(trace)
+        # Only the exact types in _TEMPLATES have a template, and the type
+        # never changes mid-run, so any other type's trace is not encoded.
+        self._tokens = self._cum = None
         if type(hierarchy) in _TEMPLATES:
-            self._tokens, self._cum = shared_encoding(self._vpns, encode_trace)
-        else:
-            # Only the exact types in _TEMPLATES have a template, and the
-            # type never changes mid-run, so skip encoding and make every
-            # drain a pass-through at pure reference cost.
-            self._tokens = self._cum = None
+            self._tokens, self._cum = shared_encoding(vpns, encode_trace)
         self._drains: dict = {}
 
     # ------------------------------------------------------------------
     def drain(self, start: int, stop: int) -> None:
         """Feed accesses ``[start, stop)`` through the hierarchy."""
-        if self._tokens is None:
-            # Permanently unsupported hierarchy type: reference loop.
-            self._replay_raw(start, stop)
-            return
         hierarchy, probe, cum = self._hierarchy, self._probe, self._cum
-        end = int(cum.searchsorted(stop))
         while start < stop:
             drain = self._drain_for_shape()
             if drain is None:
-                self._replay_raw(start, stop)
+                # No template for this type or shape: the reference drain.
+                if probe is not None:
+                    probe.fallback_spans += 1
+                    probe.replayed_accesses += stop - start
+                self._replay(start, stop)
                 return
+            end = int(cum.searchsorted(stop))
             # The segment is an argument only: the drain holds the one list.
             left, replayed = drain(_segment(self._tokens, cum, start, stop, end))
             reached = stop
@@ -610,6 +611,8 @@ class FastEngine:
 
     def _drain_for_shape(self):
         """Cached specialized drain for the current shape (None = fallback)."""
+        if self._cum is None:
+            return None  # a type without a template
         hierarchy = self._hierarchy
         shape_key, template = _TEMPLATES[type(hierarchy)]
         shape = shape_key(hierarchy)
@@ -631,20 +634,3 @@ class FastEngine:
             self._probe.generated_drains += 1
         self._drains[shape] = drain
         return drain
-
-    def _replay_raw(self, lo: int, hi: int) -> None:
-        """Reference-path replay of positions ``[lo, hi)``.
-
-        The fallback for hierarchy types and shapes without a template
-        replays the raw trace slice rather than decoding tokens, so it
-        pays exactly the reference loop's per-access cost.  The
-        ``tolist`` matches the reference drain: components store the vpns
-        they are handed, and a leaked ``np.int64`` would poison the
-        pure-JSON state digests.
-        """
-        if self._probe is not None:
-            self._probe.fallback_spans += 1
-            self._probe.replayed_accesses += hi - lo
-        access = self._hierarchy.access
-        for vpn in self._vpns[lo:hi].tolist():
-            access(vpn)

@@ -26,6 +26,7 @@ from ..energy.performance import miss_cycles
 from ..errors import CheckpointError, ConfigurationError, SimulationError
 from ..mmu.page_table import PageFault
 from ..observability.hooks import Observability, SimulatorInstrumentation
+from ..workloads.tracefile import as_vpn_array
 from .fastpath import ENGINES, FastEngine
 from .organizations import Organization
 from .params import SimulationParams
@@ -48,6 +49,11 @@ def _ignore(*_args) -> None:
 def ordered_events(events) -> list[tuple[int, object]]:
     """An OS-event schedule in firing order: a stable sort by position."""
     return sorted(events or [], key=lambda event: event[0])
+
+
+def _loop_copy(state: dict) -> dict:
+    """``state`` with its own record lists (a record is never changed once written)."""
+    return {**state, "faults": list(state["faults"]), "timeline": list(state["timeline"])}
 
 
 class Simulator:
@@ -146,24 +152,28 @@ class Simulator:
 
         ``checkpoint_hook``, when given, is called at every *boundary* —
         each point where the drain loop stops (Lite interval end,
-        timeline sample, event position, phase edge) — with a pure-JSON
-        dict of the loop's own state (position, schedules, accumulated
-        timeline/fault records).  :mod:`repro.resilience.checkpoint`
-        builds snapshot writers and digest recorders on top of it.
+        timeline sample, event position, phase edge) — with a copy of the
+        loop's one state object: a pure-JSON dict of its position,
+        schedules and accumulated timeline samples (``[instructions,
+        l1_mpki]``) and fault records (``[index, vpn, error, message]``).
+        :mod:`repro.resilience.checkpoint` builds snapshot writers and
+        digest recorders on top of it.
 
-        ``resume_state`` is such a dict: the loop fast-forwards its
-        bookkeeping to the recorded position and continues from there.
-        The *component* state (hierarchy, Lite, process) must already
-        have been restored by the caller — the loop state only carries
-        what the loop itself owns.  The loop does not fire the events
-        fired before the snapshot: the restore
+        ``resume_state`` is such a dict: it must hold exactly the loop's
+        keys and have been taken on a trace of this length and warm-up,
+        else :class:`repro.errors.CheckpointError`.  The loop continues
+        from a copy of it.  The *component* state (hierarchy, Lite,
+        process) must already have been restored by the caller — the
+        loop state only carries what the loop itself owns.  The loop does
+        not fire the events fired before the snapshot: the restore
         (:func:`repro.resilience.checkpoint.restore_simulation`) has
         re-fired them against the rebuilt organization.
         """
-        # Numpy traces stay arrays: the reference loop materializes only
-        # one boundary-to-boundary segment at a time, and the fast engine
-        # run-length-encodes the array directly.
-        vpns = trace if hasattr(trace, "tolist") else list(trace)
+        # Every trace is an int64 array: the reference loop materializes
+        # one boundary-to-boundary segment at a time as Python ints (a
+        # leaked np.int64 would poison the pure-JSON state digests), and
+        # the fast engine run-length-encodes the array directly.
+        vpns = as_vpn_array(trace)
         total = len(vpns)
         if total == 0:
             raise SimulationError("empty trace")
@@ -183,41 +193,34 @@ class Simulator:
             round(interval_accesses * ipa) if interval_accesses else 0
         )
 
-        pending_events = ordered_events(events)
-        event_index = 0
-
-        def fire_events(position: int) -> None:
-            nonlocal event_index
-            while (
-                event_index < len(pending_events)
-                and pending_events[event_index][0] <= position
-            ):
-                pending_events[event_index][1](self.organization)
-                event_index += 1
-
-        def next_event_position() -> int:
-            if event_index < len(pending_events):
-                return max(pending_events[event_index][0], 1)
-            return total + 1
-
         measured = total - fast_forward_accesses
         window = max(1, measured // self.sim_params.timeline_windows)
         window_instructions = max(1, round(window * ipa))
 
         # ----- loop state (everything the loop itself owns) -------------
-        phase = "fast-forward"
-        pos = 0
-        boundary = 0
-        next_interval = interval_accesses if lite else total + 1
-        last_interval_misses = 0
-        next_sample = -1
-        last_sample_misses = 0
-        lite_intervals_before = len(lite.history) if lite else 0
-        faults: list[FaultRecord] = []
-        faulted = 0
-        timeline: list[TimelineSample] = []
-
+        loop = {
+            "phase": "fast-forward",
+            "pos": 0,
+            "total": total,
+            "fast_forward_accesses": fast_forward_accesses,
+            "boundary": 0,
+            "event_index": 0,
+            "next_interval": interval_accesses if lite else total + 1,
+            "last_interval_misses": 0,
+            "next_sample": -1,
+            "last_sample_misses": 0,
+            "lite_intervals_before": len(lite.history) if lite else 0,
+            "faulted": 0,
+            "faults": [],
+            "timeline": [],
+        }
         if resume_state is not None:
+            if resume_state.keys() != loop.keys():
+                raise CheckpointError(
+                    "resume state does not hold the loop's keys: missing keys "
+                    f"{sorted(loop.keys() - resume_state.keys())}, unknown keys "
+                    f"{sorted(resume_state.keys() - loop.keys())}"
+                )
             if (
                 resume_state["total"] != total
                 or resume_state["fast_forward_accesses"] != fast_forward_accesses
@@ -228,47 +231,22 @@ class Simulator:
                     f"{resume_state['fast_forward_accesses']} vs "
                     f"{total}/{fast_forward_accesses}"
                 )
-            phase = resume_state["phase"]
-            pos = resume_state["pos"]
-            boundary = resume_state["boundary"]
-            event_index = resume_state["event_index"]
-            next_interval = resume_state["next_interval"]
-            last_interval_misses = resume_state["last_interval_misses"]
-            next_sample = resume_state["next_sample"]
-            last_sample_misses = resume_state["last_sample_misses"]
-            lite_intervals_before = resume_state["lite_intervals_before"]
-            faulted = resume_state["faulted"]
-            faults = [
-                FaultRecord(index, vpn, error, message)
-                for index, vpn, error, message in resume_state["faults"]
-            ]
-            timeline = [
-                TimelineSample(instructions, l1_mpki)
-                for instructions, l1_mpki in resume_state["timeline"]
-            ]
+            loop = _loop_copy(resume_state)
 
-        def loop_state() -> dict:
-            return {
-                "phase": phase,
-                "pos": pos,
-                "total": total,
-                "fast_forward_accesses": fast_forward_accesses,
-                "boundary": boundary,
-                "event_index": event_index,
-                "next_interval": next_interval,
-                "last_interval_misses": last_interval_misses,
-                "next_sample": next_sample,
-                "last_sample_misses": last_sample_misses,
-                "lite_intervals_before": lite_intervals_before,
-                "faulted": faulted,
-                "faults": [
-                    [record.index, record.vpn, record.error, record.message]
-                    for record in faults
-                ],
-                "timeline": [
-                    [sample.instructions, sample.l1_mpki] for sample in timeline
-                ],
-            }
+        pending_events = ordered_events(events)
+
+        def fire_events(position: int) -> None:
+            while (
+                loop["event_index"] < len(pending_events)
+                and pending_events[loop["event_index"]][0] <= position
+            ):
+                pending_events[loop["event_index"]][1](self.organization)
+                loop["event_index"] += 1
+
+        def next_event_position() -> int:
+            if loop["event_index"] < len(pending_events):
+                return max(pending_events[loop["event_index"]][0], 1)
+            return total + 1
 
         # ----- hot loop: fast engine, or the reference loop -------------
         tolerant = self.on_fault == "record"
@@ -286,30 +264,29 @@ class Simulator:
                 fast_engine=self.engine == "fast" and not tolerant,
             )
 
-        if self.engine == "fast" and not tolerant:
-            engine_probe = inst.probe if inst is not None else None
-            drain = FastEngine(hierarchy, vpns, probe=engine_probe).drain
-        else:
+        def replay(start: int, stop: int) -> None:
+            it = iter(vpns[start:stop].tolist())
+            while True:
+                try:
+                    for vpn in it:
+                        access(vpn)
+                    return
+                except FAULT_EXCEPTIONS as exc:
+                    if not tolerant:
+                        raise
+                    # Skip the faulted access; the loop resumes the iterator.
+                    if len(loop["faults"]) < MAX_FAULT_RECORDS:
+                        index = stop - it.__length_hint__() - 1
+                        loop["faults"].append([index, int(vpn), type(exc).__name__, str(exc)])
+                    loop["faulted"] += 1
 
-            def drain(start: int, stop: int) -> None:
-                nonlocal faulted
-                segment = vpns[start:stop]
-                it = iter(segment.tolist() if hasattr(segment, "tolist") else segment)
-                while True:
-                    try:
-                        for vpn in it:
-                            access(vpn)
-                        return
-                    except FAULT_EXCEPTIONS as exc:
-                        if not tolerant:
-                            raise
-                        # Skip the faulted access; the loop resumes the iterator.
-                        if len(faults) < MAX_FAULT_RECORDS:
-                            index = stop - it.__length_hint__() - 1
-                            faults.append(
-                                FaultRecord(index, int(vpn), type(exc).__name__, str(exc))
-                            )
-                        faulted += 1
+        drain = replay
+        if self.engine == "fast" and not tolerant:
+            # What the engine has no template for goes to the reference
+            # drain as it is here: the telemetry below wraps the engine's
+            # drain, and would count a replayed range twice.
+            engine_probe = inst.probe if inst is not None else None
+            drain = FastEngine(hierarchy, vpns, replay, probe=engine_probe).drain
 
         # Telemetry is applied once, here, by wrapping: the loop below is
         # the same code with or without a hub.
@@ -325,51 +302,47 @@ class Simulator:
         # Fast-forward warms the structures (Lite live) and its stats are
         # discarded at the phase edge; the measured phase adds timeline
         # samples.  Every stop of the drain is a boundary.
-        begin_phase(phase)
+        begin_phase(loop["phase"])
         if resume_state is None:
             fire_events(0)
-        while pos < total:
-            if phase == "fast-forward" and pos == fast_forward_accesses:
+        while loop["pos"] < total:
+            if loop["phase"] == "fast-forward" and loop["pos"] == fast_forward_accesses:
                 hierarchy.reset_measurement()
-                last_interval_misses = 0
-                lite_intervals_before = len(lite.history) if lite else 0
+                loop["last_interval_misses"] = 0
+                loop["lite_intervals_before"] = len(lite.history) if lite else 0
                 if lite is not None:
-                    next_interval = pos + interval_accesses
-                next_sample = pos + window
-                last_sample_misses = 0
-                phase = "measured"
-                begin_phase(phase)
+                    loop["next_interval"] = loop["pos"] + interval_accesses
+                loop["next_sample"] = loop["pos"] + window
+                loop["last_sample_misses"] = 0
+                loop["phase"] = "measured"
+                begin_phase("measured")
             horizon = (
                 fast_forward_accesses
-                if phase == "fast-forward"
-                else min(total, next_sample)
+                if loop["phase"] == "fast-forward"
+                else min(total, loop["next_sample"])
             )
-            stop = min(horizon, next_interval, next_event_position())
-            drain(pos, stop)
-            pos = stop
+            pos = min(horizon, loop["next_interval"], next_event_position())
+            drain(loop["pos"], pos)
+            loop["pos"] = pos
             fire_events(pos)
-            if lite is not None and pos == next_interval:
+            if lite is not None and pos == loop["next_interval"]:
                 misses = hierarchy.l1_misses
-                end_interval(misses - last_interval_misses, interval_instructions)
-                last_interval_misses = misses
-                next_interval += interval_accesses
-            if pos == next_sample:
+                end_interval(misses - loop["last_interval_misses"], interval_instructions)
+                loop["last_interval_misses"] = misses
+                loop["next_interval"] += interval_accesses
+            if pos == loop["next_sample"]:
                 misses = hierarchy.l1_misses
-                delta = misses - last_sample_misses
-                timeline.append(
-                    TimelineSample(
-                        instructions=round((pos - fast_forward_accesses) * ipa),
-                        l1_mpki=delta * 1000.0 / window_instructions,
-                    )
-                )
-                last_sample_misses = misses
-                next_sample += window
+                delta = misses - loop["last_sample_misses"]
+                instructions = round((pos - fast_forward_accesses) * ipa)
+                loop["timeline"].append([instructions, delta * 1000.0 / window_instructions])
+                loop["last_sample_misses"] = misses
+                loop["next_sample"] += window
                 record_sample()
                 if self.auditor is not None:
-                    self.auditor.audit_hierarchy(hierarchy, lite, faulted)
-            boundary += 1
+                    self.auditor.audit_hierarchy(hierarchy, lite, loop["faulted"])
+            loop["boundary"] += 1
             if checkpoint_hook is not None:
-                checkpoint_hook(loop_state())
+                checkpoint_hook(_loop_copy(loop))
 
         # ----- collect results ------------------------------------------
         hierarchy.sync_stats()
@@ -396,16 +369,16 @@ class Simulator:
                 for structure in hierarchy.all_structures()
             },
             hit_attribution=hierarchy.hit_attribution(),
-            timeline=timeline,
-            lite_intervals=(len(lite.history) - lite_intervals_before) if lite else 0,
-            faulted_accesses=faulted,
-            fault_records=faults,
+            timeline=[TimelineSample(*sample) for sample in loop["timeline"]],
+            lite_intervals=(len(lite.history) - loop["lite_intervals_before"]) if lite else 0,
+            faulted_accesses=loop["faulted"],
+            fault_records=[FaultRecord(*record) for record in loop["faults"]],
         )
         if self.auditor is not None:
-            self.auditor.audit_hierarchy(hierarchy, lite, faulted)
+            self.auditor.audit_hierarchy(hierarchy, lite, loop["faulted"])
             self.auditor.audit_result(
                 result, self.organization, self.energy_model
             )
         if inst is not None:
-            inst.finish(result, events_fired=event_index)
+            inst.finish(result, events_fired=loop["event_index"])
         return result

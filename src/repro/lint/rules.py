@@ -95,7 +95,8 @@ class DeterminismRule(LintRule):
 
     Flags (a) module-level ``random.*`` / legacy ``numpy.random.*``
     calls, which share hidden global state between unrelated components,
-    also through names imported from either module; (b)
+    also through names imported from either module or a module alias of
+    ``numpy.random``; (b)
     ``random.Random()`` / ``default_rng()`` constructed without a seed
     argument; (c) wall-clock reads feeding an RNG constructor or a
     ``*seed*`` variable.  ``random.Random(seed)`` threaded from the
@@ -116,13 +117,17 @@ class DeterminismRule(LintRule):
         random_aliases = _module_aliases(ctx.tree, "random")
         from_random = _imported_names(ctx.tree, "random")
         from_numpy = _imported_names(ctx.tree, "numpy.random")
-        numpy_aliases = _module_aliases(ctx.tree, "numpy") | _module_aliases(
-            ctx.tree, "numpy.random"
-        )
+        # Names bound to the numpy.random module: np.random through each
+        # numpy alias, and every alias of numpy.random itself (``import
+        # numpy.random as npr``; plain ``import numpy.random`` binds
+        # ``numpy.random``).
+        numpy_random = {
+            f"{alias}.random" for alias in _module_aliases(ctx.tree, "numpy")
+        } | _module_aliases(ctx.tree, "numpy.random")
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_call(
-                    ctx, node, random_aliases, from_random, from_numpy, numpy_aliases
+                    ctx, node, random_aliases, from_random, from_numpy, numpy_random
                 )
             elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 yield from self._check_seed_assignment(ctx, node)
@@ -135,7 +140,7 @@ class DeterminismRule(LintRule):
         random_aliases: set[str],
         from_random: dict[str, str],
         from_numpy: dict[str, str],
-        numpy_aliases: set[str],
+        numpy_random: set[str],
     ) -> Iterator[Finding]:
         func = node.func
         where = ctx.qualified_context(node)
@@ -191,10 +196,7 @@ class DeterminismRule(LintRule):
                 yield from self._check_time_seed(ctx, node, where)
             return
         # numpy.random.* — legacy global-state fns, unseeded default_rng
-        if base is not None and (
-            base in {f"{alias}.random" for alias in numpy_aliases}
-            or base in numpy_aliases and func.attr == "default_rng"
-        ):
+        if base in numpy_random:
             yield from self._check_numpy_call(ctx, node, func.attr, where)
 
     def _check_numpy_call(

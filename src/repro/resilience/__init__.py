@@ -9,8 +9,8 @@ Five pillars, each usable on its own:
 * :mod:`repro.resilience.checkpoint` — versioned, checksummed snapshots
   of a running simulation (built on the ``state_dict`` protocol) plus
   golden per-component state digests;
-* :mod:`repro.resilience.bisect` — binary-search two runs' digest trails
-  for the first diverging interval boundary and component;
+* :mod:`repro.resilience.bisect` — record two runs' digest trails and
+  find the first diverging interval boundary and component;
 * :mod:`repro.resilience.sweep` — the one sweep driver: journal,
   ``--resume``, per-cell isolation, retries, crash quarantine and
   mid-cell snapshot restart, over two executors (this process, or

@@ -19,9 +19,9 @@ fixture):
   together — the fresh-vs-resumed comparison behind the determinism CI
   job.
 
-:func:`repro.resilience.checkpoint.first_divergence` binary-searches two
-trails for the first diverging boundary and names the diverging
-components; :func:`describe_divergence` renders its verdict.
+:func:`repro.resilience.checkpoint.first_divergence` scans two trails
+for the first diverging boundary and names the diverging components;
+:func:`describe_divergence` renders its verdict.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ provides:
   every N interval boundaries and can simultaneously record a golden
   *digest trail* (a per-component sha256 per boundary);
 * **:class:`DigestTrail`** and :func:`first_divergence` — the comparison
-  side: given two trails (two seeds, or fresh vs. resumed), binary-search
-  the first boundary and the first component whose digests diverge.
+  side: given two trails (two seeds, or fresh vs. resumed), scan for the
+  first boundary whose digests diverge and name its diverging components.
 
 Because identical states encode to identical canonical JSON, two runs
 agree at a boundary *iff* their digests agree — the divergence search
@@ -224,7 +224,7 @@ def read_snapshot(path) -> tuple[dict, dict]:
 
 
 # ----------------------------------------------------------------------
-# Digest trails and divergence bisection
+# Digest trails and the first divergence
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class DigestTrail:
@@ -267,46 +267,23 @@ def _diverging_components(a: dict[str, str], b: dict[str, str]) -> tuple[str, ..
 def first_divergence(trail_a: DigestTrail, trail_b: DigestTrail) -> Divergence | None:
     """First boundary and components where two trails diverge, or ``None``.
 
-    Uses binary search: simulation state is cumulative, so once two runs
-    diverge they stay diverged with overwhelming likelihood.  Because a
-    later *coincidental* re-convergence would break that monotonicity
-    assumption, the result is verified and falls back to a linear scan
-    when the bisection landed wrong.
+    A linear scan: two runs may diverge and agree again (a stats sync
+    that only one run makes, undone by a later Lite resize in both), so
+    no record past the first difference says where that difference is.
     """
     require(
         trail_a.boundaries == trail_b.boundaries,
         "digest trails cover different boundaries "
         f"({len(trail_a.boundaries)} vs {len(trail_b.boundaries)} records)",
     )
-    count = len(trail_a.boundaries)
-    if count == 0 or trail_a.digests[-1] == trail_b.digests[-1]:
-        # Identical final state: by cumulativity the runs agree throughout;
-        # verify cheaply and linear-scan if a transient blip exists.
-        for index in range(count):
-            if trail_a.digests[index] != trail_b.digests[index]:
-                return _divergence_at(trail_a, trail_b, index)
-        return None
-    lo, hi = 0, count - 1  # invariant: digests differ at hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if trail_a.digests[mid] == trail_b.digests[mid]:
-            lo = mid + 1
-        else:
-            hi = mid
-    # Verify the bisection (guards against non-monotone divergence).
-    if lo > 0 and trail_a.digests[lo - 1] != trail_b.digests[lo - 1]:
-        for index in range(lo):
-            if trail_a.digests[index] != trail_b.digests[index]:
-                return _divergence_at(trail_a, trail_b, index)
-    return _divergence_at(trail_a, trail_b, lo)
-
-
-def _divergence_at(trail_a: DigestTrail, trail_b: DigestTrail, index: int) -> Divergence:
-    return Divergence(
-        boundary=trail_a.boundaries[index],
-        components=_diverging_components(trail_a.digests[index], trail_b.digests[index]),
-        index=index,
-    )
+    for index, (a, b) in enumerate(zip(trail_a.digests, trail_b.digests)):
+        if a != b:
+            return Divergence(
+                boundary=trail_a.boundaries[index],
+                components=_diverging_components(a, b),
+                index=index,
+            )
+    return None
 
 
 # ----------------------------------------------------------------------

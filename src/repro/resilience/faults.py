@@ -29,7 +29,7 @@ import os
 import signal
 import time
 import zlib
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -271,18 +271,3 @@ class ChaosPolicy:
             time.sleep(self.hang_seconds)
         if self.kill_probability > 0.0 and rng.random() < self.kill_probability:
             os.kill(os.getpid(), signal.SIGKILL)
-
-    def to_json(self) -> dict:
-        """Plain-dict form for crossing the process boundary in a task spec."""
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChaosPolicy":
-        """Strict inverse of :meth:`to_json`.
-
-        Unknown or missing keys raise
-        :class:`repro.errors.ConfigurationError` (not a raw ``TypeError``)
-        so a task spec produced by a newer build fails loudly at the
-        supervisor boundary instead of deep inside a worker.
-        """
-        return dataclass_from_json(cls, data, "chaos policy")

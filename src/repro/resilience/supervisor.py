@@ -99,7 +99,7 @@ class WorkerTask:
     checkpoint_path: Path | None = None
     restore: bool = False
     memory_limit_mb: int | None = None
-    chaos: dict | None = None
+    chaos: ChaosPolicy | None = None
 
 
 def _apply_memory_limit(limit_mb: int | None) -> None:
@@ -196,10 +196,10 @@ def _simulate_cell(task: WorkerTask, heartbeat_conn, shutdown: dict) -> tuple:
         settings.seed,
         task.trace_dir / f"{task.workload}.npy",
     )
-    chaos = ChaosPolicy.from_json(task.chaos) if task.chaos else None
+    chaos = task.chaos
     chaos_rng = (
         chaos.rng(_cell_key(task.workload, task.configuration), task.attempt)
-        if chaos
+        if chaos is not None
         else None
     )
     checkpointers: list = []
@@ -332,7 +332,6 @@ def run_worker_pool(
     every later attempt loads it (``load_or_generate_trace``).  The
     directory is removed on every way out of this function.
     """
-    chaos_spec = chaos.to_json() if chaos is not None else None
     ctx = _mp_context()
     trace_dir = Path(tempfile.mkdtemp(prefix="repro-traces-"))
     shutdown = _ShutdownState()
@@ -362,7 +361,7 @@ def run_worker_pool(
                     checkpoint_path=slot.checkpoint_path,
                     restore=slot.restore,
                     memory_limit_mb=memory_limit_mb,
-                    chaos=chaos_spec,
+                    chaos=chaos,
                 )
                 entry = _launch(ctx, slot, task, cell_timeout_s)
                 inflight[entry.process.pid] = entry

@@ -4,6 +4,8 @@ import random
 import time
 
 import numpy as np
+import numpy.random
+import numpy.random as npr
 from numpy.random import default_rng, permutation
 
 
@@ -33,6 +35,11 @@ def numpy_unseeded():
 def numpy_imported_names():
     rng = default_rng()  # finding: unseeded generator
     return rng, permutation(10)  # finding: global numpy state
+
+
+def numpy_random_module_aliases(x):
+    npr.shuffle(x)  # finding: global numpy state
+    return npr.rand(3), numpy.random.permutation(10)  # 2 findings: global numpy state
 
 
 def seed_from_clock():

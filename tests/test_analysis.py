@@ -64,9 +64,9 @@ class TestExperimentDrivers:
         built = []
         original = FastEngine.__init__
 
-        def spy(self, hierarchy, trace, probe=None):
+        def spy(self, hierarchy, trace, replay, probe=None):
             built.append(hierarchy)
-            original(self, hierarchy, trace, probe)
+            original(self, hierarchy, trace, replay, probe)
 
         monkeypatch.setattr(FastEngine, "__init__", spy)
         result = run_workload_config(tiny_workload(), config, SETTINGS)

@@ -26,6 +26,7 @@ The acceptance bar of the checkpoint work:
 """
 
 import contextlib
+import copy
 import hashlib
 import json
 import random
@@ -39,6 +40,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentSettings, prepare_run
 from repro.core.organizations import EXTENDED_CONFIG_NAMES, paging_policy_for
+from repro.core.simulator import MAX_FAULT_RECORDS
 from repro.errors import AddressSpaceError, CheckpointError
 from repro.ioutils import atomic_write_json, atomic_write_text
 from repro.mem.physical import PhysicalMemory
@@ -64,6 +66,7 @@ from repro.resilience.checkpoint import (
     write_snapshot,
 )
 from repro.resilience.faults import (
+    TRACE_FAULTS,
     adversarial_events,
     inject_duplicate_bursts,
     inject_out_of_range,
@@ -566,6 +569,89 @@ class TestResumeDeterminism:
 
 
 # ----------------------------------------------------------------------
+# The loop's state object: hook copies, resume checks, fault records
+# ----------------------------------------------------------------------
+def tolerant_faulted_cell(config_name):
+    """povray at 20k accesses under an adversarial event schedule, with 2%
+    of its accesses out of range: 400 faults, of which 256 are recorded."""
+    prepared = prepare_run(
+        POVRAY, config_name, ExperimentSettings(trace_accesses=20_000), on_fault="record"
+    )
+    prepared.trace = TRACE_FAULTS["out_of_range"](prepared.trace, fraction=0.02, seed=3)
+    prepared.events = adversarial_events(prepared.process, len(prepared.trace), seed=5)
+    return prepared
+
+
+class TestLoopState:
+    @pytest.mark.parametrize("abort_after", (10, 45))
+    @pytest.mark.parametrize("config_name", ("TLB_Lite", "RMM_Lite"))
+    def test_tolerant_run_resumes_with_its_fault_records(
+        self, config_name, abort_after, tmp_path
+    ):
+        """Killed before (boundary 10) and after (45) the record cap fills."""
+        prepare = partial(tolerant_faulted_cell, config_name)
+        fresh = record_trail(prepare())
+        assert fresh.result.faulted_accesses == 400
+        assert len(fresh.result.fault_records) == MAX_FAULT_RECORDS
+        path = tmp_path / "cell.ckpt"
+        resumed = record_resumed(prepare, abort_after, path)
+        loop = read_snapshot(path)[0]["loop"]
+        assert len(loop["faults"]) == min(loop["faulted"], MAX_FAULT_RECORDS)
+        assert (loop["faulted"] > MAX_FAULT_RECORDS) == (abort_after == 45)
+        assert first_divergence(fresh.trail, resumed.trail) is None
+        assert resumed.result == fresh.result
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda state: state.pop("next_sample"), r"missing keys \['next_sample'\]"),
+            (lambda state: state.update(stale=0), r"unknown keys \['stale'\]"),
+            (lambda state: state.update(total=state["total"] + 1), "different trace"),
+        ],
+        ids=("missing-key", "extra-key", "other-total"),
+    )
+    def test_resume_state_is_checked(self, change, message):
+        states = []
+        prepare_run(small_workload(), "TLB_Lite", SETTINGS).run(checkpoint_hook=states.append)
+        state = states[len(states) // 2]
+        change(state)
+        rebuilt = prepare_run(small_workload(), "TLB_Lite", SETTINGS)
+        with pytest.raises(CheckpointError, match=message):
+            rebuilt.run(resume_state=state)
+
+    def test_hook_keeps_each_state_it_is_given(self):
+        """Each boundary's state is a copy: the loop never writes to one
+        it has handed out, so kept states hold their own boundary."""
+        states = []
+        result = tolerant_faulted_cell("TLB_Lite").run(checkpoint_hook=states.append)
+        for key in (None, "faults", "timeline"):
+            kept = [state if key is None else state[key] for state in states]
+            assert len({id(value) for value in kept}) == len(states)
+        assert [state["boundary"] for state in states] == list(range(1, len(states) + 1))
+        counts = [len(state["timeline"]) for state in states]
+        assert counts == sorted(counts) and counts[0] < counts[-1]
+        final = states[-1]
+        assert final["timeline"] == [[s.instructions, s.l1_mpki] for s in result.timeline]
+        assert final["faults"] == [
+            [r.index, r.vpn, r.error, r.message] for r in result.fault_records
+        ]
+
+    def test_resume_leaves_its_state_unchanged(self, tmp_path):
+        path = tmp_path / "cell.ckpt"
+        killed = tolerant_faulted_cell("TLB_Lite")
+        checkpointer = SimulationCheckpointer(
+            killed.simulator, killed.process, path=path, abort_after=20
+        )
+        with pytest.raises(AbortSimulation):
+            killed.run(checkpoint_hook=checkpointer)
+        resumed = tolerant_faulted_cell("TLB_Lite")
+        loop_state = resume_from_snapshot(resumed, path)
+        kept = copy.deepcopy(loop_state)
+        resumed.run(resume_state=loop_state)
+        assert loop_state == kept
+
+
+# ----------------------------------------------------------------------
 # Snapshot file integrity
 # ----------------------------------------------------------------------
 class TestSnapshotFiles:
@@ -717,6 +803,16 @@ class TestBisection:
         divergence = first_divergence(trail_from(base), trail_from(other))
         assert divergence.index == diverge_at
         assert divergence.boundary == diverge_at + 1
+        assert divergence.components == ("x",)
+
+    def test_transient_divergence_is_the_first(self):
+        """Differ at boundary 2, agree at 3-5, differ from 6 on: boundary 2."""
+        base = [{"x": str(i), "y": "same"} for i in range(11)]
+        other = [dict(digest_map) for digest_map in base]
+        for index in (1, *range(5, 11)):
+            other[index]["x"] = f"{index}-diverged"
+        divergence = first_divergence(trail_from(base), trail_from(other))
+        assert (divergence.boundary, divergence.index) == (2, 1)
         assert divergence.components == ("x",)
 
     def test_mismatched_trails_rejected(self):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.organizations import EXTENDED_CONFIG_NAMES
 from repro.errors import ConfigurationError, FuzzError
-from repro.resilience.faults import ChaosPolicy, dataclass_from_json
+from repro.resilience.faults import dataclass_from_json
 from repro.resilience.fuzz import (
     CORPUS_VERSION,
     FUZZ_CASE_VERSION,
@@ -330,7 +330,7 @@ class TestCommittedCorpus:
 
 
 # ----------------------------------------------------------------------
-# Strict JSON for the fuzz and chaos campaigns' task specs
+# Strict JSON for the fuzz campaign's task specs
 # ----------------------------------------------------------------------
 @dataclass
 class _Record:
@@ -342,17 +342,13 @@ class _Record:
 
 
 class TestStrictCampaignJson:
-    def test_chaos_policy_round_trip(self):
-        policy = ChaosPolicy(kill_probability=0.25, oom_at_boundary=3, seed=9)
-        assert ChaosPolicy.from_json(policy.to_json()) == policy
+    def test_dataclass_from_json_rejects_unknown_key(self):
+        with pytest.raises(ConfigurationError, match="unknown keys: nmae"):
+            dataclass_from_json(_Record, {"nmae": "x", "name": "x", "count": 1}, "record")
 
-    def test_chaos_policy_rejects_unknown_key(self):
-        with pytest.raises(ConfigurationError, match="unknown keys: kill_prob"):
-            ChaosPolicy.from_json({"kill_prob": 0.5})
-
-    def test_chaos_policy_rejects_non_object(self):
+    def test_dataclass_from_json_rejects_non_object(self):
         with pytest.raises(ConfigurationError, match="expected an object"):
-            ChaosPolicy.from_json([0.5])
+            dataclass_from_json(_Record, ["x", 1], "record")
 
     def test_dataclass_from_json_rejects_missing_required_key(self):
         with pytest.raises(ConfigurationError, match="missing keys: name"):

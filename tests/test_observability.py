@@ -226,6 +226,10 @@ class TestObservabilityHub:
 # ----------------------------------------------------------------------
 # Compiled-out proof: disabled telemetry is absent from fastpath codegen
 # ----------------------------------------------------------------------
+def refuse_replay(start, stop):
+    raise AssertionError(f"the 4KB template replayed [{start}, {stop})")
+
+
 class TestCompiledOutCodegen:
     def _hierarchy(self):
         process = Process(PhysicalMemory(1 << 30, seed=0), paging_policy_for("4KB"))
@@ -236,7 +240,8 @@ class TestCompiledOutCodegen:
         """The engine bumps the probe per drain call, outside generated code."""
         sources = []
         for probe in (None, FastPathProbe()):
-            drain = FastEngine(self._hierarchy(), [0], probe=probe)._drain_for_shape()
+            engine = FastEngine(self._hierarchy(), [0], refuse_replay, probe=probe)
+            drain = engine._drain_for_shape()
             assert drain is not None
             sources.append(drain.__repro_source__)
         assert sources[0] == sources[1]
@@ -245,7 +250,7 @@ class TestCompiledOutCodegen:
     def test_fast_engine_defaults_to_no_probe(self):
         prepared = prepare_run(small_workload(), "4KB", SETTINGS, engine="fast")
         engine = FastEngine(
-            prepared.organization.hierarchy, as_vpn_array(prepared.trace)
+            prepared.organization.hierarchy, as_vpn_array(prepared.trace), refuse_replay
         )
         engine.drain(0, 200)
         drain = engine._drain_for_shape()

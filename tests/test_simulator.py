@@ -12,6 +12,7 @@ from repro.mem.physical import PhysicalMemory
 from repro.mem.process import Process
 from repro.mmu.page_table import PageFault
 from repro.mmu.translation import PAGES_PER_2MB
+from repro.resilience.bisect import record_trail
 from repro.workloads.registry import get_workload
 
 
@@ -91,6 +92,23 @@ class TestRun:
         result = sim.run([vma.start_vpn] * 100, fast_forward_accesses=0)
         assert result.accesses == 100
         assert result.l1_misses == 1
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("config", ["4KB", "Banked"])
+    def test_list_of_numpy_ints_runs_as_its_array(self, config, engine):
+        """Components get Python ints from a list trace too, so digests stay
+        pure JSON; Banked has no fast template, so both engines replay it."""
+        runs = []
+        for as_list in (False, True):
+            prepared = prepare_run(
+                get_workload("povray"), config, ExperimentSettings(trace_accesses=3000),
+                engine=engine,
+            )
+            if as_list:
+                prepared.trace = list(prepared.trace)
+            runs.append(record_trail(prepared))
+        assert runs[1].trail == runs[0].trail
+        assert runs[1].result == runs[0].result
 
 
 class TestTimeline:

@@ -513,7 +513,7 @@ class TestHeartbeatSpacing:
             attempt=0,
             options=CellOptions(SETTINGS),
             trace_dir=tmp_path,
-            chaos=(chaos or ChaosPolicy()).to_json(),
+            chaos=chaos or ChaosPolicy(),
         )
         connection = _RecordingConnection()
         supervisor._simulate_cell(task, connection, shutdown or {"requested": False})
