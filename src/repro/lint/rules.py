@@ -119,11 +119,17 @@ class DeterminismRule(LintRule):
         from_numpy = _imported_names(ctx.tree, "numpy.random")
         # Names bound to the numpy.random module: np.random through each
         # numpy alias, and every alias of numpy.random itself (``import
-        # numpy.random as npr``; plain ``import numpy.random`` binds
-        # ``numpy.random``).
-        numpy_random = {
-            f"{alias}.random" for alias in _module_aliases(ctx.tree, "numpy")
-        } | _module_aliases(ctx.tree, "numpy.random")
+        # numpy.random as npr``, ``from numpy import random as npr``;
+        # plain ``import numpy.random`` binds ``numpy.random``).
+        numpy_random = (
+            {f"{alias}.random" for alias in _module_aliases(ctx.tree, "numpy")}
+            | _module_aliases(ctx.tree, "numpy.random")
+            | {
+                name
+                for name, imported in _imported_names(ctx.tree, "numpy").items()
+                if imported == "random"
+            }
+        )
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_call(

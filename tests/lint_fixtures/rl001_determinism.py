@@ -6,6 +6,7 @@ import time
 import numpy as np
 import numpy.random
 import numpy.random as npr
+from numpy import random as nprandom
 from numpy.random import default_rng, permutation
 
 
@@ -39,6 +40,7 @@ def numpy_imported_names():
 
 def numpy_random_module_aliases(x):
     npr.shuffle(x)  # finding: global numpy state
+    nprandom.seed(0)  # finding: global numpy state
     return npr.rand(3), numpy.random.permutation(10)  # 2 findings: global numpy state
 
 
